@@ -12,8 +12,7 @@ from .losses import (bce, cross_entropy_7, focal_multilabel, head_forward,
                      pos_weights, weighted_bce)
 from .metrics import (MetricsReport, binary_accuracy, confusion,
                       emotion_report, f1, multiclass_accuracy)
-from .tensor import (GradTape, ParameterStore, Tensor, backward,
-                     finite_difference_check)
+from .tensor import ParameterStore, Tensor, backward, finite_difference_check
 from .training import (Checkpoint, TaskSpec, TrainConfig, adamw_step,
                        load_checkpoint, lr_schedule, run_experiment,
                        save_checkpoint, train_adapter, train_fusion)
@@ -22,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdapterBank", "Batch", "Checkpoint", "ClassStats", "EMOTIONS",
-    "GradTape", "MetricsReport", "ModelConfig", "ParameterStore",
+    "MetricsReport", "ModelConfig", "ParameterStore",
     "RawExample", "Splits", "TaskSpec", "Tensor", "TrainConfig",
     "Vocabulary", "adamw_step", "adapter_forward", "backward", "bce",
     "binarize_emotions", "binarize_sentiment", "binary_accuracy",

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from .data import (DEFAULT_CLASS_PRIORS, EMOTIONS, Splits, Vocabulary,
 from .encoder import ModelConfig
 from .errors import (CheckpointError, ConfigError, ContractError, CorpusError,
                      NumericalDivergenceError)
-from .fusion import AdapterBank, count_parameters, group_of
+from .fusion import AdapterBank, count_parameters
 from .losses import pos_weights
 from .metrics import MetricsReport
 from .tensor import finite_difference_check
@@ -59,11 +58,11 @@ def _write_json(path: Path, body: dict) -> None:
                     encoding="utf-8")
 
 
-def _task_spec(name: str, loss: str) -> TaskSpec:
+def _task_spec(name: str, cfg: TrainConfig) -> TaskSpec:
+    """The task's loss is the resolved config's (TaskSpec turns it into
+    cross-entropy for the 7-class task)."""
     kind, _ = TASK_TABLE[name]
-    if kind == "multiclass-7":
-        return TaskSpec(name=name, kind=kind, loss="ce")
-    return TaskSpec(name=name, kind=kind, loss=loss)
+    return TaskSpec(name=name, kind=kind, loss=cfg.loss)
 
 
 def _load_task_corpus(path: str, task: str):
@@ -98,9 +97,8 @@ def _resolve_model_config(args) -> ModelConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         if "model" in raw:
-            return ModelConfig.from_dict({**ModelConfig.desk().to_dict(),
-                                          **raw["model"]})
-    return ModelConfig.desk()
+            return ModelConfig.from_dict({**asdict(ModelConfig()), **raw["model"]})
+    return ModelConfig()
 
 
 def _splits(args, task: str) -> Splits:
@@ -156,12 +154,12 @@ def cmd_synth(args) -> int:
 def _report_body(report: MetricsReport, cfg: TrainConfig,
                  model_config: ModelConfig) -> dict:
     return {"report": report.to_dict(),
-            "config": {"train": cfg.to_dict(), "model": model_config.to_dict()}}
+            "config": {"train": cfg.to_dict(), "model": asdict(model_config)}}
 
 
 def cmd_train_adapter(args) -> int:
-    task = _task_spec(args.task, args.loss or "weighted_bce")
     cfg = _resolve_train_config(args)
+    task = _task_spec(args.task, cfg)
     model_config = _resolve_model_config(args)
     splits = _splits(args, args.task)
     vocab = Vocabulary.load(args.vocab) if args.vocab else \
@@ -196,32 +194,22 @@ def cmd_train_adapter(args) -> int:
 
 
 def cmd_train_fusion(args) -> int:
-    task = _task_spec(args.task, args.loss or "weighted_bce")
     cfg = _resolve_train_config(args)
+    task = _task_spec(args.task, cfg)
     checkpoints = [load_checkpoint(p) for p in args.adapters]
     splits = _splits(args, args.task)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    frozen_before = {}
-    for ckpt in checkpoints:
-        for name, arr in ckpt.tensors.items():
-            if group_of(name) in ("encoder",) or name.startswith("adapters."):
-                frozen_before[name] = arr
-
     result = train_fusion(task, checkpoints, splits, cfg)
-    audit = {}
-    ok = True
-    for group, names in result.bank.groups.groups.items():
-        if group != "encoder" and not group.startswith("adapters."):
-            continue
-        before = hashlib.sha256(b"".join(
-            np.asarray(frozen_before[n]).astype("<f4").tobytes()
-            for n in sorted(names))).hexdigest()
-        after = group_hashes(result.bank)[group]
-        audit[group] = {"before": before, "after": after,
-                        "frozen": before == after}
-        ok = ok and before == after
+    before = group_hashes(result.bank, {name: arr for ckpt in checkpoints
+                                        for name, arr in ckpt.tensors.items()})
+    after = group_hashes(result.bank)
+    audit = {g: {"before": before[g], "after": after[g],
+                 "frozen": before[g] == after[g]}
+             for g, trainable in result.bank.groups.trainable.items()
+             if not trainable}
+    ok = all(entry["frozen"] for entry in audit.values())
     save_checkpoint(result.checkpoint, out / f"fusion-{task.name}.ckpt")
     model_config = result.bank.config
     _write_json(out / f"fusion-report-{task.name}.json",
@@ -338,7 +326,7 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_count_params(args) -> int:
-    config = ModelConfig.full_scale() if args.scale == "full" else ModelConfig.desk()
+    config = ModelConfig.full_scale() if args.scale == "full" else ModelConfig()
     if args.mode:
         counts = count_parameters(config, args.mode, num_tasks=args.num_tasks,
                                   num_labels=args.num_labels)

@@ -17,7 +17,6 @@ from .errors import ContractError
 from .tensor import ParameterStore, Tensor
 
 INIT_STD = 0.02
-MASK_FILL = -1e9
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,6 @@ class ModelConfig:
         return self.hidden_size // self.reduction_factor
 
     @classmethod
-    def desk(cls, **overrides) -> "ModelConfig":
-        """Small enough for finite-difference sweeps in seconds."""
-        return cls(**overrides)
-
-    @classmethod
     def full_scale(cls) -> "ModelConfig":
         """Reference encoder geometry used only for parameter accounting."""
         return cls(num_layers=12, hidden_size=768, num_heads=12, ff_size=3072,
@@ -70,15 +64,6 @@ class ModelConfig:
 
     def with_vocab(self, vocab_size: int) -> "ModelConfig":
         return replace(self, vocab_size=vocab_size)
-
-    def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers, "hidden_size": self.hidden_size,
-            "num_heads": self.num_heads, "ff_size": self.ff_size,
-            "vocab_size": self.vocab_size, "max_positions": self.max_positions,
-            "num_segments": self.num_segments,
-            "reduction_factor": self.reduction_factor, "eps": self.eps,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -163,30 +148,12 @@ def multi_head_attention(config: ModelConfig, params: ParameterStore,
                          layer_idx: int, h: Tensor, mask: np.ndarray) -> Tensor:
     """Scaled dot-product attention over heads; returns the pre-residual
     output projection. Masked key positions receive -1e9 before softmax."""
-    b, l, hidden = h.shape
-    nh, dh = config.num_heads, config.head_dim
     prefix = f"layers.{layer_idx}.attention"
-    flat = T.reshape(h, (b * l, hidden))
-
-    def heads(name: str) -> Tensor:
-        x = _linear(flat, params, f"{prefix}.{name}")
-        x = T.reshape(x, (b, l, nh, dh))
-        x = T.transpose(x, (0, 2, 1, 3))
-        return T.reshape(x, (b * nh, l, dh))
-
-    q, k, v = heads("query"), heads("key"), heads("value")
-    scores = T.scale(T.batched_matmul(q, T.transpose(k, (0, 2, 1))),
-                     1.0 / math.sqrt(dh))
-    fill = (1.0 - mask.astype(np.float64)) * MASK_FILL  # 0 kept, -1e9 masked
-    fill = np.broadcast_to(np.repeat(fill, nh, axis=0)[:, None, :],
-                           (b * nh, l, l)).copy()
-    weights = T.softmax(T.add(scores, T.constant(fill)), axis=2)
-    ctx = T.batched_matmul(weights, v)
-    ctx = T.reshape(ctx, (b, nh, l, dh))
-    ctx = T.transpose(ctx, (0, 2, 1, 3))
-    ctx = T.reshape(ctx, (b * l, hidden))
-    out = _linear(ctx, params, f"{prefix}.output")
-    return T.reshape(out, (b, l, hidden))
+    q, k, v = (_linear(h, params, f"{prefix}.{name}")
+               for name in ("query", "key", "value"))
+    weights = T.attention_weights(q, k, config.num_heads,
+                                  1.0 / math.sqrt(config.head_dim), mask)
+    return _linear(T.attend(weights, v), params, f"{prefix}.output")
 
 
 def encoder_layer_forward(config: ModelConfig, params: ParameterStore,
@@ -194,16 +161,12 @@ def encoder_layer_forward(config: ModelConfig, params: ParameterStore,
                           adapter_slot: AdapterSlot | None = None) -> Tensor:
     """Attention sublayer, FF sublayer (both residual + post-norm), then the
     adapter slot applied to the FF-sublayer output."""
-    b, l, hidden = h.shape
     p = f"layers.{layer_idx}"
     attn = multi_head_attention(config, params, layer_idx, h, mask)
     h1 = T.layer_norm(T.add(h, attn), params[f"{p}.attention.norm.gamma"],
                       params[f"{p}.attention.norm.beta"], config.eps)
-    flat = T.reshape(h1, (b * l, hidden))
-    ff = T.gelu(_linear(flat, params, f"{p}.ff.in"))
-    ff = _linear(ff, params, f"{p}.ff.out")
-    h2 = T.layer_norm(T.add(h1, T.reshape(ff, (b, l, hidden))),
-                      params[f"{p}.ff.norm.gamma"],
+    ff = _linear(T.gelu(_linear(h1, params, f"{p}.ff.in")), params, f"{p}.ff.out")
+    h2 = T.layer_norm(T.add(h1, ff), params[f"{p}.ff.norm.gamma"],
                       params[f"{p}.ff.norm.beta"], config.eps)
     if adapter_slot is None:
         return h2

@@ -62,13 +62,11 @@ def init_fusion_params(config: ModelConfig, store: ParameterStore,
 def adapter_forward(config: ModelConfig, params: ParameterStore, task: str,
                     layer_idx: int, h_ff: Tensor) -> Tensor:
     """relu bottleneck with a residual connection around it."""
-    b, l, hidden = h_ff.shape
     p = f"adapters.{task}.{layer_idx}"
-    flat = T.reshape(h_ff, (b * l, hidden))
-    u = T.relu(T.add_bias(T.matmul(flat, params[f"{p}.down.weight"]),
+    u = T.relu(T.add_bias(T.matmul(h_ff, params[f"{p}.down.weight"]),
                           params[f"{p}.down.bias"]))
     a = T.add_bias(T.matmul(u, params[f"{p}.up.weight"]), params[f"{p}.up.bias"])
-    return T.add(h_ff, T.reshape(a, (b, l, hidden)))
+    return T.add(h_ff, a)
 
 
 def fusion_forward(config: ModelConfig, params: ParameterStore,
@@ -86,20 +84,13 @@ def fusion_forward(config: ModelConfig, params: ParameterStore,
         raise ContractError("one adapter output per task expected")
     b, l, hidden = h_ff.shape
     p = f"fusion.{layer_idx}"
-    flat = T.reshape(h_ff, (b * l, hidden))
-    q = T.reshape(T.matmul(flat, params[f"{p}.query"]), (b * l, 1, hidden))
-    keys, values = [], []
-    for a_t in adapter_outputs:
-        a_flat = T.reshape(a_t, (b * l, hidden))
-        keys.append(T.reshape(T.matmul(a_flat, params[f"{p}.key"]), (b * l, 1, hidden)))
-        values.append(T.reshape(T.matmul(a_flat, params[f"{p}.value"]), (b * l, 1, hidden)))
-    k = T.concat(keys, axis=1)     # [B*L, T, H]
-    v = T.concat(values, axis=1)
-    scores = T.batched_matmul(q, T.transpose(k, (0, 2, 1)))  # [B*L, 1, T]
-    alpha = T.softmax(scores, axis=2)
-    mixed = T.reshape(T.batched_matmul(alpha, v), (b, l, hidden))
-    out = T.add(h_ff, mixed)
-    return out, alpha.data.reshape(b, l, len(tasks))
+    q = T.reshape(T.matmul(h_ff, params[f"{p}.query"]), (b, l, 1, hidden))
+    stacked = T.stack(adapter_outputs, axis=-2)             # [B, L, T, H]
+    k = T.matmul(stacked, params[f"{p}.key"])
+    v = T.matmul(stacked, params[f"{p}.value"])
+    alpha = T.attention_weights(q, k, 1, 1.0)               # [B, L, 1, 1, T]
+    mixed = T.reshape(T.attend(alpha, v), (b, l, hidden))
+    return T.add(h_ff, mixed), alpha.data.reshape(b, l, len(tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +141,6 @@ class FreezeGroups:
         out = []
         for g, names in self.groups.items():
             if self.trainable[g]:
-                out.extend(names)
-        return out
-
-    def frozen_names(self) -> list[str]:
-        out = []
-        for g, names in self.groups.items():
-            if not self.trainable[g]:
                 out.extend(names)
         return out
 

@@ -14,6 +14,10 @@ from .data import EMOTIONS
 from .errors import ContractError
 from .tensor import _sigmoid_stable
 
+# Keys of ``MetricsReport.overall`` for each task kind.
+OVERALL_METRICS = {"multilabel-6": ("mean_accuracy", "weighted_f1"),
+                   "binary": ("accuracy",), "multiclass-7": ("accuracy",)}
+
 
 def confusion(preds, labels) -> tuple[int, int, int, int]:
     """Exact (tp, fp, tn, fn) counts over {0,1} vectors."""

@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every differentiable operation records a node holding its inputs and a
-backward closure. ``backward`` traces the graph from a scalar root into a
-:class:`GradTape` (a topological ordering of the recorded nodes) and replays
-it in reverse, accumulating gradients with ``+=`` across shared
-subexpressions. Broadcasting is deliberately restricted to scalar-vs-tensor
-and equal shapes; model code reshapes explicitly.
+backward closure. ``backward`` orders the graph below a scalar root
+topologically and replays it in reverse, accumulating gradients with ``+=``
+across shared subexpressions. Elementwise broadcasting is deliberately
+restricted to scalar-vs-tensor and equal shapes; ``matmul``, ``add_bias``,
+``layer_norm`` and the attention ops act on the last axes and accept any
+leading dims.
 """
 
 from __future__ import annotations
@@ -58,24 +59,9 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
-
-def tensor(data, requires_grad: bool = False, name: str | None = None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, name=name)
 
 
 def constant(data) -> Tensor:
@@ -212,54 +198,23 @@ def log_sigmoid(a: Tensor) -> Tensor:
     return _track("log_sigmoid", (a,), y, backward)
 
 
-_ELEMENTWISE = {
-    "add": add,
-    "mul": mul,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "log": log,
-    "neg": neg,
-    "scale": scale,
-}
-
-
-def elementwise(kind: str, *operands):
-    """Dispatch to the named elementwise operation."""
-    try:
-        fn = _ELEMENTWISE[kind]
-    except KeyError:
-        raise ContractError(f"unknown elementwise kind {kind!r}") from None
-    return fn(*operands)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """[..., k] @ [k, n] -> [..., n], computed as one 2-D GEMM over the
+    flattened leading dims (numpy's N-d ``@`` would loop over them)."""
+    if a.data.ndim == 0 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = a.data @ b.data
+    a2 = a.data.reshape(-1, b.shape[0])
+    out = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
 
     def backward(g: Array):
-        return g @ b.data.T, a.data.T @ g
+        g2 = g.reshape(-1, b.shape[1])
+        return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
 
     return _track("matmul", (a, b), out, backward)
-
-
-def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """[N,m,k] @ [N,k,n] with a shared leading extent; used by attention."""
-    if (a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0]
-            or a.shape[2] != b.shape[1]):
-        raise ShapeMismatchError(
-            f"batched_matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = a.data @ b.data
-
-    def backward(g: Array):
-        return g @ b.data.transpose(0, 2, 1), a.data.transpose(0, 2, 1) @ g
-
-    return _track("batched_matmul", (a, b), out, backward)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -275,19 +230,83 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _track("add_bias", (x, b), out, backward)
 
 
+def _softmax(x: Array, axis: int) -> Array:
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def _softmax_backward(y: Array, g: Array, axis: int) -> Array:
+    return y * (g - np.sum(g * y, axis=axis, keepdims=True))
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Max-shifted softmax along ``axis``; rows sum to 1 within 1e-12."""
     if not -x.data.ndim <= axis < x.data.ndim:
         raise ContractError(f"softmax: axis {axis} out of bounds for shape {x.shape}")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
+    y = _softmax(x.data, axis)
+    return _track("softmax", (x,), y, lambda g: (_softmax_backward(y, g, axis),))
+
+
+# ---------------------------------------------------------------------------
+# attention (shared by the encoder and the fusion layer)
+# ---------------------------------------------------------------------------
+
+_MASKED_SCORE = -1e9
+
+
+def _split_heads(x: Array, heads: int) -> Array:
+    """[..., L, H] -> [..., heads, L, H / heads] (a view)."""
+    *lead, length, hidden = x.shape
+    return x.reshape(*lead, length, heads, hidden // heads).swapaxes(-3, -2)
+
+
+def _merge_heads(x: Array) -> Array:
+    """[..., heads, L, dh] -> [..., L, heads * dh]."""
+    *lead, heads, length, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, length, heads * dh)
+
+
+def attention_weights(q: Tensor, k: Tensor, heads: int, scale: float,
+                      key_mask: Array | None = None) -> Tensor:
+    """softmax(scale * q k^T) per head: [..., Lq, H] x [..., Lk, H] ->
+    [..., heads, Lq, Lk]. ``key_mask`` is [..., Lk] with 0 marking keys
+    that receive a -1e9 score before the softmax; it broadcasts over heads
+    and queries."""
+    if (q.data.ndim < 2 or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]
+            or q.shape[-1] % heads != 0):
+        raise ShapeMismatchError(
+            f"attention_weights: incompatible shapes {q.shape} and {k.shape} "
+            f"for {heads} heads")
+    qh, kh = _split_heads(q.data, heads), _split_heads(k.data, heads)
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    if key_mask is not None:
+        fill = (1.0 - np.asarray(key_mask, dtype=np.float64)) * _MASKED_SCORE
+        scores = scores + fill[..., None, None, :]
+    y = _softmax(scores, -1)
 
     def backward(g: Array):
-        inner = np.sum(g * y, axis=axis, keepdims=True)
-        return (y * (g - inner),)
+        ds = _softmax_backward(y, g, -1) * scale
+        return _merge_heads(ds @ kh), _merge_heads(ds.swapaxes(-1, -2) @ qh)
 
-    return _track("softmax", (x,), y, backward)
+    return _track("attention_weights", (q, k), y, backward)
+
+
+def attend(weights: Tensor, v: Tensor) -> Tensor:
+    """Per-head weighted sum of values: [..., heads, Lq, Lk] x [..., Lk, H]
+    -> [..., Lq, H]."""
+    if (weights.data.ndim < 3 or v.data.ndim < 2 or weights.shape[:-3] != v.shape[:-2]
+            or v.shape[-2] != weights.shape[-1] or v.shape[-1] % weights.shape[-3] != 0):
+        raise ShapeMismatchError(
+            f"attend: incompatible shapes {weights.shape} and {v.shape}")
+    heads = weights.shape[-3]
+    vh = _split_heads(v.data, heads)
+    out = _merge_heads(weights.data @ vh)
+
+    def backward(g: Array):
+        gh = _split_heads(g, heads)
+        return gh @ vh.swapaxes(-1, -2), _merge_heads(weights.data.swapaxes(-1, -2) @ gh)
+
+    return _track("attend", (weights, v), out, backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -361,26 +380,13 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _track("reshape", (x,), out, backward)
 
 
-def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inv = np.argsort(axes)
-    out = x.data.transpose(axes)
-
-    def backward(g: Array):
-        return (g.transpose(inv),)
-
-    return _track("transpose", (x,), out, backward)
-
-
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """Stack equal-shape tensors along a new ``axis``."""
     if not tensors:
-        raise ContractError("concat of zero tensors")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-
-    def backward(g: Array):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _track("concat", tuple(tensors), out, backward)
+        raise ContractError("stack of zero tensors")
+    out = np.stack([t.data for t in tensors], axis=axis)
+    return _track("stack", tuple(tensors), out,
+                  lambda g: tuple(np.moveaxis(g, axis, 0)))
 
 
 def position_select(x: Tensor, pos: int) -> Tensor:
@@ -418,67 +424,50 @@ def mean_all(x: Tensor) -> Tensor:
 # backward pass
 # ---------------------------------------------------------------------------
 
-class GradTape:
-    """Topological ordering of the nodes reachable from one root tensor."""
-
-    def __init__(self, nodes: list[TapeNode]):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "GradTape":
-        order: list[TapeNode] = []
-        seen: set[int] = set()
-        if root.node is None:
-            return cls(order)
-        stack: list[tuple[TapeNode, bool]] = [(root.node, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for t in node.inputs:
-                if t.node is not None and id(t.node) not in seen:
-                    stack.append((t.node, False))
-        return cls(order)
-
-    def replay_backward(self, root: Tensor, seed: Array) -> None:
-        pending: dict[int, Array] = {id(root): seed}
-        for node in reversed(self.nodes):
-            assert node.out is not None
-            g = pending.pop(id(node.out), None)
-            if g is None:
-                continue
-            if node.out.requires_grad:
-                node.out.grad = g.copy() if node.out.grad is None else node.out.grad + g
-            grads = node.backward_fn(g)
-            for t, gi in zip(node.inputs, grads):
-                if gi is None:
-                    continue
-                if t.node is not None:
-                    key = id(t)
-                    if key in pending:
-                        pending[key] = pending[key] + gi
-                    else:
-                        pending[key] = gi
-                elif t.requires_grad:
-                    t.grad = gi.copy() if t.grad is None else t.grad + gi
-
-
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` for every requires_grad tensor reachable from ``loss``."""
+    """Populate ``grad`` for every requires_grad tensor reachable from ``loss``.
+
+    The nodes below ``loss`` are put in topological order (inputs before
+    consumers) and their backward closures run once each, in reverse.
+    """
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    tape = GradTape.trace(loss)
     seed = np.ones_like(loss.data)
     if loss.node is None:
         if loss.requires_grad:
             loss.grad = seed if loss.grad is None else loss.grad + seed
         return
-    tape.replay_backward(loss, seed)
+    order: list[TapeNode] = []
+    seen: set[int] = set()
+    todo: list[tuple[TapeNode, bool]] = [(loss.node, False)]
+    while todo:
+        node, expanded = todo.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        todo.append((node, True))
+        for t in node.inputs:
+            if t.node is not None and id(t.node) not in seen:
+                todo.append((t.node, False))
+
+    pending: dict[int, Array] = {id(loss): seed}
+    for node in reversed(order):
+        g = pending.pop(id(node.out), None)
+        if g is None:
+            continue
+        if node.out.requires_grad:
+            node.out.grad = g.copy() if node.out.grad is None else node.out.grad + g
+        for t, gi in zip(node.inputs, node.backward_fn(g)):
+            if gi is None:
+                continue
+            if t.node is not None:
+                key = id(t)
+                pending[key] = pending[key] + gi if key in pending else gi
+            elif t.requires_grad:
+                t.grad = gi.copy() if t.grad is None else t.grad + gi
 
 
 # ---------------------------------------------------------------------------

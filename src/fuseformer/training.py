@@ -5,7 +5,9 @@ binary checkpointing.
 Checkpoint wire format: 8-byte magic "AFCKPT01", little-endian u64 manifest
 length, UTF-8 JSON manifest {name -> {shape, dtype:"f32", offset}} plus a
 reserved "__meta__" entry (config snapshot, RNG seed, stage tag, vocab),
-then the contiguous little-endian float32 payload.
+then the contiguous little-endian float32 payload. The entries must tile the
+payload exactly: non-negative integer dimensions and offsets, no gap, no
+overlap, no trailing bytes.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import os
 import struct
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -29,9 +31,11 @@ from .encoder import ModelConfig
 from .errors import (CheckpointError, ConfigError, ContractError,
                      NumericalDivergenceError)
 from .fusion import AdapterBank
-from .losses import PosWeights, cross_entropy_7, multilabel_loss, pos_weights
-from .metrics import (MetricsReport, aggregate_reports, binary_report,
-                      early_stop_metric, emotion_report, multiclass_report)
+from .losses import (LOSS_NAMES, REDUCTIONS, PosWeights, cross_entropy_7,
+                     multilabel_loss, pos_weights)
+from .metrics import (OVERALL_METRICS, MetricsReport, aggregate_reports,
+                      binary_report, early_stop_metric, emotion_report,
+                      multiclass_report)
 from .tensor import Tensor, backward
 
 CHECKPOINT_MAGIC = b"AFCKPT01"
@@ -88,6 +92,15 @@ class TrainConfig:
                 f"patience {self.patience} exceeds epochs {self.epochs}")
         if self.batch_size <= 0 or self.runs <= 0:
             raise ConfigError("batch_size and runs must be positive")
+        if self.loss not in LOSS_NAMES:
+            raise ConfigError(f"unknown loss {self.loss!r}; expected one of {LOSS_NAMES}")
+        if self.loss_reduction not in REDUCTIONS:
+            raise ConfigError(f"unknown loss_reduction {self.loss_reduction!r}; "
+                              f"expected one of {REDUCTIONS}")
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError(f"threshold {self.threshold} must lie in (0, 1)")
+        if self.warmup_steps < 0:
+            raise ConfigError(f"warmup_steps {self.warmup_steps} must be >= 0")
         self.betas = (float(self.betas[0]), float(self.betas[1]))
 
     def to_dict(self) -> dict:
@@ -173,7 +186,7 @@ def checkpoint_from_bank(bank: AdapterBank, seed: int, stage: str,
                          extra_meta: dict | None = None) -> Checkpoint:
     tensors = {name: t.data.copy() for name, t in bank.params.items()}
     meta = {
-        "model_config": bank.config.to_dict(),
+        "model_config": asdict(bank.config),
         "heads": dict(bank.head_labels),
         "adapter_tasks": list(bank.adapter_tasks),
         "with_fusion": bank.with_fusion,
@@ -214,6 +227,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         raise
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Validate the manifest before touching the payload; errors name the
     offending entry."""
@@ -233,26 +250,46 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(manifest, dict):
         raise CheckpointError("manifest is not a JSON object")
     meta = manifest.pop(META_KEY, {})
-    payload = blob[manifest_end:]
-    tensors: dict[str, np.ndarray] = {}
+    if not isinstance(meta, dict):
+        raise CheckpointError("checkpoint meta is not a JSON object")
+    entries = []
     for name, entry in manifest.items():
-        if (not isinstance(entry, dict) or "shape" not in entry
+        if (not isinstance(entry, dict) or not isinstance(entry.get("shape"), list)
                 or "offset" not in entry):
             raise CheckpointError(f"malformed manifest entry for {name!r}")
         if entry.get("dtype") != "f32":
             raise CheckpointError(
                 f"unsupported dtype {entry.get('dtype')!r} for {name!r}")
-        shape = tuple(int(s) for s in entry["shape"])
-        offset = int(entry["offset"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 4
-        if offset < 0 or offset + nbytes > len(payload):
+        shape, offset = entry["shape"], entry["offset"]
+        if not all(_is_count(d) for d in shape):
+            raise CheckpointError(
+                f"shape {shape} of entry {name!r} is not a list of "
+                f"non-negative integers")
+        if not _is_count(offset):
+            raise CheckpointError(
+                f"offset {offset!r} of entry {name!r} is not a non-negative integer")
+        entries.append((offset, name, tuple(shape)))
+    # the entries must tile the payload: contiguous, no overlap, no tail
+    payload = blob[manifest_end:]
+    tensors: dict[str, np.ndarray] = {}
+    end = 0
+    for offset, name, shape in sorted(entries):
+        if offset != end:
+            raise CheckpointError(
+                f"entry {name!r} starts at byte {offset} of the payload, "
+                f"expected {end} (gap or overlap)")
+        count = math.prod(shape)
+        end = offset + 4 * count
+        if end > len(payload):
             raise CheckpointError(
                 f"truncated payload for entry {name!r} "
-                f"(needs bytes [{offset}, {offset + nbytes}), "
-                f"payload has {len(payload)})")
+                f"(needs bytes [{offset}, {end}), payload has {len(payload)})")
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
         tensors[name] = arr.reshape(shape).astype(np.float64)
+    if end != len(payload):
+        where = f" after entry {max(entries)[1]!r}" if entries else ""
+        raise CheckpointError(
+            f"{len(payload) - end} trailing payload bytes{where}")
     return Checkpoint(tensors=tensors, meta=meta)
 
 
@@ -274,10 +311,20 @@ def load_into_bank(bank: AdapterBank, ckpt: Checkpoint,
         dst.data = src.copy()
 
 
-def group_hashes(bank: AdapterBank) -> dict[str, str]:
-    """sha256 of each freeze group's serialized float32 bytes."""
-    return {g: hashlib.sha256(bank.params.state_bytes(names)).hexdigest()
-            for g, names in bank.groups.groups.items()}
+def group_hashes(bank: AdapterBank,
+                 tensors: Mapping[str, np.ndarray] | None = None) -> dict[str, str]:
+    """sha256 of each freeze group's float32 bytes in sorted name order.
+
+    Values are read from ``tensors`` ({name: array}) when given, else from
+    the bank's parameters; groups that ``tensors`` does not fully cover are
+    left out.
+    """
+    if tensors is None:
+        tensors = {name: t.data for name, t in bank.params.items()}
+    return {g: hashlib.sha256(b"".join(np.asarray(tensors[n]).astype("<f4").tobytes()
+                                       for n in sorted(names))).hexdigest()
+            for g, names in bank.groups.groups.items()
+            if all(n in tensors for n in names)}
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +375,11 @@ def fit(bank: AdapterBank, task: TaskSpec, splits: Splits, vocab: Vocabulary,
         raise ConfigError("empty training split")
     if not splits.val:
         raise ConfigError("empty validation split")
+    metric_names = OVERALL_METRICS[task.kind]
+    if cfg.metric_for_early_stop not in (None, *metric_names):
+        raise ConfigError(
+            f"metric_for_early_stop {cfg.metric_for_early_stop!r} is not reported "
+            f"for task kind {task.kind}; expected one of {metric_names}")
     weights = None
     if task.loss == "weighted_bce":
         weights = pos_weights(class_statistics(splits.train, task.kind))

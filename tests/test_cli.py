@@ -9,6 +9,7 @@ import pytest
 from fuseformer.cli import main
 from fuseformer.data import (RawExample, load_corpus, synth_corpus,
                              write_corpus)
+from fuseformer.training import load_checkpoint
 
 
 def run_cli(*argv):
@@ -212,6 +213,44 @@ def test_train_adapter_divergent_lr_exits_3(tmp_path, corpus_path):
                        "--epochs", 2, "--batch-size", 10, "--max-len", 10,
                        "--lr", 1e30, "--loss", "bce")
     assert code == 3
+
+
+def test_train_adapter_trains_the_configured_loss(tmp_path, corpus_path):
+    cfg = tmp_path / "config.json"
+    model = json.loads(model_json(tmp_path).read_text())["model"]
+    cfg.write_text(json.dumps({"model": model, "loss": "bce"}), encoding="utf-8")
+    out = tmp_path / "run"
+    assert run_cli("train-adapter", "--task", "emotion", "--corpus", corpus_path,
+                   "--config", cfg, "--runs", 1, "--seed", 3, "--out", out,
+                   "--epochs", 1, "--batch-size", 10, "--max-len", 10,
+                   "--lr", 0.01) == 0
+    report = json.loads((out / "report-emotion-seed3.json").read_text())
+    assert report["config"]["train"]["loss"] == "bce"
+    assert load_checkpoint(out / "adapter-emotion.ckpt").meta["loss"] == "bce"
+
+
+@pytest.mark.parametrize("config,flags", [
+    ({"loss": "nope"}, []),
+    ({"loss_reduction": "median"}, []),
+    ({}, ["--threshold", 1.5]),
+    ({}, ["--threshold", 0.0]),
+    ({}, ["--warmup-steps", -1]),
+    ({"metric_for_early_stop": "nope"}, []),
+], ids=["loss", "loss_reduction", "threshold_high", "threshold_zero",
+        "warmup_steps", "metric_for_early_stop"])
+def test_train_adapter_invalid_config_exits_2_without_traceback(
+        tmp_path, corpus_path, capsys, config, flags):
+    cfg = tmp_path / "config.json"
+    model = json.loads(model_json(tmp_path).read_text())["model"]
+    cfg.write_text(json.dumps({"model": model, **config}), encoding="utf-8")
+    out = tmp_path / "run"
+    code = run_cli("train-adapter", "--task", "emotion", "--corpus", corpus_path,
+                   "--config", cfg, "--runs", 1, "--seed", 3, "--out", out,
+                   "--epochs", 1, "--batch-size", 10, "--max-len", 10, *flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(out.glob("*.ckpt"))
 
 
 def test_train_sent7_path(tmp_path, corpus_path, capsys):

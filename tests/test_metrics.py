@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuseformer.errors import ContractError
-from fuseformer.metrics import (aggregate_reports,
+from fuseformer.metrics import (OVERALL_METRICS, aggregate_reports,
                                 binary_accuracy, binary_report, confusion,
                                 early_stop_metric, emotion_report, f1,
                                 multiclass_accuracy, multiclass_report,
@@ -271,6 +271,17 @@ def test_early_stop_metric_selection():
     binr = binary_report(rng.uniform(-1, 1, 10),
                          (rng.random(10) < 0.5).astype(int))
     assert early_stop_metric(binr) == binr.overall["accuracy"]
+
+
+def test_overall_metrics_table_names_every_reported_key():
+    rng = np.random.default_rng(8)
+    reports = [
+        emotion_report(rng.uniform(-1, 1, (10, 6)),
+                       (rng.random((10, 6)) < 0.5).astype(int)),
+        binary_report(rng.uniform(-1, 1, 10), (rng.random(10) < 0.5).astype(int)),
+        multiclass_report(rng.uniform(-1, 1, (10, 7)), rng.integers(0, 7, 10)),
+    ]
+    assert {r.task_kind: tuple(r.overall) for r in reports} == OVERALL_METRICS
 
 
 def test_report_rates_within_unit_interval():

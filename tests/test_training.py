@@ -4,9 +4,12 @@ stopping, checkpoint wire format, stage separation, and run averaging."""
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuseformer.data import Splits, synth_corpus
 from fuseformer.encoder import ModelConfig
@@ -191,7 +194,7 @@ def test_checkpoint_round_trip_exact_at_f32(tmp_path):
         np.testing.assert_array_equal(loaded.tensors[name],
                                       arr.astype("<f4").astype(np.float64))
     assert loaded.meta["stage"] == "adapter:emotion"
-    assert loaded.meta["model_config"] == bank.config.to_dict()
+    assert loaded.meta["model_config"] == asdict(bank.config)
 
 
 def test_checkpoint_header_layout(tmp_path):
@@ -231,6 +234,74 @@ def test_corrupt_manifest_rejected(tmp_path):
     (tmp_path / "bad.ckpt").write_bytes(blob)
     with pytest.raises(CheckpointError, match="manifest"):
         load_checkpoint(tmp_path / "bad.ckpt")
+
+
+def write_with_manifest(path, manifest, payload):
+    raw = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(raw)) + raw + payload)
+
+
+@pytest.mark.parametrize("entries,match", [
+    ({"w": ([-2, 3], 0)}, "'w'"),                        # loaded as (2, 3) before
+    ({"w": ([2.7, 3], 0)}, "'w'"),
+    ({"w": ([True, 3], 0)}, "'w'"),
+    ({"w": (6, 0)}, "'w'"),
+    ({"w": ([2, 3], 0.0)}, "offset"),
+    ({"w": ([2], 0)}, "trailing"),                        # 4 floats never read
+    ({"w": ([2], 0), "x": ([3], 4)}, "'x'.*overlap"),     # x starts inside w
+    ({"w": ([2], 0), "x": ([3], 12)}, "'x'.*gap"),        # one float skipped
+    ({"w": ([3], 0), "x": ([3], 12)}, None),              # exact tiling loads
+])
+def test_manifest_entries_must_tile_the_payload(tmp_path, entries, match):
+    payload = np.arange(6, dtype="<f4").tobytes()
+    manifest = {name: {"shape": shape, "dtype": "f32", "offset": offset}
+                for name, (shape, offset) in entries.items()}
+    write_with_manifest(tmp_path / "m.ckpt", manifest, payload)
+    if match is None:
+        loaded = load_checkpoint(tmp_path / "m.ckpt")
+        np.testing.assert_array_equal(loaded.tensors["x"], [3.0, 4.0, 5.0])
+        return
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(tmp_path / "m.ckpt")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-3, 40)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["shape", "dtype", "offset"]), inner,
+                      max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_manifest_round_trips_or_raises_checkpoint_error(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    manifest = {"__meta__": {"stage": "init"},
+                "a": {"shape": [2, 2], "dtype": "f32", "offset": 0},
+                "b": {"shape": [3], "dtype": "f32", "offset": 16}}
+    payload = np.arange(7, dtype="<f4").tobytes()
+    name = data.draw(st.sampled_from(["a", "b", "__meta__", "c"]))
+    key = data.draw(st.sampled_from(["shape", "dtype", "offset", None]))
+    value = data.draw(JSON_VALUES)
+    if key is None or name == "__meta__":
+        manifest[name] = value
+    else:
+        manifest.setdefault(name, {})[key] = value
+    payload = payload[:data.draw(st.integers(0, len(payload)))] \
+        + b"\x00" * data.draw(st.integers(0, 8))
+    write_with_manifest(tmp / "m.ckpt", manifest, payload)
+    try:
+        loaded = load_checkpoint(tmp / "m.ckpt")
+    except CheckpointError:
+        return
+    save_checkpoint(loaded, tmp / "again.ckpt")
+    again = load_checkpoint(tmp / "again.ckpt")
+    assert again.meta == loaded.meta
+    assert set(again.tensors) == set(loaded.tensors)
+    for n, arr in loaded.tensors.items():
+        np.testing.assert_array_equal(again.tensors[n], arr)
 
 
 def test_load_into_mismatched_hidden_size_is_shape_error(tmp_path):
@@ -437,6 +508,21 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(runs=0)
+    for bad in ({"loss": "ce"}, {"loss": "nope"}, {"loss_reduction": "mean"},
+                {"threshold": 0.0}, {"threshold": 1.0}, {"warmup_steps": -1}):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
+
+
+def test_unknown_early_stop_metric_is_rejected_before_the_first_step(monkeypatch):
+    import fuseformer.training as training
+
+    steps = []
+    monkeypatch.setattr(training, "adamw_step", lambda *a, **k: steps.append(a))
+    cfg = fast_cfg(metric_for_early_stop="accuracy")  # not an emotion metric
+    with pytest.raises(ConfigError, match="metric_for_early_stop"):
+        train_adapter(EMOTION, tiny_splits(), desk_config(), cfg)
+    assert steps == []
 
 
 def test_train_config_json_round_trip(tmp_path):
