@@ -3,7 +3,8 @@
 Every differentiable operation records a node holding its inputs and a
 backward closure. ``backward`` orders the graph below a scalar root
 topologically and replays it in reverse, accumulating gradients with ``+=``
-across shared subexpressions. Elementwise broadcasting is deliberately
+across shared subexpressions. Inside ``no_grad`` nothing is recorded.
+Elementwise broadcasting is deliberately
 restricted to scalar-vs-tensor and equal shapes; ``matmul``, ``add_bias``,
 ``layer_norm`` and the attention ops act on the last axes and accept any
 leading dims.
@@ -12,6 +13,7 @@ leading dims.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -68,10 +70,26 @@ def constant(data) -> Tensor:
     return Tensor(data)
 
 
+_THREAD = threading.local()
+
+
+class no_grad:
+    """Ops run in this block on this thread record no tape node, so each
+    intermediate is freed when dropped, not when the cyclic collector runs."""
+
+    def __enter__(self) -> None:
+        self._previous = getattr(_THREAD, "no_grad", False)
+        _THREAD.no_grad = True
+
+    def __exit__(self, *exc) -> None:
+        _THREAD.no_grad = self._previous
+
+
 def _track(op: str, inputs: Sequence[Tensor], out_data: Array,
            backward_fn: Callable[[Array], tuple[Array | None, ...]]) -> Tensor:
     out = Tensor(out_data)
-    if any(t.requires_grad or t.node is not None for t in inputs):
+    if (not getattr(_THREAD, "no_grad", False)
+            and any(t.requires_grad or t.node is not None for t in inputs)):
         node = TapeNode(op, tuple(inputs), backward_fn)
         node.out = out
         out.node = node

@@ -36,7 +36,7 @@ from .losses import (LOSS_NAMES, REDUCTIONS, PosWeights, cross_entropy_7,
 from .metrics import (OVERALL_METRICS, MetricsReport, aggregate_reports,
                       binary_report, early_stop_metric, emotion_report,
                       multiclass_report)
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, no_grad
 
 CHECKPOINT_MAGIC = b"AFCKPT01"
 META_KEY = "__meta__"
@@ -358,7 +358,8 @@ def evaluate_model(bank: AdapterBank, task: TaskSpec, batches: list[Batch],
                    seed: int | None = None) -> MetricsReport:
     if not batches:
         raise ConfigError(f"empty split {split!r}")
-    logits = np.concatenate([bank.forward(b, task.name).data for b in batches])
+    with no_grad():
+        logits = np.concatenate([bank.forward(b, task.name).data for b in batches])
     labels = np.concatenate([b.labels for b in batches])
     if task.kind == "multilabel-6":
         return emotion_report(logits, labels, threshold, split=split, seed=seed)

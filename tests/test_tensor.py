@@ -390,6 +390,36 @@ def test_tape_topological_replay_visits_each_node_once():
     np.testing.assert_allclose(w.grad, [12.0])
 
 
+def test_no_grad_records_no_tape_and_restores_the_mode():
+    w = Tensor([3.0], requires_grad=True)
+    with T.no_grad():
+        inside = T.mul(w, w)
+        with T.no_grad():
+            pass
+        still_inside = T.mul(w, w)
+    assert inside.node is None and still_inside.node is None
+    np.testing.assert_array_equal(inside.data, [9.0])
+    with pytest.raises(ValueError):
+        with T.no_grad():
+            raise ValueError
+    after = T.mul(w, w)
+    assert after.node is not None
+    backward(T.sum_all(after))
+    np.testing.assert_allclose(w.grad, [6.0])
+
+
+def test_no_grad_is_per_thread():
+    import threading
+    w = Tensor([3.0], requires_grad=True)
+    other = []
+    with T.no_grad():
+        worker = threading.Thread(target=lambda: other.append(T.mul(w, w)))
+        worker.start()
+        worker.join()
+        assert T.mul(w, w).node is None
+    assert other[0].node is not None
+
+
 def test_backward_linearity_is_exact():
     rng = np.random.default_rng(9)
     values = rng.uniform(-2, 2, 6)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuseformer.data import Splits, synth_corpus
+from fuseformer.data import Splits, build_vocab, make_batches, synth_corpus
 from fuseformer.encoder import ModelConfig
 from fuseformer.errors import (CheckpointError, ConfigError, ContractError,
                                NumericalDivergenceError)
@@ -19,7 +19,7 @@ from fuseformer.fusion import AdapterBank
 from fuseformer.tensor import Tensor
 from fuseformer.training import (CHECKPOINT_MAGIC, TaskSpec,
                                  TrainConfig, adamw_step, bank_from_checkpoint,
-                                 checkpoint_from_bank, group_hashes,
+                                 checkpoint_from_bank, evaluate_model, group_hashes,
                                  load_checkpoint, load_into_bank, lr_schedule,
                                  run_experiment, save_checkpoint, seeded,
                                  train_adapter, train_full, train_fusion)
@@ -360,6 +360,25 @@ def test_train_adapter_same_seed_bit_exact():
     a = runs[0].bank.params.state_bytes()
     b = runs[1].bank.params.state_bytes()
     assert a == b
+
+
+def test_evaluate_model_builds_no_tape_and_matches_a_taped_forward(monkeypatch):
+    bank = small_bank()
+    splits = tiny_splits()
+    batches = make_batches(splits.val, build_vocab(splits.train, 60), 10,
+                           EMOTION.kind, 5)
+    untaped = []
+    forward = AdapterBank.forward
+    monkeypatch.setattr(AdapterBank, "forward",
+                        lambda self, b, t: untaped.append(forward(self, b, t)) or untaped[-1])
+    evaluate_model(bank, EMOTION, batches)
+    monkeypatch.undo()
+    taped = [bank.forward(b, EMOTION.name) for b in batches]
+    assert len(untaped) == len(batches)
+    assert all(out.node is None for out in untaped)
+    assert all(out.node is not None for out in taped)
+    for a, b in zip(untaped, taped):
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_fit_requires_nonempty_splits():
