@@ -41,8 +41,8 @@ class RawExample:
 
 @dataclass
 class Batch:
-    token_ids: np.ndarray      # int [B, L], position 0 is [CLS]
-    attention_mask: np.ndarray  # {0,1} [B, L]
+    token_ids: np.ndarray      # int [B, L], position 0 is [CLS]; L is the longest row
+    attention_mask: np.ndarray  # {0,1} [B, L], 1 on the real tokens of each row
     segment_ids: np.ndarray    # zeros [B, L]
     labels: np.ndarray         # task-dependent
 
@@ -281,14 +281,17 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np
 
 def make_batches(examples: list[RawExample], vocab: Vocabulary, max_len: int,
                  task_kind: str, batch_size: int) -> list[Batch]:
-    """Tokenize and chunk in the given example order."""
+    """Tokenize and chunk in the given example order. Each batch is cut to
+    its longest row, so it is at most ``max_len`` wide."""
     if batch_size < 1:
         raise ContractError(f"batch_size must be positive, got {batch_size}")
     batches = []
     for start in range(0, len(examples), batch_size):
         chunk = examples[start:start + batch_size]
-        ids = np.stack([tokenize(ex.text, vocab, max_len)[0] for ex in chunk])
-        mask = np.stack([tokenize(ex.text, vocab, max_len)[1] for ex in chunk])
+        rows = [tokenize(ex.text, vocab, max_len) for ex in chunk]
+        width = max(int(row_mask.sum()) for _, row_mask in rows)
+        ids = np.stack([row_ids[:width] for row_ids, _ in rows])
+        mask = np.stack([row_mask[:width] for _, row_mask in rows])
         if task_kind == "multilabel-6":
             labels = np.stack([derive_label(ex, task_kind) for ex in chunk]).astype(np.float64)
         elif task_kind == "binary":

@@ -25,15 +25,16 @@ Array = np.ndarray
 
 
 class TapeNode:
-    """One executed operation: inputs, output, and its backward closure."""
+    """One executed operation: its inputs and its backward closure. A node
+    holds no reference to its output, so a graph is freed by reference
+    counting as soon as its root is dropped."""
 
-    __slots__ = ("op", "inputs", "out", "backward_fn")
+    __slots__ = ("op", "inputs", "backward_fn")
 
     def __init__(self, op: str, inputs: tuple["Tensor", ...],
                  backward_fn: Callable[[Array], tuple[Array | None, ...]]):
         self.op = op
         self.inputs = inputs
-        self.out: "Tensor" | None = None
         self.backward_fn = backward_fn
 
 
@@ -44,7 +45,7 @@ class Tensor:
     tensor with ``requires_grad=False`` is never written to by backward.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "name")
+    __slots__ = ("data", "requires_grad", "grad", "node", "name", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -74,8 +75,8 @@ _THREAD = threading.local()
 
 
 class no_grad:
-    """Ops run in this block on this thread record no tape node, so each
-    intermediate is freed when dropped, not when the cyclic collector runs."""
+    """Ops run in this block on this thread record no tape node, so a
+    forward that is never differentiated builds no graph."""
 
     def __enter__(self) -> None:
         self._previous = getattr(_THREAD, "no_grad", False)
@@ -90,9 +91,7 @@ def _track(op: str, inputs: Sequence[Tensor], out_data: Array,
     out = Tensor(out_data)
     if (not getattr(_THREAD, "no_grad", False)
             and any(t.requires_grad or t.node is not None for t in inputs)):
-        node = TapeNode(op, tuple(inputs), backward_fn)
-        node.out = out
-        out.node = node
+        out.node = TapeNode(op, tuple(inputs), backward_fn)
     return out
 
 
@@ -184,12 +183,12 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU used in the encoder feed-forward block."""
     x = a.data
-    u = _GELU_C * (x + 0.044715 * x ** 3)
+    u = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(u)
     y = 0.5 * x * (1.0 + t)
 
     def backward(g: Array):
-        du = _GELU_C * (1.0 + 3.0 * 0.044715 * x ** 2)
+        du = _GELU_C * (1.0 + 3.0 * 0.044715 * (x * x))
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
 
     return _track("gelu", (a,), y, backward)
@@ -443,7 +442,7 @@ def mean_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` for every requires_grad tensor reachable from ``loss``.
+    """Populate ``grad`` for every requires_grad leaf reachable from ``loss``.
 
     The nodes below ``loss`` are put in topological order (inputs before
     consumers) and their backward closures run once each, in reverse.
@@ -456,34 +455,32 @@ def backward(loss: Tensor) -> None:
             loss.grad = seed if loss.grad is None else loss.grad + seed
         return
     order: list[TapeNode] = []
-    seen: set[int] = set()
+    seen: set[TapeNode] = set()
     todo: list[tuple[TapeNode, bool]] = [(loss.node, False)]
     while todo:
         node, expanded = todo.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         todo.append((node, True))
         for t in node.inputs:
-            if t.node is not None and id(t.node) not in seen:
+            if t.node is not None and t.node not in seen:
                 todo.append((t.node, False))
 
-    pending: dict[int, Array] = {id(loss): seed}
+    # gradient w.r.t. each node's output, keyed by the node
+    pending: dict[TapeNode, Array] = {loss.node: seed}
     for node in reversed(order):
-        g = pending.pop(id(node.out), None)
+        g = pending.pop(node, None)
         if g is None:
             continue
-        if node.out.requires_grad:
-            node.out.grad = g.copy() if node.out.grad is None else node.out.grad + g
         for t, gi in zip(node.inputs, node.backward_fn(g)):
             if gi is None:
                 continue
             if t.node is not None:
-                key = id(t)
-                pending[key] = pending[key] + gi if key in pending else gi
+                pending[t.node] = pending[t.node] + gi if t.node in pending else gi
             elif t.requires_grad:
                 t.grad = gi.copy() if t.grad is None else t.grad + gi
 

@@ -335,18 +335,37 @@ def test_synth_sentiment_tracks_joy_vs_negative_emotions():
 # batches and splits
 # ---------------------------------------------------------------------------
 
-def test_make_batches_layout():
+def test_make_batches_layout(monkeypatch):
     corpus = D.synth_corpus(seed=2, n=10)
     vocab = D.build_vocab(corpus, max_size=500)
-    batches = D.make_batches(corpus, vocab, max_len=12, task_kind="multilabel-6",
+    # one row far longer than max_len, in the middle batch
+    corpus[5] = D.RawExample(id="long", text=" ".join(["w"] * 40),
+                             emotions=(0.0,) * 6)
+    calls = []
+    tokenize = D.tokenize
+    monkeypatch.setattr(D, "tokenize",
+                        lambda *args: calls.append(args[0]) or tokenize(*args))
+    batches = D.make_batches(corpus, vocab, max_len=16, task_kind="multilabel-6",
                              batch_size=4)
+    assert calls == [ex.text for ex in corpus]  # tokenized once per example
     assert [b.size for b in batches] == [4, 4, 2]
+    rows = iter(corpus)
     for b in batches:
+        width = int(b.attention_mask.sum(axis=1).max())
+        assert b.token_ids.shape == b.attention_mask.shape == b.segment_ids.shape \
+            == (b.size, width)
         assert np.all(b.token_ids[:, 0] == D.CLS)
         assert np.all((b.attention_mask == 0) | (b.attention_mask == 1))
         assert np.all(b.segment_ids == 0)
         assert np.all(b.token_ids[b.attention_mask == 0] == D.PAD)
         assert b.labels.shape == (b.size, 6)
+        for ids, mask in zip(b.token_ids, b.attention_mask):
+            full_ids, full_mask = tokenize(next(rows).text, vocab, 16)
+            np.testing.assert_array_equal(ids, full_ids[:width])
+            np.testing.assert_array_equal(mask, full_mask[:width])
+    # the long row is still truncated to max_len; the others set their own width
+    assert [b.token_ids.shape[1] for b in batches] == [13, 16, 10]
+    assert batches[1].attention_mask[1].sum() == 16
 
 
 def test_split_corpus_is_deterministic_partition():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fuseformer import tensor as T
-from fuseformer.data import Batch, CLS
+from fuseformer.data import Batch, CLS, PAD
 from fuseformer.encoder import ModelConfig, encode
 from fuseformer.errors import ConfigError, ContractError
 from fuseformer.fusion import (AdapterBank, adapter_forward,
@@ -182,6 +182,41 @@ def test_attach_fusion_wires_all_tasks():
     weights = bank.fusion_weights()
     assert set(weights) == {0}
     assert weights[0].shape[-1] == 3
+
+
+@pytest.mark.parametrize("stage", ["fusion", "finetune"])
+def test_trimmed_batch_matches_max_len_batch(stage):
+    """Cutting a batch to its longest row changes neither the [CLS] logits
+    nor the trainable gradients: padded keys get softmax weight 0."""
+    config = tiny_config(num_layers=2)
+    tasks = ["a", "b", "c"] if stage == "fusion" else []
+    bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=tasks,
+                       with_fusion=stage == "fusion", seed=37)
+    if tasks:
+        bank.attach("fusion", tasks)
+    bank.set_trainable(stage, "t")
+    rng = np.random.default_rng(38)
+    lengths = np.array([3, 5, 2])
+    full = make_batch(config, rng, b=3, l=config.max_positions)
+    full.attention_mask = (np.arange(config.max_positions) < lengths[:, None]).astype(np.int64)
+    full.token_ids[full.attention_mask == 0] = PAD
+    width = lengths.max()
+    trimmed = Batch(token_ids=full.token_ids[:, :width],
+                    attention_mask=full.attention_mask[:, :width],
+                    segment_ids=full.segment_ids[:, :width], labels=full.labels)
+    probe = Tensor(rng.uniform(-1, 1, (3, 6)))
+
+    def run(batch):
+        bank.params.zero_grad()
+        logits = bank.forward(batch, "t")
+        T.backward(T.sum_all(T.mul(logits, probe)))
+        return logits.data, {n: bank.params[n].grad for n in bank.params.trainable_names()}
+
+    (logits_full, grads_full), (logits_trim, grads_trim) = run(full), run(trimmed)
+    np.testing.assert_allclose(logits_trim, logits_full, rtol=0, atol=1e-12)
+    assert grads_trim.keys() == grads_full.keys()
+    for name, g in grads_full.items():
+        np.testing.assert_allclose(grads_trim[name], g, rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_attach_unknown_task_is_config_error():

@@ -390,6 +390,27 @@ def test_tape_topological_replay_visits_each_node_once():
     np.testing.assert_allclose(w.grad, [12.0])
 
 
+def test_graph_is_freed_by_reference_counting():
+    import gc
+    import weakref
+    w = Tensor([3.0], requires_grad=True)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        mid = T.mul(w, w)
+        probe = weakref.ref(mid)
+        loss = T.sum_all(T.sigmoid(mid))
+        del mid
+        backward(loss)
+        assert probe() is not None  # the loss's graph still holds it
+        del loss
+        assert probe() is None  # no reference cycle keeps it alive
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert w.grad is not None
+
+
 def test_no_grad_records_no_tape_and_restores_the_mode():
     w = Tensor([3.0], requires_grad=True)
     with T.no_grad():
