@@ -36,6 +36,7 @@ from .losses import (LOSS_NAMES, REDUCTIONS, PosWeights, cross_entropy_7,
 from .metrics import (OVERALL_METRICS, MetricsReport, aggregate_reports,
                       binary_report, early_stop_metric, emotion_report,
                       multiclass_report)
+from .runtime import steady_process
 from .tensor import Tensor, backward, no_grad
 
 CHECKPOINT_MAGIC = b"AFCKPT01"
@@ -358,6 +359,7 @@ def evaluate_model(bank: AdapterBank, task: TaskSpec, batches: list[Batch],
                    seed: int | None = None) -> MetricsReport:
     if not batches:
         raise ConfigError(f"empty split {split!r}")
+    steady_process()
     with no_grad():
         logits = np.concatenate([bank.forward(b, task.name).data for b in batches])
     labels = np.concatenate([b.labels for b in batches])
@@ -376,6 +378,7 @@ def fit(bank: AdapterBank, task: TaskSpec, splits: Splits, vocab: Vocabulary,
         raise ConfigError("empty training split")
     if not splits.val:
         raise ConfigError("empty validation split")
+    steady_process()
     metric_names = OVERALL_METRICS[task.kind]
     if cfg.metric_for_early_stop not in (None, *metric_names):
         raise ConfigError(

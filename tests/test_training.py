@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuseformer import runtime
 from fuseformer.data import Splits, build_vocab, make_batches, synth_corpus
 from fuseformer.encoder import ModelConfig
 from fuseformer.errors import (CheckpointError, ConfigError, ContractError,
@@ -379,6 +380,22 @@ def test_evaluate_model_builds_no_tape_and_matches_a_taped_forward(monkeypatch):
     assert all(out.node is not None for out in taped)
     for a, b in zip(untaped, taped):
         np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_model_loops_run_with_one_blas_thread(monkeypatch):
+    calls = runtime._openblas()
+    if calls is None:
+        pytest.skip("no OpenBLAS found in this process")
+    for name in runtime.BLAS_ENV:
+        monkeypatch.delenv(name, raising=False)
+    splits = tiny_splits()
+    batches = make_batches(splits.val, build_vocab(splits.train, 60), 10,
+                           EMOTION.kind, 5)
+    for run in (lambda: evaluate_model(small_bank(), EMOTION, batches),
+                lambda: train_adapter(EMOTION, splits, desk_config(), fast_cfg())):
+        calls[1](2)
+        run()
+        assert runtime.blas_threads() == 1
 
 
 def test_fit_requires_nonempty_splits():
