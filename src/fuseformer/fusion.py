@@ -75,22 +75,18 @@ def fusion_forward(config: ModelConfig, params: ParameterStore,
     """Per-token attention over adapter outputs.
 
     Query comes from the FF-sublayer output, keys/values from each adapter
-    output; the mixture is added back onto the residual stream. Returns the
-    output and the attention weights [B, L, T] for inspection.
+    output; the mixture is added back onto the residual stream. The
+    attention is one ``tensor.fusion_mix`` op, which scores
+    ``((h W_Q) W_K^T) . z_t`` and mixes ``(sum_t a_t z_t) W_V``, so it runs
+    three GEMMs whatever the number of adapters. Returns the output and the
+    attention weights [B, L, T] for inspection.
     """
-    if len(adapter_outputs) == 0:
-        raise ContractError("fusion requires at least one adapter output")
     if len(adapter_outputs) != len(tasks):
         raise ContractError("one adapter output per task expected")
-    b, l, hidden = h_ff.shape
     p = f"fusion.{layer_idx}"
-    q = T.reshape(T.matmul(h_ff, params[f"{p}.query"]), (b, l, 1, hidden))
-    stacked = T.stack(adapter_outputs, axis=-2)             # [B, L, T, H]
-    k = T.matmul(stacked, params[f"{p}.key"])
-    v = T.matmul(stacked, params[f"{p}.value"])
-    alpha = T.attention_weights(q, k, 1, 1.0)               # [B, L, 1, 1, T]
-    mixed = T.reshape(T.attend(alpha, v), (b, l, hidden))
-    return T.add(h_ff, mixed), alpha.data.reshape(b, l, len(tasks))
+    mixed, alpha = T.fusion_mix(h_ff, adapter_outputs, params[f"{p}.query"],
+                                params[f"{p}.key"], params[f"{p}.value"])
+    return T.add(h_ff, mixed), alpha
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ topologically and replays it in reverse, accumulating gradients with ``+=``
 across shared subexpressions. Inside ``no_grad`` nothing is recorded.
 Elementwise broadcasting is deliberately
 restricted to scalar-vs-tensor and equal shapes; ``matmul``, ``add_bias``,
-``layer_norm`` and the attention ops act on the last axes and accept any
-leading dims.
+``layer_norm``, the attention ops and ``fusion_mix`` act on the last axes
+and accept any leading dims.
 """
 
 from __future__ import annotations
@@ -326,6 +326,56 @@ def attend(weights: Tensor, v: Tensor) -> Tensor:
     return _track("attend", (weights, v), out, backward)
 
 
+def fusion_mix(h: Tensor, adapter_outputs: Sequence[Tensor], w_q: Tensor,
+               w_k: Tensor, w_v: Tensor) -> tuple[Tensor, Array]:
+    """AdapterFusion attention from ``h`` over the T adapter outputs z_t,
+    each [..., H] like ``h``, with [H, H] query, key and value weights:
+    ``sum_t a_t (z_t W_V)`` with ``a = softmax_t((h W_Q) . (z_t W_K))``.
+
+    Scores and mixture are both linear in z_t, so they are computed as
+    ``((h W_Q) W_K^T) . z_t`` and ``(sum_t a_t z_t) W_V``: three
+    [N, H] x [H, H] GEMMs over the N leading positions whatever T is, six in
+    the backward, and the T-wide contractions in between. One tape node.
+    Returns the output [..., H] and the weights a [..., T].
+    """
+    if not adapter_outputs:
+        raise ContractError("fusion_mix requires at least one adapter output")
+    if h.data.ndim == 0:
+        raise ShapeMismatchError("fusion_mix: query input must have a hidden axis")
+    hidden = h.shape[-1]
+    for z in adapter_outputs:
+        if z.shape != h.shape:
+            raise ShapeMismatchError(
+                f"fusion_mix: adapter output shape {z.shape} differs from "
+                f"query input shape {h.shape}")
+    for w in (w_q, w_k, w_v):
+        if w.shape != (hidden, hidden):
+            raise ShapeMismatchError(
+                f"fusion_mix: weight shape {w.shape} does not match query input "
+                f"shape {h.shape}; expected {(hidden, hidden)}")
+    h2 = h.data.reshape(-1, hidden)
+    z = np.stack([t.data.reshape(-1, hidden) for t in adapter_outputs])  # [T, N, H]
+    q = h2 @ w_q.data
+    r = q @ w_k.data.T
+    alpha = _softmax(np.einsum("tnh,nh->nt", z, r), -1)                 # [N, T]
+    m = np.einsum("nt,tnh->nh", alpha, z)
+    out = (m @ w_v.data).reshape(h.shape)
+
+    def backward(g: Array):
+        g2 = g.reshape(-1, hidden)
+        dm = g2 @ w_v.data.T
+        ds = _softmax_backward(alpha, np.einsum("tnh,nh->nt", z, dm), -1)
+        dz = [(alpha[:, t, None] * dm + ds[:, t, None] * r).reshape(h.shape)
+              for t in range(len(z))]
+        dr = np.einsum("nt,tnh->nh", ds, z)
+        dq = dr @ w_k.data
+        return ((dq @ w_q.data.T).reshape(h.shape), *dz,
+                h2.T @ dq, dr.T @ q, m.T @ g2)
+
+    out_t = _track("fusion_mix", (h, *adapter_outputs, w_q, w_k, w_v), out, backward)
+    return out_t, alpha.reshape(h.shape[:-1] + (len(z),))
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     if not -x.data.ndim <= axis < x.data.ndim:
         raise ContractError(f"log_softmax: axis {axis} out of bounds for shape {x.shape}")
@@ -395,15 +445,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         return (g.reshape(x.shape),)
 
     return _track("reshape", (x,), out, backward)
-
-
-def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    """Stack equal-shape tensors along a new ``axis``."""
-    if not tensors:
-        raise ContractError("stack of zero tensors")
-    out = np.stack([t.data for t in tensors], axis=axis)
-    return _track("stack", tuple(tensors), out,
-                  lambda g: tuple(np.moveaxis(g, axis, 0)))
 
 
 def position_select(x: Tensor, pos: int) -> Tensor:

@@ -6,7 +6,7 @@ import pytest
 from fuseformer import tensor as T
 from fuseformer.data import Batch, CLS, PAD
 from fuseformer.encoder import ModelConfig, encode
-from fuseformer.errors import ConfigError, ContractError
+from fuseformer.errors import ConfigError, ContractError, ShapeMismatchError
 from fuseformer.fusion import (AdapterBank, adapter_forward,
                                adapter_parameter_count, build_freeze_groups,
                                count_parameters, fusion_forward, group_of)
@@ -119,6 +119,35 @@ def test_fusion_zero_tasks_contract():
     config, bank, h, _ = fusion_fixture(["a"])
     with pytest.raises(ContractError):
         fusion_forward(config, bank.params, [], 0, h, [])
+
+
+def test_fusion_misshaped_adapter_outputs_raise_shape_mismatch():
+    config, bank, h, outs = fusion_fixture(["a", "b"])
+    short = Tensor(np.ones((2, 3, config.hidden_size)))
+    with pytest.raises(ShapeMismatchError, match=r"\(2, 3, 8\).*\(2, 4, 8\)"):
+        fusion_forward(config, bank.params, ["a", "b"], 0, h, [outs[0], short])
+
+
+@pytest.mark.parametrize("num_tasks", [1, 5])
+def test_fusion_bank_records_one_fusion_mix_node_per_layer(num_tasks):
+    config = tiny_config(num_layers=2)
+    tasks = [f"s{t}" for t in range(num_tasks)]
+    bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=tasks,
+                       with_fusion=True, seed=36)
+    bank.attach("fusion", tasks)
+    bank.set_trainable("fusion", "t")
+    logits = bank.forward(make_batch(config, np.random.default_rng(36)), "t")
+    ops, seen, todo = [], set(), [logits.node]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        ops.append(node.op)
+        todo.extend(t.node for t in node.inputs if t.node is not None)
+    assert ops.count("fusion_mix") == config.num_layers
+    assert "attention_weights" in ops  # the encoder's self-attention
+    assert {w.shape for w in bank.fusion_weights().values()} == {(2, 4, num_tasks)}
 
 
 def test_fusion_gradient_check():

@@ -155,10 +155,6 @@ ELEMENTWISE_CASES = [
      lambda r: (Tensor(r.uniform(-2, 2, (2, 3, 4)), requires_grad=True),
                 Tensor(r.uniform(-2, 2, (4, 2)), requires_grad=True)),
      lambda a, b: T.matmul(a, b)),
-    ("stack", lambda r: (Tensor(r.uniform(-2, 2, (2, 3)), requires_grad=True),
-                         Tensor(r.uniform(-2, 2, (2, 3)), requires_grad=True),
-                         Tensor(r.uniform(-2, 2, (2, 3)), requires_grad=True)),
-     lambda *ts: T.stack(ts, axis=-2)),
     ("position_select", lambda r: (Tensor(r.uniform(-2, 2, (2, 3, 4)),
                                           requires_grad=True),),
      lambda a: T.position_select(a, 1)),
@@ -233,7 +229,8 @@ ATTENTION_SHAPES = {
     # encoder: B=2, L=4, H=8 over 2 heads, last key of row 0 padded
     "encoder": dict(q=(2, 4, 8), kv=(2, 4, 8), heads=2, scale=0.5,
                     mask=np.array([[1, 1, 1, 0], [1, 1, 1, 1]])),
-    # fusion: B=2, L=3, one query per token over T=5 adapter outputs
+    # one query per row over 5 keys, single head, unscaled, no mask
+    # (fusion_mix is checked against this shape below)
     "fusion": dict(q=(2, 3, 1, 4), kv=(2, 3, 5, 4), heads=1, scale=1.0,
                    mask=None),
 }
@@ -283,6 +280,86 @@ def test_attention_shape_errors():
         T.attention_weights(x, x, 3, 1.0)
     with pytest.raises(ShapeMismatchError):
         T.attend(T.attention_weights(x, x, 2, 1.0), T.constant(np.ones((2, 5, 8))))
+
+
+# ---------------------------------------------------------------------------
+# fusion_mix
+# ---------------------------------------------------------------------------
+
+def fusion_mix_leaves(num_adapters, seed, shape=(2, 3, 4)):
+    rng = np.random.default_rng(seed)
+    hidden = shape[-1]
+    h = Tensor(rng.uniform(-2, 2, shape), requires_grad=True, name="h")
+    zs = [Tensor(rng.uniform(-2, 2, shape), requires_grad=True, name=f"z{t}")
+          for t in range(num_adapters)]
+    ws = [Tensor(rng.uniform(-1, 1, (hidden, hidden)), requires_grad=True, name=n)
+          for n in ("w_q", "w_k", "w_v")]
+    mix = T.constant(rng.uniform(-1, 1, shape))
+    return h, zs, ws, mix
+
+
+def attention_reference(h, zs, ws):
+    """The unreassociated layer: project every z_t through W_K and W_V, then
+    one single-head, unscaled, unmasked attention per token. The stacked z is
+    its own leaf, so its gradient slices are the z_t gradients."""
+    b, l, hidden = h.shape
+    stacked = Tensor(np.stack([z.data for z in zs], axis=-2), requires_grad=True)
+    w_q, w_k, w_v = (Tensor(w.data.copy(), requires_grad=True) for w in ws)
+    h_ref = Tensor(h.data.copy(), requires_grad=True)
+    q = T.reshape(T.matmul(h_ref, w_q), (b, l, 1, hidden))
+    alpha = T.attention_weights(q, T.matmul(stacked, w_k), 1, 1.0)
+    out = T.reshape(T.attend(alpha, T.matmul(stacked, w_v)), (b, l, hidden))
+    return out, alpha.data.reshape(b, l, len(zs)), h_ref, stacked, (w_q, w_k, w_v)
+
+
+@pytest.mark.parametrize("num_adapters", [1, 5])
+def test_fusion_mix_passes_finite_difference_check(num_adapters):
+    h, zs, ws, mix = fusion_mix_leaves(num_adapters, seed=40 + num_adapters)
+    leaves = [h, *zs, *ws]
+    report = finite_difference_check(
+        lambda: T.sum_all(T.mul(mix, T.fusion_mix(h, zs, *ws)[0])),
+        [(t.name, t) for t in leaves], tol=1e-4)
+    assert len(report.blocks) == num_adapters + 4
+    assert report.passed, report.worst()
+
+
+@pytest.mark.parametrize("num_adapters", [1, 5])
+def test_fusion_mix_matches_attention_reference(num_adapters):
+    h, zs, ws, mix = fusion_mix_leaves(num_adapters, seed=50 + num_adapters)
+    out, alpha = T.fusion_mix(h, zs, *ws)
+    backward(T.sum_all(T.mul(mix, out)))
+    ref_out, ref_alpha, h_ref, stacked, ws_ref = attention_reference(h, zs, ws)
+    backward(T.sum_all(T.mul(mix, ref_out)))
+    assert alpha.shape == h.shape[:-1] + (num_adapters,)
+    np.testing.assert_allclose(out.data, ref_out.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(alpha, ref_alpha, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(h.grad, h_ref.grad, rtol=0, atol=1e-12)
+    for t, z in enumerate(zs):
+        np.testing.assert_allclose(z.grad, stacked.grad[..., t, :], rtol=0, atol=1e-12)
+    for w, w_ref in zip(ws, ws_ref):
+        np.testing.assert_allclose(w.grad, w_ref.grad, rtol=0, atol=1e-12)
+
+
+def test_fusion_mix_under_no_grad_records_no_node():
+    h, zs, ws, _ = fusion_mix_leaves(3, seed=60)
+    taped, taped_alpha = T.fusion_mix(h, zs, *ws)
+    assert taped.node is not None and taped.node.op == "fusion_mix"
+    assert taped.node.inputs == (h, *zs, *ws)
+    with T.no_grad():
+        out, alpha = T.fusion_mix(h, zs, *ws)
+    assert out.node is None
+    np.testing.assert_array_equal(out.data, taped.data)
+    np.testing.assert_array_equal(alpha, taped_alpha)
+
+
+def test_fusion_mix_shape_errors_name_both_shapes():
+    h, zs, ws, _ = fusion_mix_leaves(2, seed=61)
+    with pytest.raises(ContractError):
+        T.fusion_mix(h, [], *ws)
+    with pytest.raises(ShapeMismatchError, match=r"\(2, 3, 5\).*\(2, 3, 4\)"):
+        T.fusion_mix(h, [zs[0], T.constant(np.ones((2, 3, 5)))], *ws)
+    with pytest.raises(ShapeMismatchError, match=r"\(4, 3\).*\(2, 3, 4\)"):
+        T.fusion_mix(h, zs, ws[0], T.constant(np.ones((4, 3))), ws[2])
 
 
 # ---------------------------------------------------------------------------
