@@ -29,9 +29,9 @@ from .losses import pos_weights
 from .metrics import MetricsReport
 from .tensor import finite_difference_check
 from .training import (TaskSpec, TrainConfig, bank_from_checkpoint,
-                       evaluate_model, group_hashes, load_checkpoint,
-                       run_experiment, save_checkpoint, seeded, train_adapter,
-                       train_fusion)
+                       config_from_meta, evaluate_model, group_hashes,
+                       load_checkpoint, run_experiment, save_checkpoint, seeded,
+                       train_adapter, train_fusion)
 
 TASK_TABLE = {
     "sent2": ("binary", "mosei-style"),
@@ -70,11 +70,21 @@ def _load_task_corpus(path: str, task: str):
     return load_corpus(path, schema)
 
 
+def _config_file(args) -> dict:
+    """The --config JSON object (training fields plus an optional "model"
+    object), or {} without --config."""
+    if not args.config:
+        return {}
+    with open(args.config, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"--config {args.config} must hold a JSON object")
+    return raw
+
+
 def _resolve_train_config(args) -> TrainConfig:
-    if args.config:
-        cfg = TrainConfig.from_json_file(args.config)
-    else:
-        cfg = TrainConfig()
+    raw = _config_file(args)
+    cfg = TrainConfig.from_dict({k: v for k, v in raw.items() if k != "model"})
     overrides = {}
     for flag, field_name in (("runs", "runs"), ("seed", "seed"),
                              ("loss", "loss"), ("threshold", "threshold"),
@@ -93,12 +103,7 @@ def _resolve_train_config(args) -> TrainConfig:
 
 
 def _resolve_model_config(args) -> ModelConfig:
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if "model" in raw:
-            return ModelConfig.from_dict({**asdict(ModelConfig()), **raw["model"]})
-    return ModelConfig()
+    return ModelConfig.from_dict(_config_file(args).get("model", {}))
 
 
 def _splits(args, task: str) -> Splits:
@@ -231,7 +236,8 @@ def cmd_evaluate(args) -> int:
     corpus = _load_task_corpus(args.corpus, task.name)
     if not corpus:
         raise ConfigError(f"corpus {args.corpus} is empty")
-    cfg = TrainConfig.from_dict(ckpt.meta.get("train_config", {}))
+    cfg = (config_from_meta(TrainConfig, ckpt.meta, "train_config")
+           if "train_config" in ckpt.meta else TrainConfig())
     threshold = args.threshold if args.threshold is not None else cfg.threshold
     batches = make_batches(corpus, vocab, cfg.max_len, task.kind, cfg.batch_size)
     report = evaluate_model(bank, task, batches, threshold, split="eval",

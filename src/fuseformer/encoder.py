@@ -7,16 +7,54 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Protocol
+from typing import Iterator, Mapping, Protocol, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import tensor as T
 from .data import Batch
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .tensor import ParameterStore, Tensor
 
 INIT_STD = 0.02
+
+
+def has_type(value, hint) -> bool:
+    """Whether a parsed JSON value fits the type annotation ``hint``."""
+    if hint is float:  # JSON writes 1.0 as 1
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(hint, type):
+        return isinstance(value, hint)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple:  # JSON has lists, not tuples
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(has_type, value, args)))
+    if origin is list:
+        return isinstance(value, list) and all(has_type(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            has_type(k, args[0]) and has_type(v, args[1]) for k, v in value.items())
+    return any(has_type(value, a) for a in args)  # X | None
+
+
+def config_kwargs(cls, d) -> dict:
+    """Keyword arguments for the config dataclass ``cls`` from a parsed
+    JSON value: it must be an object whose keys are fields of ``cls`` and
+    whose values have the field's type, or ConfigError is raised."""
+    name = cls.__name__
+    if not isinstance(d, Mapping):
+        raise ConfigError(f"{name} must be a JSON object, got {type(d).__name__}")
+    hints = get_type_hints(cls)
+    for key, value in d.items():
+        if key not in hints:
+            raise ConfigError(f"{name}: unknown key {key!r}")
+        hint = hints[key]
+        if not has_type(value, hint):
+            shown = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"{name}.{key} must be {shown}, got {value!r}")
+    return dict(d)
 
 
 @dataclass(frozen=True)
@@ -66,8 +104,8 @@ class ModelConfig:
         return replace(self, vocab_size=vocab_size)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+    def from_dict(cls, d) -> "ModelConfig":
+        return cls(**config_kwargs(cls, d))
 
 
 class AdapterSlot(Protocol):
@@ -145,12 +183,15 @@ def _linear(x: Tensor, params: ParameterStore, prefix: str) -> Tensor:
 
 
 def multi_head_attention(config: ModelConfig, params: ParameterStore,
-                         layer_idx: int, h: Tensor, mask: np.ndarray) -> Tensor:
+                         layer_idx: int, h: Tensor, mask: np.ndarray,
+                         queries: Tensor | None = None) -> Tensor:
     """Scaled dot-product attention over heads; returns the pre-residual
-    output projection. Masked key positions receive -1e9 before softmax."""
+    output projection, one row per query row. Queries come from ``queries``
+    (default: every row of ``h``), keys and values from every row of ``h``;
+    masked key positions receive -1e9 before softmax."""
     prefix = f"layers.{layer_idx}.attention"
-    q, k, v = (_linear(h, params, f"{prefix}.{name}")
-               for name in ("query", "key", "value"))
+    q = _linear(h if queries is None else queries, params, f"{prefix}.query")
+    k, v = (_linear(h, params, f"{prefix}.{name}") for name in ("key", "value"))
     weights = T.attention_weights(q, k, config.num_heads,
                                   1.0 / math.sqrt(config.head_dim), mask)
     return _linear(T.attend(weights, v), params, f"{prefix}.output")
@@ -158,12 +199,20 @@ def multi_head_attention(config: ModelConfig, params: ParameterStore,
 
 def encoder_layer_forward(config: ModelConfig, params: ParameterStore,
                           layer_idx: int, h: Tensor, mask: np.ndarray,
-                          adapter_slot: AdapterSlot | None = None) -> Tensor:
+                          adapter_slot: AdapterSlot | None = None,
+                          queries: Tensor | None = None) -> Tensor:
     """Attention sublayer, FF sublayer (both residual + post-norm), then the
-    adapter slot applied to the FF-sublayer output."""
+    adapter slot applied to the FF-sublayer output.
+
+    ``queries`` [B, Lq, H] are the rows the layer computes (default: all of
+    ``h``). They attend over every row of ``h`` under the key mask; the
+    residuals, layer norms, FF block and adapter slot act on them only, so
+    the output is [B, Lq, H].
+    """
     p = f"layers.{layer_idx}"
-    attn = multi_head_attention(config, params, layer_idx, h, mask)
-    h1 = T.layer_norm(T.add(h, attn), params[f"{p}.attention.norm.gamma"],
+    rows = h if queries is None else queries
+    attn = multi_head_attention(config, params, layer_idx, h, mask, queries)
+    h1 = T.layer_norm(T.add(rows, attn), params[f"{p}.attention.norm.gamma"],
                       params[f"{p}.attention.norm.beta"], config.eps)
     ff = _linear(T.gelu(_linear(h1, params, f"{p}.ff.in")), params, f"{p}.ff.out")
     h2 = T.layer_norm(T.add(h1, ff), params[f"{p}.ff.norm.gamma"],
@@ -175,9 +224,16 @@ def encoder_layer_forward(config: ModelConfig, params: ParameterStore,
 
 def encode(config: ModelConfig, params: ParameterStore, batch: Batch,
            adapter_slot: AdapterSlot | None = None) -> tuple[Tensor, Tensor]:
-    """All layers in sequence; cls_state is the last layer at position 0."""
+    """Every layer but the last on all rows; the last with the [CLS] row as
+    its only query, since only that row reaches a head. Returns the last
+    layer's output [B, 1, H] and the [CLS] state [B, H]."""
     h = embed(config, params, batch)
-    for i in range(config.num_layers):
+    b, _, hidden = h.shape
+    last = config.num_layers - 1
+    for i in range(last):
         h = encoder_layer_forward(config, params, i, h, batch.attention_mask,
                                   adapter_slot)
-    return h, T.position_select(h, 0)
+    cls_row = T.reshape(T.position_select(h, 0), (b, 1, hidden))
+    h = encoder_layer_forward(config, params, last, h, batch.attention_mask,
+                              adapter_slot, cls_row)
+    return h, T.reshape(h, (b, hidden))

@@ -79,7 +79,8 @@ def fusion_forward(config: ModelConfig, params: ParameterStore,
     attention is one ``tensor.fusion_mix`` op, which scores
     ``((h W_Q) W_K^T) . z_t`` and mixes ``(sum_t a_t z_t) W_V``, so it runs
     three GEMMs whatever the number of adapters. Returns the output and the
-    attention weights [B, L, T] for inspection.
+    attention weights [B, Lq, T] (one row per row of ``h_ff``) for
+    inspection.
     """
     if len(adapter_outputs) != len(tasks):
         raise ContractError("one adapter output per task expected")
@@ -105,7 +106,9 @@ class SingleAdapterSlot:
 
 class FusionSlot:
     """Runs every task adapter, then the fusion attention; keeps the last
-    forward's attention weights per layer for inspection."""
+    forward's attention weights per layer for inspection: [B, L, T] below
+    the last layer and [B, 1, T] in it, where only the [CLS] row is
+    computed (the only weights there that reach the prediction)."""
 
     def __init__(self, config: ModelConfig, params: ParameterStore,
                  tasks: Sequence[str]):

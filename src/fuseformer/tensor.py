@@ -86,11 +86,15 @@ class no_grad:
         _THREAD.no_grad = self._previous
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """Whether a gradient w.r.t. ``t`` can reach a leaf that wants one."""
+    return t.requires_grad or t.node is not None
+
+
 def _track(op: str, inputs: Sequence[Tensor], out_data: Array,
            backward_fn: Callable[[Array], tuple[Array | None, ...]]) -> Tensor:
     out = Tensor(out_data)
-    if (not getattr(_THREAD, "no_grad", False)
-            and any(t.requires_grad or t.node is not None for t in inputs)):
+    if not getattr(_THREAD, "no_grad", False) and any(map(_needs_grad, inputs)):
         out.node = TapeNode(op, tuple(inputs), backward_fn)
     return out
 
@@ -336,7 +340,8 @@ def fusion_mix(h: Tensor, adapter_outputs: Sequence[Tensor], w_q: Tensor,
     ``((h W_Q) W_K^T) . z_t`` and ``(sum_t a_t z_t) W_V``: three
     [N, H] x [H, H] GEMMs over the N leading positions whatever T is, six in
     the backward, and the T-wide contractions in between. One tape node.
-    Returns the output [..., H] and the weights a [..., T].
+    Returns the output [..., H] and the weights a [..., T]. The backward
+    returns ``None`` for ``h`` and each z_t when they need no gradient.
     """
     if not adapter_outputs:
         raise ContractError("fusion_mix requires at least one adapter output")
@@ -366,11 +371,11 @@ def fusion_mix(h: Tensor, adapter_outputs: Sequence[Tensor], w_q: Tensor,
         dm = g2 @ w_v.data.T
         ds = _softmax_backward(alpha, np.einsum("tnh,nh->nt", z, dm), -1)
         dz = [(alpha[:, t, None] * dm + ds[:, t, None] * r).reshape(h.shape)
-              for t in range(len(z))]
+              if _needs_grad(zt) else None for t, zt in enumerate(adapter_outputs)]
         dr = np.einsum("nt,tnh->nh", ds, z)
         dq = dr @ w_k.data
-        return ((dq @ w_q.data.T).reshape(h.shape), *dz,
-                h2.T @ dq, dr.T @ q, m.T @ g2)
+        dh = (dq @ w_q.data.T).reshape(h.shape) if _needs_grad(h) else None
+        return dh, *dz, h2.T @ dq, dr.T @ q, m.T @ g2
 
     out_t = _track("fusion_mix", (h, *adapter_outputs, w_q, w_k, w_v), out, backward)
     return out_t, alpha.reshape(h.shape[:-1] + (len(z),))

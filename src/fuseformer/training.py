@@ -7,7 +7,7 @@ length, UTF-8 JSON manifest {name -> {shape, dtype:"f32", offset}} plus a
 reserved "__meta__" entry (config snapshot, RNG seed, stage tag, vocab),
 then the contiguous little-endian float32 payload. The entries must tile the
 payload exactly: non-negative integer dimensions and offsets, no gap, no
-overlap, no trailing bytes.
+overlap, no trailing bytes. Meta entries must have their ``META_TYPES``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import (Batch, Splits, Vocabulary, build_vocab,
                    class_statistics, make_batches)
-from .encoder import ModelConfig
+from .encoder import ModelConfig, config_kwargs, has_type
 from .errors import (CheckpointError, ConfigError, ContractError,
                      NumericalDivergenceError)
 from .fusion import AdapterBank
@@ -42,6 +42,11 @@ from .tensor import Tensor, backward, no_grad
 CHECKPOINT_MAGIC = b"AFCKPT01"
 META_KEY = "__meta__"
 NO_DECAY_SUFFIXES = (".bias", ".gamma", ".beta")
+# meta entries checked on load; model_config and train_config are checked
+# where they are used, by config_from_meta
+META_TYPES = {"heads": dict[str, int], "adapter_tasks": list[str],
+              "with_fusion": bool, "seed": int, "stage": str, "task": str,
+              "task_kind": str, "loss": str, "vocab": list[str]}
 
 TASK_NUM_LABELS = {"binary": 1, "multiclass-7": 7, "multilabel-6": 6}
 
@@ -110,11 +115,8 @@ class TrainConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
-        if "betas" in known:
-            known["betas"] = tuple(known["betas"])
-        return cls(**known)
+    def from_dict(cls, d) -> "TrainConfig":
+        return cls(**config_kwargs(cls, d))
 
     @classmethod
     def from_json_file(cls, path) -> "TrainConfig":
@@ -253,6 +255,10 @@ def load_checkpoint(path) -> Checkpoint:
     meta = manifest.pop(META_KEY, {})
     if not isinstance(meta, dict):
         raise CheckpointError("checkpoint meta is not a JSON object")
+    for key, hint in META_TYPES.items():
+        if key in meta and not has_type(meta[key], hint):
+            raise CheckpointError(f"checkpoint meta {key!r} has the wrong type: "
+                                  f"{meta[key]!r:.60}")
     entries = []
     for name, entry in manifest.items():
         if (not isinstance(entry, dict) or not isinstance(entry.get("shape"), list)
@@ -490,7 +496,7 @@ def train_fusion(target_task: TaskSpec, adapter_checkpoints: list[Checkpoint],
         tasks.append(ckpt_tasks[0])
     if len(set(tasks)) != len(tasks):
         raise CheckpointError(f"duplicate adapter tasks across checkpoints: {tasks}")
-    config = ModelConfig.from_dict(base["model_config"])
+    config = config_from_meta(ModelConfig, base, "model_config")
     vocab = Vocabulary(base.get("vocab", []))
     bank = AdapterBank(config, heads={target_task.name: target_task.num_labels},
                        adapter_tasks=tasks, with_fusion=True, seed=cfg.seed)
@@ -535,13 +541,24 @@ def _finish(bank: AdapterBank, task: TaskSpec, splits: Splits,
                        test_report=test_report, checkpoint=ckpt)
 
 
+def config_from_meta(cls, meta: dict, key: str):
+    """``cls.from_dict(meta[key])``; a missing or malformed entry raises
+    CheckpointError."""
+    if key not in meta:
+        raise CheckpointError(f"checkpoint meta is missing {key!r}")
+    try:
+        return cls.from_dict(meta[key])
+    except (ConfigError, ContractError) as exc:
+        raise CheckpointError(f"checkpoint {key}: {exc}") from None
+
+
 def bank_from_checkpoint(ckpt: Checkpoint) -> tuple[AdapterBank, Vocabulary, TaskSpec]:
     """Rebuild a model (with its slot wiring) from a saved checkpoint."""
     meta = ckpt.meta
     for key in ("model_config", "heads", "stage", "task", "task_kind"):
         if key not in meta:
             raise CheckpointError(f"checkpoint meta is missing {key!r}")
-    config = ModelConfig.from_dict(meta["model_config"])
+    config = config_from_meta(ModelConfig, meta, "model_config")
     bank = AdapterBank(config, heads=dict(meta["heads"]),
                        adapter_tasks=list(meta.get("adapter_tasks", [])),
                        with_fusion=bool(meta.get("with_fusion", False)),

@@ -253,6 +253,73 @@ def test_train_adapter_invalid_config_exits_2_without_traceback(
     assert not list(out.glob("*.ckpt"))
 
 
+def adapter_checkpoint(tmp_path, meta):
+    """A stage-1 emotion checkpoint of the model_json bank, with ``meta``
+    (a function of the model dict) overriding its meta entries."""
+    from fuseformer.encoder import ModelConfig
+    from fuseformer.fusion import AdapterBank
+    from fuseformer.training import (TrainConfig, checkpoint_from_bank,
+                                     save_checkpoint)
+
+    model = json.loads(model_json(tmp_path).read_text())["model"]
+    bank = AdapterBank(ModelConfig(**model), heads={"emotion": 6},
+                       adapter_tasks=["emotion"])
+    ckpt = checkpoint_from_bank(
+        bank, seed=0, stage="adapter:emotion",
+        extra_meta={"task": "emotion", "task_kind": "multilabel-6",
+                    "loss": "bce", "train_config": TrainConfig().to_dict(),
+                    **meta(model)})
+    path = tmp_path / "adapter-emotion.ckpt"
+    save_checkpoint(ckpt, path)
+    return path
+
+
+MALFORMED = {
+    # --config file
+    "config_str_epochs": ("config", {"epochs": "3"}),
+    "config_list": ("config", [1, 2]),
+    "config_model_unknown_key": ("config", {"model": {"dropout": 0.1}}),
+    "config_model_list": ("config", {"model": [8]}),
+    # checkpoint meta, read by evaluate and by train-fusion
+    "eval_model_unknown_key": (
+        "evaluate", lambda m: {"model_config": {**m, "dropout": 0.1}}),
+    "eval_model_list": ("evaluate", lambda m: {"model_config": [8]}),
+    "eval_train_str_epochs": ("evaluate", lambda m: {"train_config": {"epochs": "3"}}),
+    "eval_train_str": ("evaluate", lambda m: {"train_config": "fast"}),
+    "eval_heads_str_labels": ("evaluate", lambda m: {"heads": {"emotion": "6"}}),
+    "eval_adapter_tasks_int": ("evaluate", lambda m: {"adapter_tasks": 3}),
+    "eval_seed_str": ("evaluate", lambda m: {"seed": "a"}),
+    "fusion_model_unknown_key": (
+        "train-fusion", lambda m: {"model_config": {**m, "dropout": 0.1}}),
+    "fusion_model_str_layers": (
+        "train-fusion", lambda m: {"model_config": {**m, "num_layers": "1"}}),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_config_exits_2_without_traceback(tmp_path, corpus_path,
+                                                    capsys, case):
+    command, payload = MALFORMED[case]
+    out = tmp_path / "run"
+    if command == "config":
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(payload), encoding="utf-8")
+        argv = ["train-adapter", "--task", "emotion", "--corpus", corpus_path,
+                "--config", cfg, "--runs", 1, "--out", out]
+    elif command == "evaluate":
+        argv = ["evaluate", "--checkpoint", adapter_checkpoint(tmp_path, payload),
+                "--corpus", corpus_path]
+    else:
+        argv = ["train-fusion", "--task", "emotion", "--corpus", corpus_path,
+                "--config", model_json(tmp_path), "--runs", 1, "--out", out,
+                "--adapters", adapter_checkpoint(tmp_path, payload), *TRAIN_FLAGS]
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(out.glob("*"))
+
+
 def test_train_sent7_path(tmp_path, corpus_path, capsys):
     out = tmp_path / "run"
     code = run_cli("train-adapter", "--task", "sent7", "--corpus", corpus_path,

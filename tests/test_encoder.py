@@ -10,8 +10,9 @@ from fuseformer import tensor as T
 from fuseformer.data import Batch, CLS, PAD
 from fuseformer.encoder import (ModelConfig, embed, encode,
                                 encoder_layer_forward, multi_head_attention)
-from fuseformer.errors import ContractError
+from fuseformer.errors import ConfigError, ContractError
 from fuseformer.fusion import AdapterBank
+from fuseformer.losses import head_forward
 from fuseformer.tensor import finite_difference_check
 
 
@@ -49,6 +50,24 @@ def test_config_validation():
         ModelConfig(hidden_size=24, num_heads=4, reduction_factor=16)
     with pytest.raises(ContractError):
         ModelConfig(num_layers=0)
+
+
+@pytest.mark.parametrize("bad", [
+    [2], "model", {"dropout": 0.1}, {"num_layers": "2"}, {"num_layers": 2.0},
+    {"num_layers": True}, {"eps": "1e-12"},
+], ids=["list", "string", "unknown_key", "str_int", "float_int", "bool_int",
+        "str_float"])
+def test_config_from_dict_rejects_malformed_input(bad):
+    with pytest.raises(ConfigError):
+        ModelConfig.from_dict(bad)
+
+
+def test_config_from_dict_round_trips():
+    from dataclasses import asdict
+
+    config = tiny_config(eps=1e-6)
+    assert ModelConfig.from_dict(asdict(config)) == config
+    assert ModelConfig.from_dict({"num_layers": 3}) == ModelConfig(num_layers=3)
 
 
 def test_full_scale_config_matches_reference_geometry():
@@ -265,8 +284,58 @@ def test_encode_single_layer_is_one_layer_forward():
     x = embed(config, bank.params, batch)
     manual = encoder_layer_forward(config, bank.params, 0, x,
                                    batch.attention_mask, None)
-    np.testing.assert_array_equal(hidden.data, manual.data)
+    # the last layer computes the [CLS] row only
+    np.testing.assert_allclose(cls_state.data, manual.data[:, 0, :], rtol=0, atol=1e-12)
     np.testing.assert_array_equal(cls_state.data, hidden.data[:, 0, :])
+
+
+def full_sequence_logits(bank, batch, task):
+    """Reference for encode's [CLS]-only last layer: every layer on every
+    row, then row 0, then the head."""
+    config = bank.config
+    h = embed(config, bank.params, batch)
+    for i in range(config.num_layers):
+        h = encoder_layer_forward(config, bank.params, i, h,
+                                  batch.attention_mask, bank.slot)
+    return head_forward(config, bank.params, task, T.position_select(h, 0))
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("slot,num_tasks", [
+    ("none", 0), ("single", 1), ("fusion", 1), ("fusion", 5)],
+    ids=["none", "single", "fusion1", "fusion5"])
+def test_cls_only_last_layer_matches_full_sequence(slot, num_tasks, num_layers):
+    config = tiny_config(num_layers=num_layers)
+    tasks = [f"s{t}" for t in range(num_tasks)]
+    bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=tasks,
+                       with_fusion=slot == "fusion", seed=40 + num_tasks)
+    rng = np.random.default_rng(41 + num_layers)
+    for name, t in bank.params.items():  # real signal through every adapter
+        if name.endswith(".up.weight"):
+            t.data = rng.normal(0.0, 0.3, t.shape)
+    if slot != "none":
+        bank.attach(slot, tasks[0] if slot == "single" else tasks)
+    # padded rows: lengths 6, 4 and 2 of 6
+    batch = make_batch(config, rng, b=3, l=6,
+                       mask_out=[(1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5)])
+    probe = T.constant(rng.uniform(-1, 1, (3, 6)))
+
+    def run(forward):
+        bank.params.zero_grad()
+        logits = forward()
+        T.backward(T.sum_all(T.mul(logits, probe)))
+        return logits.data, {n: t.grad for n, t in bank.params.items()}
+
+    logits, grads = run(lambda: bank.forward(batch, "t"))
+    ref_logits, ref_grads = run(lambda: full_sequence_logits(bank, batch, "t"))
+    np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-12)
+    assert grads.keys() == ref_grads.keys()
+    for name, g in ref_grads.items():
+        if g is None:  # adapters the slot does not use
+            assert grads[name] is None, name
+        else:
+            np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12,
+                                       err_msg=name)
 
 
 def test_encode_is_deterministic_bit_for_bit():

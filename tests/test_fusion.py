@@ -147,7 +147,9 @@ def test_fusion_bank_records_one_fusion_mix_node_per_layer(num_tasks):
         todo.extend(t.node for t in node.inputs if t.node is not None)
     assert ops.count("fusion_mix") == config.num_layers
     assert "attention_weights" in ops  # the encoder's self-attention
-    assert {w.shape for w in bank.fusion_weights().values()} == {(2, 4, num_tasks)}
+    # every row below the last layer, the [CLS] row in it
+    assert {i: w.shape for i, w in bank.fusion_weights().items()} \
+        == {0: (2, 4, num_tasks), 1: (2, 1, num_tasks)}
 
 
 def test_fusion_gradient_check():

@@ -352,6 +352,23 @@ def test_fusion_mix_under_no_grad_records_no_node():
     np.testing.assert_array_equal(alpha, taped_alpha)
 
 
+def test_fusion_mix_backward_skips_inputs_that_need_no_gradient():
+    h, zs, ws, mix = fusion_mix_leaves(3, seed=62)
+    g = mix.data
+    full = T.fusion_mix(h, zs, *ws)[0].node.backward_fn(g)
+    frozen = [T.constant(t.data) for t in (h, *zs)]
+    grads = T.fusion_mix(frozen[0], frozen[1:], *ws)[0].node.backward_fn(g)
+    assert grads[:4] == (None,) * 4
+    for got, want in zip(grads[4:], full[4:]):
+        np.testing.assert_array_equal(got, want)
+    # an input with a node of its own still gets its gradient
+    taped_z = T.scale(zs[1], 1.0)
+    grads = T.fusion_mix(frozen[0], [frozen[1], taped_z, frozen[3]], *ws)[0] \
+        .node.backward_fn(g)
+    assert grads[0] is None and grads[1] is None and grads[3] is None
+    np.testing.assert_array_equal(grads[2], full[2])
+
+
 def test_fusion_mix_shape_errors_name_both_shapes():
     h, zs, ws, _ = fusion_mix_leaves(2, seed=61)
     with pytest.raises(ContractError):

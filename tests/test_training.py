@@ -550,6 +550,39 @@ def test_train_config_validation():
             TrainConfig(**bad)
 
 
+@pytest.mark.parametrize("bad", [
+    [1], None, {"dropout": 0.1}, {"epochs": "3"}, {"lr": "1e-3"},
+    {"betas": [0.9]}, {"betas": "0.9"}, {"focal_alpha": "x"}, {"runs": 1.5},
+], ids=["list", "null", "unknown_key", "str_epochs", "str_lr", "short_betas",
+        "str_betas", "str_focal_alpha", "float_runs"])
+def test_train_config_from_dict_rejects_malformed_input(bad):
+    with pytest.raises(ConfigError):
+        TrainConfig.from_dict(bad)
+
+
+def test_train_config_from_dict_accepts_json_spellings():
+    cfg = TrainConfig.from_dict({"lr": 1, "betas": [0.8, 0.99], "focal_alpha": None,
+                                 "metric_for_early_stop": "macro_f1"})
+    assert cfg == TrainConfig(lr=1.0, betas=(0.8, 0.99), metric_for_early_stop="macro_f1")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("model_config", {**asdict(desk_config()), "dropout": 0.1}),
+    ("model_config", {**asdict(desk_config()), "num_layers": 0}),
+    ("model_config", "desk"),
+])
+def test_malformed_checkpoint_model_config_is_checkpoint_error(key, value):
+    splits = tiny_splits()
+    ckpt = checkpoint_from_bank(small_bank(), seed=0, stage="adapter:emotion",
+                                extra_meta={"task": "emotion",
+                                            "task_kind": "multilabel-6"})
+    ckpt.meta[key] = value
+    with pytest.raises(CheckpointError, match=key):
+        bank_from_checkpoint(ckpt)
+    with pytest.raises(CheckpointError, match=key):
+        train_fusion(EMOTION, [ckpt], splits, fast_cfg())
+
+
 def test_unknown_early_stop_metric_is_rejected_before_the_first_step(monkeypatch):
     import fuseformer.training as training
 
