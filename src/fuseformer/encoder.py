@@ -25,7 +25,9 @@ def has_type(value, hint) -> bool:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
-    if isinstance(hint, type):
+    # not isinstance(hint, type): on Python 3.10 list[str] passes that test,
+    # and isinstance(value, list[str]) raises TypeError
+    if type(hint) is type:
         return isinstance(value, hint)
     origin, args = get_origin(hint), get_args(hint)
     if origin is tuple:  # JSON has lists, not tuples
@@ -52,7 +54,7 @@ def config_kwargs(cls, d) -> dict:
             raise ConfigError(f"{name}: unknown key {key!r}")
         hint = hints[key]
         if not has_type(value, hint):
-            shown = hint.__name__ if isinstance(hint, type) else hint
+            shown = hint.__name__ if type(hint) is type else hint
             raise ConfigError(f"{name}.{key} must be {shown}, got {value!r}")
     return dict(d)
 

@@ -118,11 +118,6 @@ class TrainConfig:
     def from_dict(cls, d) -> "TrainConfig":
         return cls(**config_kwargs(cls, d))
 
-    @classmethod
-    def from_json_file(cls, path) -> "TrainConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 # ---------------------------------------------------------------------------
 # optimizer
@@ -555,7 +550,7 @@ def config_from_meta(cls, meta: dict, key: str):
 def bank_from_checkpoint(ckpt: Checkpoint) -> tuple[AdapterBank, Vocabulary, TaskSpec]:
     """Rebuild a model (with its slot wiring) from a saved checkpoint."""
     meta = ckpt.meta
-    for key in ("model_config", "heads", "stage", "task", "task_kind"):
+    for key in ("heads", "stage", "task", "task_kind"):
         if key not in meta:
             raise CheckpointError(f"checkpoint meta is missing {key!r}")
     config = config_from_meta(ModelConfig, meta, "model_config")

@@ -2,6 +2,7 @@
 composition, batch independence, and end-to-end gradient correctness."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from fuseformer import tensor as T
 from fuseformer.data import Batch, CLS, PAD
 from fuseformer.encoder import (ModelConfig, embed, encode,
-                                encoder_layer_forward, multi_head_attention)
+                                encoder_layer_forward, has_type,
+                                multi_head_attention)
 from fuseformer.errors import ConfigError, ContractError
 from fuseformer.fusion import AdapterBank
 from fuseformer.losses import head_forward
@@ -60,6 +62,27 @@ def test_config_validation():
 def test_config_from_dict_rejects_malformed_input(bad):
     with pytest.raises(ConfigError):
         ModelConfig.from_dict(bad)
+
+
+class ClassForwardingAlias(types.GenericAlias):
+    """A parameterized hint that, like ``list[str]`` on Python 3.10, passes
+    ``isinstance(hint, type)`` because it forwards ``__class__``."""
+
+    @property
+    def __class__(self):
+        return type
+
+
+@pytest.mark.parametrize("alias", [types.GenericAlias, ClassForwardingAlias],
+                         ids=["alias", "class_forwarding_alias"])
+def test_has_type_checks_parameterized_hints_by_origin(alias):
+    strs, ints = alias(list, (str,)), alias(dict, (str, int))
+    pair = alias(tuple, (float, float))
+    assert has_type(["a", "b"], strs) and not has_type(["a", 1], strs)
+    assert not has_type("ab", strs)
+    assert has_type({"a": 1}, ints) and not has_type({"a": "1"}, ints)
+    assert has_type([0.9, 1], pair) and not has_type([0.9], pair)
+    assert has_type(None, float | None) and not has_type("x", float | None)
 
 
 def test_config_from_dict_round_trips():

@@ -597,7 +597,7 @@ def test_train_config_json_round_trip(tmp_path):
     cfg = TrainConfig(lr=3e-4, epochs=5, patience=2, betas=(0.8, 0.99))
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
-    loaded = TrainConfig.from_json_file(p)
+    loaded = TrainConfig.from_dict(json.loads(p.read_text(encoding="utf-8")))
     assert loaded == cfg
 
 
