@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -167,13 +168,18 @@ def discretize_sentiment_7(s: float) -> int:
     return r + 3
 
 
-def binarize_emotions(e) -> np.ndarray:
-    """Component i is 1 iff intensity i > 0; several classes may be present."""
+def binarize_emotions(e, ids: Sequence[str] | None = None) -> np.ndarray:
+    """Component i of each [..., 6] row is 1 iff intensity i > 0; several
+    classes may be present. ``ids`` name the rows, in order, in errors."""
     e = np.asarray(e, dtype=np.float64)
-    if e.shape != (len(EMOTIONS),):
+    if e.ndim == 0 or e.shape[-1] != len(EMOTIONS):
         raise ContractError(f"expected {len(EMOTIONS)} emotion values, got shape {e.shape}")
-    if np.any(e < 0.0) or np.any(e > 3.0):
-        raise ContractError(f"emotion intensity outside [0, 3]: {e.tolist()}")
+    rows = e.reshape(-1, len(EMOTIONS))
+    bad = np.flatnonzero(np.any((rows < 0.0) | (rows > 3.0), axis=1))
+    if bad.size:
+        where = "" if ids is None else f"example {ids[bad[0]]!r}: "
+        raise ContractError(
+            f"{where}emotion intensity outside [0, 3]: {rows[bad[0]].tolist()}")
     return (e > 0.0).astype(np.int64)
 
 
@@ -189,32 +195,42 @@ def derive_label(ex: RawExample, task_kind: str):
             raise ContractError(f"example {ex.id!r} has no sentiment for 7-class task")
         return discretize_sentiment_7(ex.sentiment)
     if task_kind == "multilabel-6":
+        return _stack_labels([ex], task_kind)[0]
+    raise ContractError(f"unknown task kind {task_kind!r}")
+
+
+def _stack_labels(examples: Sequence[RawExample], task_kind: str) -> np.ndarray:
+    """``derive_label`` of every example, stacked: [N, 6] for multilabel-6,
+    binarized in one call, and [N] for the other kinds. Errors name the
+    offending example."""
+    if task_kind != "multilabel-6":
+        return np.array([derive_label(ex, task_kind) for ex in examples],
+                        dtype=np.int64).reshape(len(examples))
+    for ex in examples:
         if ex.emotions is None:
             raise ContractError(f"example {ex.id!r} has no emotions for multilabel task")
-        return binarize_emotions(ex.emotions)
-    raise ContractError(f"unknown task kind {task_kind!r}")
+        if len(ex.emotions) != len(EMOTIONS):
+            raise ContractError(f"example {ex.id!r}: expected {len(EMOTIONS)} "
+                                f"emotion values, got {len(ex.emotions)}")
+    e = np.array([ex.emotions for ex in examples], dtype=np.float64)
+    return binarize_emotions(e.reshape(len(examples), len(EMOTIONS)),
+                             [ex.id for ex in examples])
 
 
 def class_statistics(corpus: list[RawExample], task_kind: str) -> ClassStats:
     """Per-class positive/negative counts over a split, after binarization."""
-    n = len(corpus)
     if task_kind == "multilabel-6":
         labels = EMOTIONS
-        pos = np.zeros(len(EMOTIONS), dtype=np.int64)
-        for ex in corpus:
-            pos += derive_label(ex, task_kind)
+        pos = _stack_labels(corpus, task_kind).sum(axis=0)
     elif task_kind == "binary":
         labels = ("positive",)
-        pos = np.array([sum(derive_label(ex, task_kind) for ex in corpus)],
-                       dtype=np.int64)
+        pos = _stack_labels(corpus, task_kind).sum(keepdims=True)
     elif task_kind == "multiclass-7":
         labels = tuple(f"class_{i}" for i in range(7))
-        pos = np.zeros(7, dtype=np.int64)
-        for ex in corpus:
-            pos[derive_label(ex, task_kind)] += 1
+        pos = np.bincount(_stack_labels(corpus, task_kind), minlength=7)
     else:
         raise ContractError(f"unknown task kind {task_kind!r}")
-    return ClassStats(labels=labels, positives=pos, negatives=n - pos)
+    return ClassStats(labels=labels, positives=pos, negatives=len(corpus) - pos)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +308,11 @@ def make_batches(examples: list[RawExample], vocab: Vocabulary, max_len: int,
         width = max(int(row_mask.sum()) for _, row_mask in rows)
         ids = np.stack([row_ids[:width] for row_ids, _ in rows])
         mask = np.stack([row_mask[:width] for _, row_mask in rows])
-        if task_kind == "multilabel-6":
-            labels = np.stack([derive_label(ex, task_kind) for ex in chunk]).astype(np.float64)
-        elif task_kind == "binary":
-            labels = np.array([[derive_label(ex, task_kind)] for ex in chunk],
-                              dtype=np.float64)
-        else:
-            labels = np.array([derive_label(ex, task_kind) for ex in chunk],
-                              dtype=np.int64)
+        labels = _stack_labels(chunk, task_kind)
+        if task_kind == "binary":
+            labels = labels[:, None]
+        if task_kind != "multiclass-7":
+            labels = labels.astype(np.float64)
         batches.append(Batch(token_ids=ids, attention_mask=mask,
                              segment_ids=np.zeros_like(ids), labels=labels))
     return batches

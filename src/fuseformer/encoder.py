@@ -160,8 +160,10 @@ def init_encoder_params(config: ModelConfig, store: ParameterStore,
 # forward pieces
 # ---------------------------------------------------------------------------
 
-def embed(config: ModelConfig, params: ParameterStore, batch: Batch) -> Tensor:
-    """Sum of token, position, and segment embeddings, then layer-norm."""
+def embed(config: ModelConfig, params: ParameterStore, batch: Batch,
+          rows: np.ndarray) -> Tensor:
+    """Sum of token, position, and segment embeddings, then layer-norm, for
+    the flat positions ``rows`` of the [B, L] batch: [len(rows), H]."""
     ids = batch.token_ids
     b, l = ids.shape
     if l > config.max_positions:
@@ -171,10 +173,10 @@ def embed(config: ModelConfig, params: ParameterStore, batch: Batch) -> Tensor:
         raise ContractError(f"token id out of range for vocab {config.vocab_size}")
     if np.any(batch.segment_ids >= config.num_segments):
         raise ContractError("segment id out of range")
-    positions = np.broadcast_to(np.arange(l), (b, l))
-    x = T.add(T.embedding(params["embeddings.token"], ids),
-              T.embedding(params["embeddings.position"], positions))
-    x = T.add(x, T.embedding(params["embeddings.segment"], batch.segment_ids))
+    x = T.add(T.embedding(params["embeddings.token"], ids.reshape(-1)[rows]),
+              T.embedding(params["embeddings.position"], rows % l))
+    x = T.add(x, T.embedding(params["embeddings.segment"],
+                             batch.segment_ids.reshape(-1)[rows]))
     return T.layer_norm(x, params["embeddings.norm.gamma"],
                         params["embeddings.norm.beta"], config.eps)
 
@@ -186,35 +188,50 @@ def _linear(x: Tensor, params: ParameterStore, prefix: str) -> Tensor:
 
 def multi_head_attention(config: ModelConfig, params: ParameterStore,
                          layer_idx: int, h: Tensor, mask: np.ndarray,
-                         queries: Tensor | None = None) -> Tensor:
+                         rows: np.ndarray, queries: Tensor | None = None) -> Tensor:
     """Scaled dot-product attention over heads; returns the pre-residual
-    output projection, one row per query row. Queries come from ``queries``
-    (default: every row of ``h``), keys and values from every row of ``h``;
-    masked key positions receive -1e9 before softmax."""
+    output projection, one row per query row.
+
+    ``h`` [n, H] holds the rows at the flat positions ``rows`` of the [B, L]
+    batch whose key mask is ``mask``; ``rows`` must cover every position
+    the mask marks real. Queries are every row of ``h`` ([n, H] out) or,
+    given ``queries`` [B, H], one row per example ([B, H] out). Keys and
+    values come from every row of ``h``. Only the attention core sees the
+    padded [B, L, H] layout: ``scatter_rows`` builds it, ``gather_rows``
+    reads the query rows back. Masked key positions receive -1e9 before
+    softmax.
+    """
     prefix = f"layers.{layer_idx}.attention"
+    b, l = mask.shape
+    q_rows, q_lead = (rows, (b, l)) if queries is None else (np.arange(b), (b, 1))
     q = _linear(h if queries is None else queries, params, f"{prefix}.query")
-    k, v = (_linear(h, params, f"{prefix}.{name}") for name in ("key", "value"))
-    weights = T.attention_weights(q, k, config.num_heads,
+    k, v = (T.scatter_rows(_linear(h, params, f"{prefix}.{name}"), rows, (b, l))
+            for name in ("key", "value"))
+    weights = T.attention_weights(T.scatter_rows(q, q_rows, q_lead), k,
+                                  config.num_heads,
                                   1.0 / math.sqrt(config.head_dim), mask)
-    return _linear(T.attend(weights, v), params, f"{prefix}.output")
+    return _linear(T.gather_rows(T.attend(weights, v), q_rows), params,
+                   f"{prefix}.output")
 
 
 def encoder_layer_forward(config: ModelConfig, params: ParameterStore,
                           layer_idx: int, h: Tensor, mask: np.ndarray,
+                          rows: np.ndarray,
                           adapter_slot: AdapterSlot | None = None,
                           queries: Tensor | None = None) -> Tensor:
     """Attention sublayer, FF sublayer (both residual + post-norm), then the
     adapter slot applied to the FF-sublayer output.
 
-    ``queries`` [B, Lq, H] are the rows the layer computes (default: all of
-    ``h``). They attend over every row of ``h`` under the key mask; the
-    residuals, layer norms, FF block and adapter slot act on them only, so
-    the output is [B, Lq, H].
+    ``h``, ``mask`` and ``rows`` are as in ``multi_head_attention``. The
+    layer computes every row of ``h``, or with ``queries`` [B, H] those
+    rows only; they attend over every row of ``h``, and the residuals,
+    layer norms, FF block and adapter slot act on them alone, so the output
+    is [n, H] or [B, H].
     """
     p = f"layers.{layer_idx}"
-    rows = h if queries is None else queries
-    attn = multi_head_attention(config, params, layer_idx, h, mask, queries)
-    h1 = T.layer_norm(T.add(rows, attn), params[f"{p}.attention.norm.gamma"],
+    x = h if queries is None else queries
+    attn = multi_head_attention(config, params, layer_idx, h, mask, rows, queries)
+    h1 = T.layer_norm(T.add(x, attn), params[f"{p}.attention.norm.gamma"],
                       params[f"{p}.attention.norm.beta"], config.eps)
     ff = _linear(T.gelu(_linear(h1, params, f"{p}.ff.in")), params, f"{p}.ff.out")
     h2 = T.layer_norm(T.add(h1, ff), params[f"{p}.ff.norm.gamma"],
@@ -225,17 +242,27 @@ def encoder_layer_forward(config: ModelConfig, params: ParameterStore,
 
 
 def encode(config: ModelConfig, params: ParameterStore, batch: Batch,
-           adapter_slot: AdapterSlot | None = None) -> tuple[Tensor, Tensor]:
-    """Every layer but the last on all rows; the last with the [CLS] row as
-    its only query, since only that row reaches a head. Returns the last
-    layer's output [B, 1, H] and the [CLS] state [B, H]."""
-    h = embed(config, params, batch)
-    b, _, hidden = h.shape
+           adapter_slot: AdapterSlot | None = None) -> Tensor:
+    """The [CLS] state [B, H] of every row of the batch.
+
+    The batch is packed once: ``rows = np.flatnonzero(attention_mask)``.
+    Every position-wise layer (embeddings, linears, residuals, layer norms,
+    FF block, adapter slot) then runs on those real-token rows only; padded
+    positions would only ever feed keys the mask weights 0. Every layer but
+    the last computes all of them; the last computes each row's [CLS] row
+    only, since only that reaches a head. Position 0 of every row must be a
+    real token, or ContractError is raised.
+    """
+    mask = batch.attention_mask
+    masked_cls = np.flatnonzero(mask[:, 0] == 0)
+    if masked_cls.size:
+        raise ContractError(
+            f"attention_mask masks the [CLS] position of batch row {masked_cls[0]}")
+    rows = np.flatnonzero(mask)
+    h = embed(config, params, batch, rows)
     last = config.num_layers - 1
     for i in range(last):
-        h = encoder_layer_forward(config, params, i, h, batch.attention_mask,
-                                  adapter_slot)
-    cls_row = T.reshape(T.position_select(h, 0), (b, 1, hidden))
-    h = encoder_layer_forward(config, params, last, h, batch.attention_mask,
-                              adapter_slot, cls_row)
-    return h, T.reshape(h, (b, hidden))
+        h = encoder_layer_forward(config, params, i, h, mask, rows, adapter_slot)
+    cls_rows = T.gather_rows(h, np.flatnonzero(rows % mask.shape[1] == 0))
+    return encoder_layer_forward(config, params, last, h, mask, rows,
+                                 adapter_slot, cls_rows)

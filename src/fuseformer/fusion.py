@@ -78,9 +78,10 @@ def fusion_forward(config: ModelConfig, params: ParameterStore,
     output; the mixture is added back onto the residual stream. The
     attention is one ``tensor.fusion_mix`` op, which scores
     ``((h W_Q) W_K^T) . z_t`` and mixes ``(sum_t a_t z_t) W_V``, so it runs
-    three GEMMs whatever the number of adapters. Returns the output and the
-    attention weights [B, Lq, T] (one row per row of ``h_ff``) for
-    inspection.
+    three GEMMs whatever the number of adapters. ``h_ff`` holds the rows
+    the encoder layer computes: [n, H] real-token rows, or [B, H] [CLS]
+    rows in the last layer. Returns the output and the attention weights
+    [..., T] (one row per row of ``h_ff``) for inspection.
     """
     if len(adapter_outputs) != len(tasks):
         raise ContractError("one adapter output per task expected")
@@ -106,9 +107,11 @@ class SingleAdapterSlot:
 
 class FusionSlot:
     """Runs every task adapter, then the fusion attention; keeps the last
-    forward's attention weights per layer for inspection: [B, L, T] below
-    the last layer and [B, 1, T] in it, where only the [CLS] row is
-    computed (the only weights there that reach the prediction)."""
+    forward's attention weights per layer for inspection. Below the last
+    layer they are [n, T], one row per real token of the packed batch (no
+    padded row is computed, so their means need no padding mask); in the
+    last layer, where only the [CLS] rows are computed, they are [B, T],
+    the only weights there that reach the prediction."""
 
     def __init__(self, config: ModelConfig, params: ParameterStore,
                  tasks: Sequence[str]):
@@ -250,8 +253,8 @@ class AdapterBank:
 
     # -- forward -------------------------------------------------------
     def forward(self, batch: Batch, task: str) -> Tensor:
-        _, cls_state = encode(self.config, self.params, batch, self.slot)
-        return head_forward(self.config, self.params, task, cls_state)
+        return head_forward(self.config, self.params, task,
+                            encode(self.config, self.params, batch, self.slot))
 
     def fusion_weights(self) -> dict[int, np.ndarray]:
         if isinstance(self.slot, FusionSlot):

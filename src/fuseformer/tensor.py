@@ -452,16 +452,49 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _track("reshape", (x,), out, backward)
 
 
-def position_select(x: Tensor, pos: int) -> Tensor:
-    """Select one sequence position from a [B, L, H] tensor -> [B, H]."""
-    out = x.data[:, pos, :].copy()
+def _check_rows(op: str, rows: Array, limit: int) -> None:
+    if (rows.ndim != 1 or rows.dtype.kind not in "iu"
+            or (rows.size and (rows[0] < 0 or rows[-1] >= limit
+                               or np.any(rows[1:] <= rows[:-1])))):
+        raise ContractError(
+            f"{op}: rows must be strictly increasing integer positions in "
+            f"[0, {limit})")
+
+
+def gather_rows(x: Tensor, rows: Array) -> Tensor:
+    """Rows of ``x`` [..., H] at the flat positions ``rows`` of its leading
+    dims -> [len(rows), H]. ``rows`` must be strictly increasing, so the
+    backward scatters ``g`` back with one assignment."""
+    hidden = x.shape[-1]
+    flat = x.data.reshape(-1, hidden)
+    rows = np.asarray(rows)
+    _check_rows("gather_rows", rows, flat.shape[0])
+    out = flat.take(rows, axis=0)
 
     def backward(g: Array):
-        dx = np.zeros_like(x.data)
-        dx[:, pos, :] = g
-        return (dx,)
+        dx = np.zeros_like(flat)
+        dx[rows] = g
+        return (dx.reshape(x.shape),)
 
-    return _track("position_select", (x,), out, backward)
+    return _track("gather_rows", (x,), out, backward)
+
+
+def scatter_rows(x: Tensor, rows: Array, lead: tuple[int, ...]) -> Tensor:
+    """Place the rows of ``x`` [n, H] at the flat positions ``rows`` of a
+    zero [*lead, H] array; the inverse of ``gather_rows``."""
+    rows = np.asarray(rows)
+    if x.data.ndim != 2 or rows.shape != x.shape[:1]:
+        raise ShapeMismatchError(
+            f"scatter_rows: {x.shape} rows for {rows.shape} positions")
+    _check_rows("scatter_rows", rows, math.prod(lead))
+    hidden = x.shape[1]
+    out = np.zeros((math.prod(lead), hidden))
+    out[rows] = x.data
+
+    def backward(g: Array):
+        return (g.reshape(-1, hidden).take(rows, axis=0),)
+
+    return _track("scatter_rows", (x,), out.reshape(*lead, hidden), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:

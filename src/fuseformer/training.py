@@ -372,9 +372,11 @@ def evaluate_model(bank: AdapterBank, task: TaskSpec, batches: list[Batch],
 
 
 def fit(bank: AdapterBank, task: TaskSpec, splits: Splits, vocab: Vocabulary,
-        cfg: TrainConfig) -> tuple[list[dict], int]:
+        cfg: TrainConfig) -> tuple[list[dict], int, MetricsReport]:
     """Epoch loop with patience-based early stopping on the validation
-    metric; the best-metric trainable parameters are restored at the end."""
+    metric; the best-metric trainable parameters are restored at the end.
+    Returns the history, the best epoch and its validation report, which
+    is the report of the restored parameters."""
     if not splits.train:
         raise ConfigError("empty training split")
     if not splits.val:
@@ -399,6 +401,7 @@ def fit(bank: AdapterBank, task: TaskSpec, splits: Splits, vocab: Vocabulary,
     best_metric = -math.inf
     best_epoch = 0
     best_snapshot: dict[str, np.ndarray] = {}
+    best_report: MetricsReport | None = None
     history: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(len(splits.train))
@@ -431,11 +434,12 @@ def fit(bank: AdapterBank, task: TaskSpec, splits: Splits, vocab: Vocabulary,
             best_metric = metric
             best_epoch = epoch
             best_snapshot = {n: p.data.copy() for n, p in trainable}
+            best_report = val_report
         elif epoch - best_epoch >= cfg.patience:
             break
     for n, p in trainable:
         p.data = best_snapshot[n].copy()
-    return history, best_epoch
+    return history, best_epoch, best_report
 
 
 def train_adapter(task: TaskSpec, splits: Splits, model_config: ModelConfig,
@@ -450,9 +454,7 @@ def train_adapter(task: TaskSpec, splits: Splits, model_config: ModelConfig,
                        adapter_tasks=[task.name], seed=cfg.seed)
     bank.attach("single", task.name)
     bank.set_trainable("adapter", task.name)
-    history, best_epoch = fit(bank, task, splits, vocab, cfg)
-    return _finish(bank, task, splits, vocab, cfg, history, best_epoch,
-                   stage=f"adapter:{task.name}")
+    return _finish(bank, task, splits, vocab, cfg, stage=f"adapter:{task.name}")
 
 
 def train_full(task: TaskSpec, splits: Splits, model_config: ModelConfig,
@@ -466,9 +468,7 @@ def train_full(task: TaskSpec, splits: Splits, model_config: ModelConfig,
     bank = AdapterBank(config, heads={task.name: task.num_labels}, seed=cfg.seed)
     bank.attach("none")
     bank.set_trainable("finetune", task.name)
-    history, best_epoch = fit(bank, task, splits, vocab, cfg)
-    return _finish(bank, task, splits, vocab, cfg, history, best_epoch,
-                   stage=f"finetune:{task.name}")
+    return _finish(bank, task, splits, vocab, cfg, stage=f"finetune:{task.name}")
 
 
 def train_fusion(target_task: TaskSpec, adapter_checkpoints: list[Checkpoint],
@@ -509,18 +509,14 @@ def train_fusion(target_task: TaskSpec, adapter_checkpoints: list[Checkpoint],
         load_into_bank(bank, ckpt, adapter_names)
     bank.attach("fusion", tasks)
     bank.set_trainable("fusion", target_task.name)
-    history, best_epoch = fit(bank, target_task, splits, vocab, cfg)
-    return _finish(bank, target_task, splits, vocab, cfg, history, best_epoch,
+    return _finish(bank, target_task, splits, vocab, cfg,
                    stage=f"fusion:{target_task.name}")
 
 
 def _finish(bank: AdapterBank, task: TaskSpec, splits: Splits,
-            vocab: Vocabulary, cfg: TrainConfig, history: list[dict],
-            best_epoch: int, stage: str) -> TrainResult:
-    val_batches = make_batches(splits.val, vocab, cfg.max_len, task.kind,
-                               cfg.batch_size)
-    val_report = evaluate_model(bank, task, val_batches, cfg.threshold,
-                                split="val", seed=cfg.seed)
+            vocab: Vocabulary, cfg: TrainConfig, stage: str) -> TrainResult:
+    """``fit``, then evaluate the test split and checkpoint the bank."""
+    history, best_epoch, val_report = fit(bank, task, splits, vocab, cfg)
     test_report = None
     if splits.test:
         test_batches = make_batches(splits.test, vocab, cfg.max_len, task.kind,

@@ -142,6 +142,14 @@ def test_binarize_emotions_contract():
         D.binarize_emotions([0, 0, 0, 0, 0, 3.5])
 
 
+def test_binarize_emotions_takes_stacked_rows():
+    e = np.array([[[0, 1, 0, 0, 0, 2.5]], [[0.2, 0, 0, 0, 0, 0]]])
+    np.testing.assert_array_equal(D.binarize_emotions(e),
+                                  [[[0, 1, 0, 0, 0, 1]], [[1, 0, 0, 0, 0, 0]]])
+    with pytest.raises(ContractError, match="'b'"):
+        D.binarize_emotions([[0] * 6, [0, 0, 3.1, 0, 0, 0]], ids=["a", "b"])
+
+
 # ---------------------------------------------------------------------------
 # vocabulary and tokenizer
 # ---------------------------------------------------------------------------
@@ -366,6 +374,47 @@ def test_make_batches_layout(monkeypatch):
     # the long row is still truncated to max_len; the others set their own width
     assert [b.token_ids.shape[1] for b in batches] == [13, 16, 10]
     assert batches[1].attention_mask[1].sum() == 16
+
+
+@pytest.mark.parametrize("kind", ["multilabel-6", "binary", "multiclass-7"])
+def test_batch_and_corpus_labels_equal_per_example_derive_label(kind):
+    corpus = D.synth_corpus(seed=5, n=23)
+    corpus[4] = D.RawExample(id="bin", text="w", sentiment=-0.5,
+                             emotions=(0.0,) * 6, binary_label=1)
+    expected = np.array([D.derive_label(ex, kind) for ex in corpus])
+    vocab = D.build_vocab(corpus, max_size=100)
+    batches = D.make_batches(corpus, vocab, 16, kind, batch_size=8)
+    labels = np.concatenate([b.labels for b in batches])
+    if kind == "binary":
+        assert labels.shape == (23, 1)
+        labels = labels[:, 0]
+    assert labels.dtype == (np.int64 if kind == "multiclass-7" else np.float64)
+    np.testing.assert_array_equal(labels, expected)
+    stats = D.class_statistics(corpus, kind)
+    if kind == "multiclass-7":
+        expected = np.eye(7, dtype=np.int64)[expected]
+    np.testing.assert_array_equal(stats.positives,
+                                  expected.reshape(len(corpus), -1).sum(axis=0))
+
+
+@pytest.mark.parametrize("bad,message", [
+    (D.RawExample(id="odd", text="w", sentiment=0.0), "'odd' has no emotions"),
+    (D.RawExample(id="odd", text="w", emotions=(0.0, 3.5, 0.0, 0.0, 0.0, 0.0)),
+     r"'odd': emotion intensity outside \[0, 3\]"),
+    (D.RawExample(id="odd", text="w", emotions=(-0.1,) + (0.0,) * 5),
+     r"'odd': emotion intensity outside \[0, 3\]"),
+    (D.RawExample(id="odd", text="w", emotions=(0.0,) * 5), "'odd': expected 6"),
+], ids=["missing", "above_range", "below_range", "short"])
+def test_bad_emotions_in_the_middle_of_a_chunk_raise_naming_the_example(bad, message):
+    corpus = D.synth_corpus(seed=6, n=9)
+    corpus[4] = bad
+    vocab = D.build_vocab(corpus, max_size=100)
+    with pytest.raises(ContractError, match=message):
+        D.make_batches(corpus, vocab, 16, "multilabel-6", batch_size=9)
+    with pytest.raises(ContractError, match=message):
+        D.class_statistics(corpus, "multilabel-6")
+    with pytest.raises(ContractError, match=message):
+        D.derive_label(bad, "multilabel-6")
 
 
 def test_split_corpus_is_deterministic_partition():

@@ -41,6 +41,11 @@ def make_bank(config, seed=0, **kw):
     return AdapterBank(config, heads={"emotion": 6}, seed=seed, **kw)
 
 
+def all_rows(batch):
+    """Every flat position of the batch, padded ones included."""
+    return np.arange(batch.token_ids.size)
+
+
 # ---------------------------------------------------------------------------
 # config
 # ---------------------------------------------------------------------------
@@ -110,15 +115,23 @@ def test_embed_identical_rows_give_identical_embeddings():
     rng = np.random.default_rng(0)
     batch = make_batch(config, rng)
     batch.token_ids[1] = batch.token_ids[0]
-    out = embed(config, bank.params, batch)
-    np.testing.assert_array_equal(out.data[0], out.data[1])
+    out = embed(config, bank.params, batch, all_rows(batch)).data.reshape(2, 5, -1)
+    np.testing.assert_array_equal(out[0], out[1])
 
 
 def test_embed_shape_contract():
     config = tiny_config()
     bank = make_bank(config)
-    batch = make_batch(config, np.random.default_rng(1), b=3, l=6)
-    assert embed(config, bank.params, batch).shape == (3, 6, config.hidden_size)
+    batch = make_batch(config, np.random.default_rng(1), b=3, l=6,
+                       mask_out=[(1, 5), (2, 4), (2, 5)])
+    assert embed(config, bank.params, batch, all_rows(batch)).shape \
+        == (3 * 6, config.hidden_size)
+    # packed: one row per real token, each equal to its all-rows row
+    rows = np.flatnonzero(batch.attention_mask)
+    packed = embed(config, bank.params, batch, rows)
+    assert packed.shape == (15, config.hidden_size)
+    np.testing.assert_array_equal(
+        packed.data, embed(config, bank.params, batch, all_rows(batch)).data[rows])
 
 
 def test_embed_id_and_position_overflow():
@@ -127,10 +140,10 @@ def test_embed_id_and_position_overflow():
     batch = make_batch(config, np.random.default_rng(2))
     batch.token_ids[0, 1] = config.vocab_size
     with pytest.raises(ContractError):
-        embed(config, bank.params, batch)
+        embed(config, bank.params, batch, all_rows(batch))
     long = make_batch(config, np.random.default_rng(3), l=config.max_positions + 1)
     with pytest.raises(ContractError):
-        embed(config, bank.params, long)
+        embed(config, bank.params, long, all_rows(long))
 
 
 def test_embed_gradient_wrt_tables():
@@ -140,9 +153,10 @@ def test_embed_gradient_wrt_tables():
     tables = [(n, bank.params[n]) for n in
               ("embeddings.token", "embeddings.position", "embeddings.segment")]
     mix = T.constant(np.random.default_rng(5).uniform(-1, 1,
-                                                      (2, 4, config.hidden_size)))
+                                                      (2 * 4, config.hidden_size)))
     report = finite_difference_check(
-        lambda: T.sum_all(T.mul(mix, embed(config, bank.params, batch))),
+        lambda: T.sum_all(T.mul(mix, embed(config, bank.params, batch,
+                                           all_rows(batch)))),
         tables, h=1e-5, tol=1e-4)
     assert report.passed, report.worst()
 
@@ -172,16 +186,16 @@ def test_equal_keys_attend_uniformly_over_unmasked():
                   out_w=np.eye(h), out_b=np.zeros(h))
     rng = np.random.default_rng(8)
     batch = make_batch(config, rng, b=1, l=4, mask_out=[(0, 3)])
-    x = embed(config, bank.params, batch)
-    out = multi_head_attention(config, bank.params, 0, x, batch.attention_mask)
+    rows = np.flatnonzero(batch.attention_mask)  # packed: the 3 unmasked slots
+    x = embed(config, bank.params, batch, rows)
+    out = multi_head_attention(config, bank.params, 0, x, batch.attention_mask, rows)
     # expected: mean of per-position value vectors over the 3 unmasked slots
     flat = x.data.reshape(-1, h)
     v = flat @ bank.params["layers.0.attention.value.weight"].data \
         + bank.params["layers.0.attention.value.bias"].data
-    v = v.reshape(1, 4, h)
-    expected = v[:, :3, :].mean(axis=1, keepdims=True)
-    np.testing.assert_allclose(out.data[:, :3, :],
-                               np.repeat(expected, 3, axis=1), atol=1e-9)
+    expected = v[:3, :].mean(axis=0, keepdims=True)
+    assert out.shape == (3, h)
+    np.testing.assert_allclose(out.data, np.repeat(expected, 3, axis=0), atol=1e-9)
 
 
 def test_mask_all_but_one_position():
@@ -192,13 +206,14 @@ def test_mask_all_but_one_position():
                   out_w=np.eye(h), out_b=np.zeros(h))
     batch = make_batch(config, np.random.default_rng(10), b=1, l=4,
                        mask_out=[(0, 1), (0, 2), (0, 3)])
-    x = embed(config, bank.params, batch)
-    out = multi_head_attention(config, bank.params, 0, x, batch.attention_mask)
+    x = embed(config, bank.params, batch, all_rows(batch))
+    out = multi_head_attention(config, bank.params, 0, x, batch.attention_mask,
+                               all_rows(batch))
     v0 = (x.data.reshape(-1, h) @ bank.params["layers.0.attention.value.weight"].data
           + bank.params["layers.0.attention.value.bias"].data)[0]
     # every query position attends only to position 0 (weight 1 +- 1e-6)
     for pos in range(4):
-        np.testing.assert_allclose(out.data[0, pos], v0, atol=1e-6)
+        np.testing.assert_allclose(out.data[pos], v0, atol=1e-6)
 
 
 def test_attention_rows_sum_to_one_via_unit_values():
@@ -210,9 +225,11 @@ def test_attention_rows_sum_to_one_via_unit_values():
                   out_w=np.eye(h), out_b=np.zeros(h))
     batch = make_batch(config, np.random.default_rng(12), b=2, l=6,
                        mask_out=[(0, 5)])
-    x = embed(config, bank.params, batch)
-    out = multi_head_attention(config, bank.params, 0, x, batch.attention_mask)
-    np.testing.assert_allclose(out.data, 1.0, atol=1e-9)
+    for rows in (all_rows(batch), np.flatnonzero(batch.attention_mask)):
+        x = embed(config, bank.params, batch, rows)
+        out = multi_head_attention(config, bank.params, 0, x,
+                                   batch.attention_mask, rows)
+        np.testing.assert_allclose(out.data, 1.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +276,18 @@ def test_layer_forward_matches_naive_numpy_oracle():
     bank = make_bank(config, seed=13)
     batch = make_batch(config, np.random.default_rng(14), b=2, l=5,
                        mask_out=[(1, 4)])
-    x = embed(config, bank.params, batch)
-    got = encoder_layer_forward(config, bank.params, 0, x,
-                                batch.attention_mask, adapter_slot=None)
-    want = naive_layer_forward(config, bank.params, 0, x.data,
+    x = embed(config, bank.params, batch, all_rows(batch))
+    got = encoder_layer_forward(config, bank.params, 0, x, batch.attention_mask,
+                                all_rows(batch), adapter_slot=None)
+    want = naive_layer_forward(config, bank.params, 0, x.data.reshape(2, 5, -1),
                                batch.attention_mask)
-    np.testing.assert_allclose(got.data, want, atol=1e-12)
+    np.testing.assert_allclose(got.data.reshape(want.shape), want, atol=1e-12)
+    # packed rows: the oracle's real-token rows
+    rows = np.flatnonzero(batch.attention_mask)
+    packed = encoder_layer_forward(config, bank.params, 0, T.constant(x.data[rows]),
+                                   batch.attention_mask, rows)
+    np.testing.assert_allclose(packed.data,
+                               want.reshape(-1, config.hidden_size)[rows], atol=1e-12)
 
 
 def test_layer_forward_zero_up_adapter_equals_slot_none():
@@ -275,24 +298,27 @@ def test_layer_forward_zero_up_adapter_equals_slot_none():
         bank.params[f"adapters.emotion.{i}.up.weight"].data[:] = 0.0
         bank.params[f"adapters.emotion.{i}.up.bias"].data[:] = 0.0
     batch = make_batch(config, np.random.default_rng(16))
-    x = embed(config, bank.params, batch)
+    x = embed(config, bank.params, batch, all_rows(batch))
     from fuseformer.fusion import SingleAdapterSlot
     slot = SingleAdapterSlot(config, bank.params, "emotion")
     plain = encoder_layer_forward(config, bank.params, 0, x,
-                                  batch.attention_mask, None)
+                                  batch.attention_mask, all_rows(batch), None)
     with_adapter = encoder_layer_forward(config, bank.params, 0, x,
-                                         batch.attention_mask, slot)
+                                         batch.attention_mask, all_rows(batch),
+                                         slot)
     np.testing.assert_array_equal(plain.data, with_adapter.data)
 
 
 def test_layer_forward_preserves_shape():
     config = tiny_config()
     bank = make_bank(config)
-    batch = make_batch(config, np.random.default_rng(17), b=3, l=7)
-    x = embed(config, bank.params, batch)
-    out = encoder_layer_forward(config, bank.params, 0, x,
-                                batch.attention_mask, None)
-    assert out.shape == x.shape
+    batch = make_batch(config, np.random.default_rng(17), b=3, l=7,
+                       mask_out=[(2, 6)])
+    for rows in (all_rows(batch), np.flatnonzero(batch.attention_mask)):
+        x = embed(config, bank.params, batch, rows)
+        out = encoder_layer_forward(config, bank.params, 0, x,
+                                    batch.attention_mask, rows, None)
+        assert out.shape == x.shape == (len(rows), config.hidden_size)
 
 
 # ---------------------------------------------------------------------------
@@ -303,24 +329,32 @@ def test_encode_single_layer_is_one_layer_forward():
     config = tiny_config(num_layers=1)
     bank = make_bank(config, seed=18)
     batch = make_batch(config, np.random.default_rng(19))
-    hidden, cls_state = encode(config, bank.params, batch, None)
-    x = embed(config, bank.params, batch)
+    cls_state = encode(config, bank.params, batch, None)
+    x = embed(config, bank.params, batch, all_rows(batch))
     manual = encoder_layer_forward(config, bank.params, 0, x,
-                                   batch.attention_mask, None)
+                                   batch.attention_mask, all_rows(batch), None)
     # the last layer computes the [CLS] row only
-    np.testing.assert_allclose(cls_state.data, manual.data[:, 0, :], rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(cls_state.data, hidden.data[:, 0, :])
+    np.testing.assert_allclose(cls_state.data, manual.data.reshape(2, 5, -1)[:, 0, :],
+                               rtol=0, atol=1e-12)
+    cls_only = encoder_layer_forward(config, bank.params, 0, x,
+                                     batch.attention_mask, all_rows(batch), None,
+                                     T.gather_rows(x, np.arange(2) * 5))
+    np.testing.assert_array_equal(cls_state.data, cls_only.data)
 
 
 def full_sequence_logits(bank, batch, task):
-    """Reference for encode's [CLS]-only last layer: every layer on every
-    row, then row 0, then the head."""
+    """Reference for encode's packed rows and [CLS]-only last layer: every
+    layer on every position (``rows`` covers the padded ones too), then
+    each row's position 0, then the head."""
     config = bank.config
-    h = embed(config, bank.params, batch)
+    rows = all_rows(batch)
+    h = embed(config, bank.params, batch, rows)
     for i in range(config.num_layers):
         h = encoder_layer_forward(config, bank.params, i, h,
-                                  batch.attention_mask, bank.slot)
-    return head_forward(config, bank.params, task, T.position_select(h, 0))
+                                  batch.attention_mask, rows, bank.slot)
+    b, l = batch.token_ids.shape
+    return head_forward(config, bank.params, task,
+                        T.gather_rows(h, np.arange(b) * l))
 
 
 @pytest.mark.parametrize("num_layers", [1, 2])
@@ -367,8 +401,7 @@ def test_encode_is_deterministic_bit_for_bit():
     outs = []
     for _ in range(2):
         bank = make_bank(config, seed=21)
-        hidden, _ = encode(config, bank.params, batch, None)
-        outs.append(hidden.data.tobytes())
+        outs.append(encode(config, bank.params, batch, None).data.tobytes())
     assert outs[0] == outs[1]
 
 
@@ -377,14 +410,16 @@ def test_encode_permutation_invariance_across_batch():
     bank = make_bank(config, seed=22)
     batch = make_batch(config, np.random.default_rng(23), b=4, l=6,
                        mask_out=[(2, 5)])
-    hidden, cls_state = encode(config, bank.params, batch, None)
+    cls_state = encode(config, bank.params, batch, None)
+    logits = bank.forward(batch, "emotion")
     perm = [3, 0, 2, 1]
     permuted = Batch(token_ids=batch.token_ids[perm],
                      attention_mask=batch.attention_mask[perm],
                      segment_ids=batch.segment_ids[perm],
                      labels=batch.labels[perm])
-    hidden_p, cls_p = encode(config, bank.params, permuted, None)
-    np.testing.assert_array_equal(hidden_p.data, hidden.data[perm])
+    cls_p = encode(config, bank.params, permuted, None)
+    np.testing.assert_array_equal(bank.forward(permuted, "emotion").data,
+                                  logits.data[perm])
     np.testing.assert_array_equal(cls_p.data, cls_state.data[perm])
 
 
@@ -392,7 +427,7 @@ def test_encode_padding_invariance():
     config = tiny_config()
     bank = make_bank(config, seed=24)
     batch = make_batch(config, np.random.default_rng(25), b=2, l=5)
-    _, cls_state = encode(config, bank.params, batch, None)
+    cls_state = encode(config, bank.params, batch, None)
     pad_cols = 2
     padded = Batch(
         token_ids=np.pad(batch.token_ids, ((0, 0), (0, pad_cols)),
@@ -400,8 +435,19 @@ def test_encode_padding_invariance():
         attention_mask=np.pad(batch.attention_mask, ((0, 0), (0, pad_cols))),
         segment_ids=np.pad(batch.segment_ids, ((0, 0), (0, pad_cols))),
         labels=batch.labels)
-    _, cls_padded = encode(config, bank.params, padded, None)
+    cls_padded = encode(config, bank.params, padded, None)
     np.testing.assert_allclose(cls_padded.data, cls_state.data, atol=1e-9)
+
+
+def test_encode_rejects_a_masked_cls_position():
+    config = tiny_config()
+    bank = make_bank(config, seed=24)
+    batch = make_batch(config, np.random.default_rng(25), b=3, l=5,
+                       mask_out=[(1, 0)])
+    with pytest.raises(ContractError, match="row 1"):
+        encode(config, bank.params, batch, None)
+    with pytest.raises(ContractError, match="row 1"):
+        bank.forward(batch, "emotion")
 
 
 def test_encode_end_to_end_gradient_check():
@@ -414,7 +460,7 @@ def test_encode_end_to_end_gradient_check():
         -1, 1, (2, config.hidden_size)))
 
     def loss_fn():
-        _, cls_state = encode(config, bank.params, batch, None)
+        cls_state = encode(config, bank.params, batch, None)
         return T.sum_all(T.mul(mix, T.tanh(cls_state)))
 
     params = [(n, t) for n, t in bank.params.items() if not n.startswith("heads.")]

@@ -147,9 +147,9 @@ def test_fusion_bank_records_one_fusion_mix_node_per_layer(num_tasks):
         todo.extend(t.node for t in node.inputs if t.node is not None)
     assert ops.count("fusion_mix") == config.num_layers
     assert "attention_weights" in ops  # the encoder's self-attention
-    # every row below the last layer, the [CLS] row in it
+    # every real token below the last layer, the [CLS] rows in it
     assert {i: w.shape for i, w in bank.fusion_weights().items()} \
-        == {0: (2, 4, num_tasks), 1: (2, 1, num_tasks)}
+        == {0: (2 * 4, num_tasks), 1: (2, num_tasks)}
 
 
 def test_fusion_gradient_check():
@@ -181,8 +181,8 @@ def test_attach_none_equals_vanilla_encoder():
                             adapter_tasks=["a", "b"], with_fusion=True, seed=30)
     decorated.attach("none")
     batch = make_batch(config, np.random.default_rng(31))
-    h1, _ = encode(config, vanilla.params, batch, vanilla.slot)
-    h2, _ = encode(config, decorated.params, batch, decorated.slot)
+    h1 = encode(config, vanilla.params, batch, vanilla.slot)
+    h2 = encode(config, decorated.params, batch, decorated.slot)
     np.testing.assert_array_equal(h1.data, h2.data)
 
 
@@ -192,14 +192,14 @@ def test_attach_single_uses_only_that_adapter():
                        with_fusion=True, seed=32)
     bank.attach("single", "a")
     batch = make_batch(config, np.random.default_rng(33))
-    before = encode(config, bank.params, batch, bank.slot)[0].data.copy()
+    before = encode(config, bank.params, batch, bank.slot).data.copy()
     # perturbing the unused adapter changes nothing
     bank.params["adapters.b.0.up.weight"].data[:] = 7.0
-    after = encode(config, bank.params, batch, bank.slot)[0].data
+    after = encode(config, bank.params, batch, bank.slot).data
     np.testing.assert_array_equal(before, after)
     # perturbing the attached adapter does
     bank.params["adapters.a.0.up.weight"].data[:] = 7.0
-    changed = encode(config, bank.params, batch, bank.slot)[0].data
+    changed = encode(config, bank.params, batch, bank.slot).data
     assert not np.array_equal(before, changed)
 
 

@@ -155,9 +155,11 @@ ELEMENTWISE_CASES = [
      lambda r: (Tensor(r.uniform(-2, 2, (2, 3, 4)), requires_grad=True),
                 Tensor(r.uniform(-2, 2, (4, 2)), requires_grad=True)),
      lambda a, b: T.matmul(a, b)),
-    ("position_select", lambda r: (Tensor(r.uniform(-2, 2, (2, 3, 4)),
-                                          requires_grad=True),),
-     lambda a: T.position_select(a, 1)),
+    ("gather_rows", lambda r: (Tensor(r.uniform(-2, 2, (2, 3, 4)),
+                                      requires_grad=True),),
+     lambda a: T.gather_rows(a, np.array([0, 2, 3, 5]))),
+    ("scatter_rows", lambda r: (Tensor(r.uniform(-2, 2, (4, 3)), requires_grad=True),),
+     lambda a: T.scatter_rows(a, np.array([1, 2, 4, 5]), (2, 3))),
     ("mean", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),),
      lambda a: T.mean_all(a)),
 ]
@@ -200,6 +202,54 @@ def test_embedding_id_out_of_range():
     table = Tensor(np.zeros((4, 3)))
     with pytest.raises(ContractError):
         T.embedding(table, np.array([4]))
+
+
+# packed rows: B = 3 rows of L = 4 with 3, 2 and 4 real tokens
+PACKED = np.array([0, 1, 2, 4, 5, 8, 9, 10, 11])
+
+
+def test_scatter_then_gather_rows_round_trips_and_zero_fills():
+    rng = np.random.default_rng(60)
+    x = Tensor(rng.uniform(-2, 2, (len(PACKED), 5)))
+    padded = T.scatter_rows(x, PACKED, (3, 4))
+    assert padded.shape == (3, 4, 5)
+    np.testing.assert_array_equal(padded.data[0, 3], 0.0)
+    np.testing.assert_array_equal(padded.data[1, 2:], 0.0)
+    np.testing.assert_array_equal(padded.data[2, 1], x.data[6])
+    np.testing.assert_array_equal(T.gather_rows(padded, PACKED).data, x.data)
+    # the [CLS] rows of the packed array: each row's first real token
+    cls = T.gather_rows(x, np.flatnonzero(PACKED % 4 == 0))
+    np.testing.assert_array_equal(cls.data, padded.data[:, 0])
+
+
+def test_row_ops_pass_finite_difference_check():
+    rng = np.random.default_rng(61)
+    x = Tensor(rng.uniform(-2, 2, (len(PACKED), 5)), requires_grad=True)
+    mix = T.constant(rng.uniform(-1, 1, (3, 5)))
+
+    def loss_fn():  # scatter into [B, L, H], then pick position 1 of each row
+        padded = T.scatter_rows(T.tanh(x), PACKED, (3, 4))
+        return T.sum_all(T.mul(mix, T.gather_rows(T.tanh(padded), [1, 5, 9])))
+
+    report = finite_difference_check(loss_fn, [("x", x)], h=1e-5, tol=1e-4)
+    assert report.passed and report.worst().max_rel_err < 1e-4, report.worst()
+
+
+@pytest.mark.parametrize("rows", [[0, 0, 1], [2, 1, 3], [-1, 0, 1], [0, 1, 12],
+                                  [0.0, 1.0, 2.0], [[0, 1, 2]]],
+                         ids=["repeated", "unsorted", "negative", "past_end",
+                              "float", "2d"])
+def test_row_ops_reject_rows_that_are_not_strictly_increasing_positions(rows):
+    x = Tensor(np.zeros((3, 4, 2)))
+    with pytest.raises(ContractError):
+        T.gather_rows(x, np.array(rows))
+    with pytest.raises((ContractError, ShapeMismatchError)):
+        T.scatter_rows(Tensor(np.zeros((3, 2))), np.array(rows), (3, 4))
+
+
+def test_scatter_rows_needs_one_position_per_row():
+    with pytest.raises(ShapeMismatchError, match=r"\(3, 2\).*\(2,\)"):
+        T.scatter_rows(Tensor(np.zeros((3, 2))), np.array([0, 1]), (2, 2))
 
 
 # ---------------------------------------------------------------------------

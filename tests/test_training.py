@@ -352,6 +352,27 @@ def test_train_adapter_history_and_early_stop_bounds():
     assert len(history) == 4  # 1 best + 3 patience
 
 
+def test_val_report_is_the_best_epochs_report_of_the_restored_bank(monkeypatch):
+    from fuseformer import training
+
+    splits = tiny_splits(seed=2)
+    cfg = fast_cfg(epochs=3, patience=2, lr=0.1)
+    calls = []
+    evaluate = training.evaluate_model
+    monkeypatch.setattr(training, "evaluate_model",
+                        lambda *a, **k: calls.append(k["split"]) or evaluate(*a, **k))
+    result = train_adapter(EMOTION, splits, desk_config(), cfg)
+    history = result.history
+    assert result.best_epoch == 1 and len(history) == 3
+    assert history[-1]["val_metric"] != history[0]["val_metric"]
+    assert calls == ["val"] * 3 + ["test"]  # validation is not evaluated again
+    batches = make_batches(splits.val, result.vocab, cfg.max_len, EMOTION.kind,
+                           cfg.batch_size)
+    fresh = evaluate(result.bank, EMOTION, batches, cfg.threshold, split="val",
+                     seed=cfg.seed)
+    assert result.val_report.to_json() == fresh.to_json()
+
+
 def test_train_adapter_same_seed_bit_exact():
     splits = tiny_splits()
     runs = [train_adapter(EMOTION, splits, desk_config(), fast_cfg())
