@@ -275,9 +275,10 @@ def cmd_grad_check(args) -> int:
 
     config = ModelConfig(num_layers=2, hidden_size=64, num_heads=4,
                          ff_size=256, vocab_size=24, max_positions=8)
+    # central differences need float64: at float32 a 1e-5 step is noise
     bank = AdapterBank(config, heads={"emotion": 6},
                        adapter_tasks=["sent2", "emotion"], with_fusion=True,
-                       seed=args.seed)
+                       seed=args.seed, dtype=np.float64)
     bank.attach("fusion", ["sent2", "emotion"])
     rng = np.random.default_rng(args.seed)
     b, l = 2, 6

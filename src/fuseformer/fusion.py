@@ -170,16 +170,22 @@ def build_freeze_groups(store: ParameterStore) -> FreezeGroups:
 
 class AdapterBank:
     """Encoder, per-task adapters, optional fusion layer, and task heads in
-    one named parameter store with freeze groups and a slot mode."""
+    one named parameter store with freeze groups and a slot mode.
+
+    ``dtype`` is the compute dtype: every parameter is held in it, and ops
+    keep their inputs' dtype, so activations, gradients and optimizer
+    moments follow. Weights are drawn in float64 and then rounded, so banks
+    of either dtype built with one seed hold the same weights up to that
+    rounding."""
 
     def __init__(self, config: ModelConfig, heads: dict[str, int],
                  adapter_tasks: Sequence[str] = (), with_fusion: bool = False,
-                 seed: int = 0):
+                 seed: int = 0, dtype=np.float32):
         self.config = config
         self.head_labels = dict(heads)
         self.adapter_tasks = list(adapter_tasks)
         self.with_fusion = with_fusion
-        self.params = ParameterStore()
+        self.params = ParameterStore(dtype)
         rng = np.random.default_rng(seed)
         init_encoder_params(config, self.params, rng)
         for task in self.adapter_tasks:

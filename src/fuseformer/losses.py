@@ -1,6 +1,9 @@
 """Classification heads and the loss family: plain BCE, positive-weighted
 BCE for class imbalance, multi-label focal loss, and 7-way cross-entropy.
 
+Targets, positive weights and other constants take the dtype of the
+logits, so a float32 model gets a float32 loss and gradient.
+
 All BCE variants run through the fused stable log-sigmoid form, so extreme
 logits never overflow. The positive weight w_c = negatives_c / positives_c
 multiplies only the positive term: with more negatives than positives it
@@ -83,13 +86,14 @@ def pos_weights(stats: ClassStats, cap: float | None = None) -> PosWeights:
 
 
 def _check_binary_targets(logits: Tensor, targets: np.ndarray) -> np.ndarray:
+    """The 0/1 targets in the dtype of ``logits``."""
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != logits.shape:
         raise ContractError(
             f"targets shape {targets.shape} does not match logits {logits.shape}")
     if not np.all((targets == 0.0) | (targets == 1.0)):
         raise ContractError("targets must be 0/1")
-    return targets
+    return targets.astype(logits.data.dtype, copy=False)
 
 
 def _reduce(total_neg_sum: Tensor, batch_size: int, reduction: str) -> Tensor:
@@ -105,7 +109,7 @@ def weighted_bce(logits: Tensor, targets: np.ndarray, weights: PosWeights,
     """Sum over classes of -[w_c y log sigma(x) + (1-y) log sigma(-x)],
     then mean over the batch (or a plain double sum with reduction="sum")."""
     y = _check_binary_targets(logits, targets)
-    w = np.asarray(weights.w, dtype=np.float64)
+    w = np.asarray(weights.w, dtype=y.dtype)
     if w.shape != (logits.shape[-1],):
         raise ContractError(
             f"weights length {w.shape} does not match {logits.shape[-1]} classes")
@@ -154,7 +158,7 @@ def cross_entropy_7(logits: Tensor, target_ids: np.ndarray,
             f"target ids shape {ids.shape} does not match batch {logits.shape[0]}")
     if np.any(ids < 0) or np.any(ids >= k):
         raise ContractError(f"target id out of range [0, {k})")
-    onehot = np.zeros(logits.shape)
+    onehot = np.zeros(logits.shape, dtype=logits.data.dtype)
     onehot[np.arange(len(ids)), ids] = 1.0
     picked = T.mul(T.log_softmax(logits, axis=1), T.constant(onehot))
     total = T.neg(T.sum_all(picked))

@@ -1,4 +1,9 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic
+differentiation.
+
+Every op returns the dtype of its inputs, and the constants it makes (mask
+fills, zero buffers) follow that dtype, so a graph built from float32
+parameters stays float32 through its backward.
 
 Every differentiable operation records a node holding its inputs and a
 backward closure. ``backward`` orders the graph below a scalar root
@@ -22,6 +27,7 @@ import numpy as np
 from .errors import ContractError, DomainError, ShapeMismatchError
 
 Array = np.ndarray
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class TapeNode:
@@ -39,7 +45,8 @@ class TapeNode:
 
 
 class Tensor:
-    """Row-major float64 array plus gradient bookkeeping.
+    """Row-major float32 or float64 array plus gradient bookkeeping. Data
+    of either dtype is kept as it is; any other input becomes float64.
 
     ``grad`` stays ``None`` until a backward pass deposits something; a
     tensor with ``requires_grad=False`` is never written to by backward.
@@ -48,7 +55,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "node", "name", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in FLOAT_DTYPES else data.astype(np.float64)
         self.requires_grad = requires_grad
         self.grad: Array | None = None
         self.node: TapeNode | None = None
@@ -251,17 +259,34 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _track("add_bias", (x, b), out, backward)
 
 
+def _row_sum(x: Array) -> Array:
+    """Sum over the last axis, keeping it: one GEMV against ones, several
+    times faster than ``np.sum`` over the short axes softmax runs on."""
+    n = x.shape[-1]
+    return (x.reshape(-1, n) @ np.ones(n, x.dtype)).reshape(x.shape[:-1] + (1,))
+
+
 def _softmax(x: Array, axis: int) -> Array:
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    return e / np.sum(e, axis=axis, keepdims=True)
+    """Max-shifted softmax. The max is a running ``np.maximum`` over slices
+    of the (short) axis, which is exact and faster than ``np.max``."""
+    x = np.moveaxis(x, axis, -1)
+    m = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j], out=m)
+    e = x - m[..., None]
+    np.exp(e, out=e)
+    e /= _row_sum(e)
+    return np.moveaxis(e, -1, axis)
 
 
 def _softmax_backward(y: Array, g: Array, axis: int) -> Array:
-    return y * (g - np.sum(g * y, axis=axis, keepdims=True))
+    y, g = np.moveaxis(y, axis, -1), np.moveaxis(g, axis, -1)
+    return np.moveaxis(y * (g - _row_sum(g * y)), -1, axis)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-shifted softmax along ``axis``; rows sum to 1 within 1e-12."""
+    """Max-shifted softmax along ``axis``; rows sum to 1 within 1e-12 in
+    float64 (1e-6 in float32)."""
     if not -x.data.ndim <= axis < x.data.ndim:
         raise ContractError(f"softmax: axis {axis} out of bounds for shape {x.shape}")
     y = _softmax(x.data, axis)
@@ -301,7 +326,7 @@ def attention_weights(q: Tensor, k: Tensor, heads: int, scale: float,
     qh, kh = _split_heads(q.data, heads), _split_heads(k.data, heads)
     scores = (qh @ kh.swapaxes(-1, -2)) * scale
     if key_mask is not None:
-        fill = (1.0 - np.asarray(key_mask, dtype=np.float64)) * _MASKED_SCORE
+        fill = (1.0 - np.asarray(key_mask, dtype=scores.dtype)) * _MASKED_SCORE
         scores = scores + fill[..., None, None, :]
     y = _softmax(scores, -1)
 
@@ -369,10 +394,14 @@ def fusion_mix(h: Tensor, adapter_outputs: Sequence[Tensor], w_q: Tensor,
     def backward(g: Array):
         g2 = g.reshape(-1, hidden)
         dm = g2 @ w_v.data.T
-        ds = _softmax_backward(alpha, np.einsum("tnh,nh->nt", z, dm), -1)
+        # softmax backward with each z_t centred on the mixture m: since
+        # sum_t a_t (z_t - m) = 0, this is exact, and it keeps the part all
+        # z_t share out of the scores' differences, which float32 would lose
+        zc = z - m
+        ds = alpha * np.einsum("tnh,nh->nt", zc, dm)
         dz = [(alpha[:, t, None] * dm + ds[:, t, None] * r).reshape(h.shape)
               if _needs_grad(zt) else None for t, zt in enumerate(adapter_outputs)]
-        dr = np.einsum("nt,tnh->nh", ds, z)
+        dr = np.einsum("nt,tnh->nh", ds, zc)
         dq = dr @ w_k.data
         dh = (dq @ w_q.data.T).reshape(h.shape) if _needs_grad(h) else None
         return dh, *dz, h2.T @ dq, dr.T @ q, m.T @ g2
@@ -488,7 +517,7 @@ def scatter_rows(x: Tensor, rows: Array, lead: tuple[int, ...]) -> Tensor:
             f"scatter_rows: {x.shape} rows for {rows.shape} positions")
     _check_rows("scatter_rows", rows, math.prod(lead))
     hidden = x.shape[1]
-    out = np.zeros((math.prod(lead), hidden))
+    out = np.zeros((math.prod(lead), hidden), dtype=x.data.dtype)
     out[rows] = x.data
 
     def backward(g: Array):
@@ -569,17 +598,33 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 class ParameterStore:
-    """Named trainable tensors in a fixed insertion order."""
+    """Named trainable tensors in a fixed insertion order, all held in the
+    store's ``dtype`` (float32 or float64)."""
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in FLOAT_DTYPES:
+            raise ContractError(
+                f"parameter dtype must be float32 or float64, got {self.dtype}")
         self._tensors: dict[str, Tensor] = {}
 
     def add(self, name: str, data, requires_grad: bool = True) -> Tensor:
         if name in self._tensors:
             raise ContractError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, requires_grad=requires_grad, name=name)
+        t = Tensor(np.asarray(data, dtype=self.dtype), requires_grad=requires_grad,
+                   name=name)
         self._tensors[name] = t
         return t
+
+    def assign(self, name: str, data) -> None:
+        """Replace the values of parameter ``name`` with a copy of ``data``
+        in the store's dtype; the shape must match."""
+        t = self._tensors[name]
+        data = np.asarray(data)
+        if data.shape != t.shape:
+            raise ShapeMismatchError(f"cannot assign shape {data.shape} to parameter "
+                                     f"{name!r} of shape {t.shape}")
+        t.data = data.astype(self.dtype)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -669,7 +714,11 @@ def finite_difference_check(loss_fn: Callable[[], Tensor],
     if h <= 0:
         raise ContractError(f"finite_difference_check: h must be positive, got {h}")
     params = list(params)
-    for _, t in params:
+    for name, t in params:
+        if t.data.dtype != np.float64:
+            raise ContractError(
+                f"finite_difference_check: block {name!r} is {t.data.dtype}; a "
+                f"step of {h:g} is only resolved in float64")
         t.grad = None
     loss = loss_fn()
     backward(loss)

@@ -205,7 +205,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     payload_parts = []
     offset = 0
     for name in sorted(ckpt.tensors):
-        arr = np.asarray(ckpt.tensors[name], dtype=np.float64).astype("<f4")
+        arr = np.asarray(ckpt.tensors[name], dtype="<f4")
         raw = arr.tobytes()
         manifest[name] = {"shape": list(arr.shape), "dtype": "f32",
                           "offset": offset}
@@ -287,7 +287,7 @@ def load_checkpoint(path) -> Checkpoint:
                 f"truncated payload for entry {name!r} "
                 f"(needs bytes [{offset}, {end}), payload has {len(payload)})")
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        tensors[name] = arr.reshape(shape).astype(np.float64)
+        tensors[name] = arr.reshape(shape).copy()
     if end != len(payload):
         where = f" after entry {max(entries)[1]!r}" if entries else ""
         raise CheckpointError(
@@ -297,7 +297,8 @@ def load_checkpoint(path) -> Checkpoint:
 
 def load_into_bank(bank: AdapterBank, ckpt: Checkpoint,
                    names: list[str] | None = None) -> None:
-    """Copy checkpoint values into matching bank parameters."""
+    """Copy checkpoint values into matching bank parameters, in the bank's
+    dtype."""
     names = list(ckpt.tensors) if names is None else names
     for name in names:
         if name not in ckpt.tensors:
@@ -310,7 +311,7 @@ def load_into_bank(bank: AdapterBank, ckpt: Checkpoint,
             raise CheckpointError(
                 f"shape mismatch for {name!r}: checkpoint {src.shape} vs "
                 f"model {dst.data.shape}")
-        dst.data = src.copy()
+        bank.params.assign(name, src)
 
 
 def group_hashes(bank: AdapterBank,
@@ -437,8 +438,8 @@ def fit(bank: AdapterBank, task: TaskSpec, splits: Splits, vocab: Vocabulary,
             best_report = val_report
         elif epoch - best_epoch >= cfg.patience:
             break
-    for n, p in trainable:
-        p.data = best_snapshot[n].copy()
+    for n, _ in trainable:
+        bank.params.assign(n, best_snapshot[n])
     return history, best_epoch, best_report
 
 

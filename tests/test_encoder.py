@@ -148,7 +148,7 @@ def test_embed_id_and_position_overflow():
 
 def test_embed_gradient_wrt_tables():
     config = tiny_config(num_layers=1)
-    bank = make_bank(config)
+    bank = make_bank(config, dtype=np.float64)
     batch = make_batch(config, np.random.default_rng(4), b=2, l=4)
     tables = [(n, bank.params[n]) for n in
               ("embeddings.token", "embeddings.position", "embeddings.segment")]
@@ -273,7 +273,7 @@ def naive_layer_forward(config, params, layer, x, mask):
 
 def test_layer_forward_matches_naive_numpy_oracle():
     config = tiny_config()
-    bank = make_bank(config, seed=13)
+    bank = make_bank(config, seed=13, dtype=np.float64)
     batch = make_batch(config, np.random.default_rng(14), b=2, l=5,
                        mask_out=[(1, 4)])
     x = embed(config, bank.params, batch, all_rows(batch))
@@ -365,7 +365,8 @@ def test_cls_only_last_layer_matches_full_sequence(slot, num_tasks, num_layers):
     config = tiny_config(num_layers=num_layers)
     tasks = [f"s{t}" for t in range(num_tasks)]
     bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=tasks,
-                       with_fusion=slot == "fusion", seed=40 + num_tasks)
+                       with_fusion=slot == "fusion", seed=40 + num_tasks,
+                       dtype=np.float64)
     rng = np.random.default_rng(41 + num_layers)
     for name, t in bank.params.items():  # real signal through every adapter
         if name.endswith(".up.weight"):
@@ -453,7 +454,7 @@ def test_encode_rejects_a_masked_cls_position():
 def test_encode_end_to_end_gradient_check():
     # 2-layer H=8 model, every encoder parameter, exhaustive
     config = tiny_config()
-    bank = make_bank(config, seed=26)
+    bank = make_bank(config, seed=26, dtype=np.float64)
     batch = make_batch(config, np.random.default_rng(27), b=2, l=4,
                        mask_out=[(0, 3)])
     mix = T.constant(np.random.default_rng(28).uniform(
@@ -474,7 +475,7 @@ def test_encoder_with_adapter_full_parameter_gradient_check():
 
     config = tiny_config()
     bank = AdapterBank(config, heads={"emotion": 6}, adapter_tasks=["emotion"],
-                       seed=29)
+                       seed=29, dtype=np.float64)
     bank.attach("single", "emotion")
     # give the near-zero up-projections real signal
     rng = np.random.default_rng(30)

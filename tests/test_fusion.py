@@ -10,6 +10,7 @@ from fuseformer.errors import ConfigError, ContractError, ShapeMismatchError
 from fuseformer.fusion import (AdapterBank, adapter_forward,
                                adapter_parameter_count, build_freeze_groups,
                                count_parameters, fusion_forward, group_of)
+from fuseformer.losses import PosWeights, weighted_bce
 from fuseformer.tensor import Tensor, finite_difference_check
 
 REFERENCE_TOTALS = {"finetune": 108.3e6, "fusion3": 132.8e6, "fusion5": 134.6e6}
@@ -58,7 +59,8 @@ def test_adapter_bottleneck_width_and_shape():
 
 def test_adapter_gradient_check_all_four_tensors():
     config = tiny_config()
-    bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=["t"], seed=3)
+    bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=["t"], seed=3,
+                       dtype=np.float64)
     # non-degenerate up projection so every tensor sees signal
     rng = np.random.default_rng(4)
     bank.params["adapters.t.0.up.weight"].data = rng.normal(0, 0.5, (4, 8))
@@ -81,7 +83,7 @@ def test_adapter_gradient_check_all_four_tensors():
 def fusion_fixture(tasks, seed=5):
     config = tiny_config()
     bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=tasks,
-                       with_fusion=True, seed=seed)
+                       with_fusion=True, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 1)
     h = random_hidden(config, rng)
     outs = [adapter_forward(config, bank.params, t, 0, h) for t in tasks]
@@ -433,3 +435,95 @@ def test_group_of_routing():
     assert group_of("adapters.emo.0.down.weight") == "adapters.emo"
     assert group_of("fusion.1.query") == "fusion"
     assert group_of("heads.emo.out.bias") == "heads.emo"
+
+
+# ---------------------------------------------------------------------------
+# compute dtype
+# ---------------------------------------------------------------------------
+
+def fusion5_bank(dtype, seed=7):
+    """The fusion5 geometry (H=64, 2 layers, 4 heads, T=5) with the seeded
+    adapter weights the benchmark gives its source adapters."""
+    config = ModelConfig(vocab_size=64)
+    tasks = [f"s{t}" for t in range(5)]
+    bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=tasks,
+                       with_fusion=True, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed + 1)
+    for name in bank.params.names():
+        if ".up.weight" in name:
+            bank.params.assign(name, rng.normal(0.0, 0.05, bank.params[name].shape))
+    bank.attach("fusion", tasks)
+    bank.set_trainable("fusion", "t")
+    return bank
+
+
+def padded_batch(rng, b=32, l=16, vocab=64):
+    ids = rng.integers(4, vocab, size=(b, l))
+    ids[:, 0] = CLS
+    mask = (np.arange(l) < rng.integers(3, l + 1, size=b)[:, None]).astype(np.int64)
+    ids[mask == 0] = PAD
+    return Batch(token_ids=ids, attention_mask=mask, segment_ids=np.zeros_like(ids),
+                 labels=(rng.random((b, 6)) < 0.3).astype(np.float64))
+
+
+FUSION5_WEIGHTS = PosWeights(w=[0.92, 3.0, 3.76, 9.0, 4.88, 11.5])
+
+
+def test_float32_fusion_training_step_has_no_float64_on_its_tape():
+    from fuseformer.training import TrainConfig, adamw_step
+
+    bank = fusion5_bank(np.float32)
+    batch = padded_batch(np.random.default_rng(9))
+    loss = weighted_bce(bank.forward(batch, "t"), batch.labels, FUSION5_WEIGHTS)
+    # every op output is the loss or an input of a later node
+    dtypes = {("output", loss.data.dtype)}
+    nodes, todo = {}, [loss.node]
+    while todo:
+        node = todo.pop()
+        if id(node) in nodes:
+            continue
+        nodes[id(node)] = node
+        for t in node.inputs:
+            dtypes.add(("output", t.data.dtype))
+            if t.node is not None:
+                todo.append(t.node)
+
+    def recording(fn):
+        def backward_fn(g):
+            grads = fn(g)
+            dtypes.update(("grad", gi.dtype) for gi in grads if gi is not None)
+            return grads
+        return backward_fn
+
+    for node in nodes.values():
+        node.backward_fn = recording(node.backward_fn)
+    T.backward(loss)
+    trainable = [(n, bank.params[n]) for n in bank.params.trainable_names()]
+    state = {}
+    adamw_step(trainable, state, 1, 1e-3, TrainConfig())
+    dtypes.update(("param", p.data.dtype) for _, p in bank.params.items())
+    dtypes.update(("param grad", p.grad.dtype) for _, p in trainable)
+    dtypes.update(("adam moment", a.dtype) for m, v in state.values() for a in (m, v))
+    assert {kind for kind, _ in dtypes} == {"output", "grad", "param", "param grad",
+                                            "adam moment"}
+    assert {dtype for _, dtype in dtypes} == {np.dtype(np.float32)}, dtypes
+
+
+def test_float32_fusion_bank_matches_float64_on_the_same_weights():
+    banks = {np.float32: fusion5_bank(np.float32), np.float64: fusion5_bank(np.float64)}
+    for name, t in banks[np.float32].params.items():
+        banks[np.float64].params.assign(name, t.data)
+    batch = padded_batch(np.random.default_rng(9))
+    logits, grads = {}, {}
+    for dtype, bank in banks.items():
+        out = bank.forward(batch, "t")
+        T.backward(weighted_bce(out, batch.labels, FUSION5_WEIGHTS))
+        logits[dtype] = out.data
+        grads[dtype] = {n: bank.params[n].grad for n in bank.params.trainable_names()}
+
+    def rel(a, b):
+        return np.abs(a - b).max() / np.abs(b).max()
+
+    assert rel(logits[np.float32], logits[np.float64]) < 1e-5
+    for name, g in grads[np.float64].items():
+        assert rel(grads[np.float32][name], g) < 1e-4, name

@@ -34,7 +34,7 @@ def logits_of(values):
 def head_fixture(num_labels=6, seed=0):
     config = ModelConfig(num_layers=1, hidden_size=8, num_heads=2, ff_size=16,
                          vocab_size=12, max_positions=8, reduction_factor=2)
-    bank = AdapterBank(config, heads={"t": num_labels}, seed=seed)
+    bank = AdapterBank(config, heads={"t": num_labels}, seed=seed, dtype=np.float64)
     return config, bank
 
 

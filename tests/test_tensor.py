@@ -144,6 +144,8 @@ ELEMENTWISE_CASES = [
      lambda a: T.log_sigmoid(a)),
     ("softmax", lambda r: (Tensor(r.uniform(-2, 2, (3, 5)), requires_grad=True),),
      lambda a: T.softmax(a, axis=1)),
+    ("softmax_axis0", lambda r: (Tensor(r.uniform(-2, 2, (3, 5)), requires_grad=True),),
+     lambda a: T.softmax(a, axis=0)),
     ("log_softmax", lambda r: (Tensor(r.uniform(-2, 2, (3, 5)), requires_grad=True),),
      lambda a: T.log_softmax(a, axis=1)),
     ("add_bias", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
@@ -174,6 +176,52 @@ def test_op_gradients_match_finite_differences(name, make, apply):
         leaves = make(rng)
         mix = T.constant(rng.uniform(-1, 1, apply(*leaves).shape))
         assert_grad_matches(lambda: T.sum_all(T.mul(mix, apply(*leaves))), leaves)
+
+
+MORE_OP_CASES = [
+    ("layer_norm", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
+                              Tensor(r.uniform(0.5, 1.5, 4), requires_grad=True),
+                              Tensor(r.uniform(-1, 1, 4), requires_grad=True)),
+     lambda x, g, b: T.layer_norm(x, g, b)),
+    ("embedding", lambda r: (Tensor(r.uniform(-2, 2, (5, 4)), requires_grad=True),),
+     lambda t: T.embedding(t, np.array([0, 3, 3, 1]))),
+    ("attention", lambda r: tuple(Tensor(r.uniform(-2, 2, (2, 3, 4)), requires_grad=True)
+                                  for _ in range(3)),
+     lambda q, k, v: T.attend(T.attention_weights(q, k, 2, 0.5,
+                                                  np.array([[1, 1, 0], [1, 1, 1]])), v)),
+    ("fusion_mix", lambda r: tuple(Tensor(r.uniform(-1, 1, s), requires_grad=True)
+                                   for s in [(2, 3, 4)] * 3 + [(4, 4)] * 3),
+     lambda h, z0, z1, wq, wk, wv: T.fusion_mix(h, [z0, z1], wq, wk, wv)[0]),
+    ("sum", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),),
+     lambda a: T.sum_all(a)),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name,make,apply", ELEMENTWISE_CASES + MORE_OP_CASES,
+                         ids=[c[0] for c in ELEMENTWISE_CASES + MORE_OP_CASES])
+def test_ops_and_their_backwards_keep_the_input_dtype(name, make, apply, dtype):
+    rng = np.random.default_rng(3)
+    leaves = [Tensor(t.data.astype(dtype), requires_grad=True) for t in make(rng)]
+    out = apply(*leaves)
+    assert out.data.dtype == dtype
+    mix = T.constant(rng.uniform(-1, 1, out.shape).astype(dtype))
+    backward(T.sum_all(T.mul(mix, out)))
+    assert [leaf.grad.dtype for leaf in leaves] == [np.dtype(dtype)] * len(leaves)
+
+
+def test_fusion_mix_weights_keep_the_input_dtype():
+    h, zs, ws, _ = fusion_mix_leaves(3, seed=61)
+    to32 = lambda t: Tensor(t.data.astype(np.float32))  # noqa: E731
+    _, alpha = T.fusion_mix(to32(h), [to32(z) for z in zs], *map(to32, ws))
+    assert alpha.dtype == np.float32
+
+
+def test_tensor_keeps_float32_and_float64_and_widens_the_rest():
+    assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+    assert Tensor(np.ones(2, np.float64)).data.dtype == np.float64
+    for data in ([1, 2], np.ones(2, np.int64), np.ones(2, np.float16), 3.0):
+        assert Tensor(data).data.dtype == np.float64
 
 
 def test_layer_norm_gradients_match_finite_differences():
@@ -668,6 +716,24 @@ def test_fd_check_detects_corrupted_gradient():
         lambda: T.sum_all(T.mul(p, p)), [("p", p)], tol=1e-4,
         grad_transform=lambda name, g: g * 1.5)
     assert not report.passed
+
+
+def test_fd_check_rejects_float32_parameters():
+    p = Tensor(np.asarray([3.0], np.float32), requires_grad=True)
+    with pytest.raises(ContractError, match="'p32' is float32"):
+        finite_difference_check(lambda: T.sum_all(T.mul(p, p)), [("p32", p)])
+
+
+def test_parameter_store_holds_its_dtype():
+    store = T.ParameterStore(np.float32)
+    w = store.add("w", np.array([1.0, 2.0]))
+    assert w.data.dtype == np.float32
+    store.assign("w", np.array([3.0, 4.0]))
+    assert w.data.dtype == np.float32 and w.data.tolist() == [3.0, 4.0]
+    with pytest.raises(ShapeMismatchError, match="'w'"):
+        store.assign("w", np.zeros(3))
+    with pytest.raises(ContractError):
+        T.ParameterStore(np.int64)
 
 
 def test_parameter_store_rejects_duplicates_and_freezes():

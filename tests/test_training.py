@@ -192,6 +192,7 @@ def test_checkpoint_round_trip_exact_at_f32(tmp_path):
     loaded = load_checkpoint(path)
     assert set(loaded.tensors) == set(ckpt.tensors)
     for name, arr in ckpt.tensors.items():
+        assert loaded.tensors[name].dtype == np.float32
         np.testing.assert_array_equal(loaded.tensors[name],
                                       arr.astype("<f4").astype(np.float64))
     assert loaded.meta["stage"] == "adapter:emotion"
@@ -382,6 +383,23 @@ def test_train_adapter_same_seed_bit_exact():
     a = runs[0].bank.params.state_bytes()
     b = runs[1].bank.params.state_bytes()
     assert a == b
+
+
+def test_float32_fusion_reruns_are_byte_identical(tmp_path):
+    splits = tiny_splits()
+    cfg = fast_cfg()
+    r1, r2 = two_adapter_checkpoints(splits, cfg)
+    blobs, bodies = [], []
+    for i in range(2):
+        result = train_fusion(EMOTION, [r1.checkpoint, r2.checkpoint], splits, cfg)
+        dtypes = {t.data.dtype for _, t in result.bank.params.items()}
+        assert dtypes == {np.dtype(np.float32)}
+        save_checkpoint(result.checkpoint, tmp_path / f"run{i}.ckpt")
+        blobs.append((tmp_path / f"run{i}.ckpt").read_bytes())
+        bodies.append((result.history, result.val_report.to_json(),
+                       result.test_report.to_json()))
+    assert bodies[0] == bodies[1]
+    assert blobs[0] == blobs[1]
 
 
 def test_evaluate_model_builds_no_tape_and_matches_a_taped_forward(monkeypatch):
