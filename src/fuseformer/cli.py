@@ -24,7 +24,7 @@ from .data import (DEFAULT_CLASS_PRIORS, EMOTIONS, Splits, Vocabulary,
 from .encoder import ModelConfig
 from .errors import (CheckpointError, ConfigError, ContractError, CorpusError,
                      NumericalDivergenceError)
-from .fusion import AdapterBank, count_parameters
+from .fusion import STAGES, AdapterBank, count_parameters
 from .losses import pos_weights
 from .metrics import MetricsReport
 from .tensor import finite_difference_check
@@ -210,10 +210,11 @@ def cmd_train_fusion(args) -> int:
     before = group_hashes(result.bank, {name: arr for ckpt in checkpoints
                                         for name, arr in ckpt.tensors.items()})
     after = group_hashes(result.bank)
+    params = result.bank.params
     audit = {g: {"before": before[g], "after": after[g],
                  "frozen": before[g] == after[g]}
-             for g, trainable in result.bank.groups.trainable.items()
-             if not trainable}
+             for g, names in result.bank.groups.items()
+             if not any(params[n].requires_grad for n in names)}
     ok = all(entry["frozen"] for entry in audit.values())
     save_checkpoint(result.checkpoint, out / f"fusion-{task.name}.ckpt")
     model_config = result.bank.config
@@ -279,7 +280,9 @@ def cmd_grad_check(args) -> int:
     bank = AdapterBank(config, heads={"emotion": 6},
                        adapter_tasks=["sent2", "emotion"], with_fusion=True,
                        seed=args.seed, dtype=np.float64)
-    bank.attach("fusion", ["sent2", "emotion"])
+    # the fusion wiring, with every block trainable so that every block is checked
+    bank.set_stage("fusion", "emotion")
+    bank.params.set_requires_grad(bank.params.names(), True)
     rng = np.random.default_rng(args.seed)
     b, l = 2, 6
     ids = rng.integers(4, config.vocab_size, size=(b, l))
@@ -433,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-params", help="exact parameter accounting")
     p.add_argument("--scale", choices=["desk", "full"], default="full")
-    p.add_argument("--mode", choices=["finetune", "adapter", "fusion"])
+    p.add_argument("--mode", choices=list(STAGES))
     p.add_argument("--num-tasks", dest="num_tasks", type=int, default=3)
     p.add_argument("--num-labels", dest="num_labels", type=int, default=6)
     p.add_argument("--out")

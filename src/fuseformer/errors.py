@@ -5,10 +5,6 @@ class ShapeMismatchError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class DomainError(ValueError):
-    """Input is outside the mathematical domain of the operation."""
-
-
 class ContractError(ValueError):
     """A documented precondition was violated by the caller."""
 

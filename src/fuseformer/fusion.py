@@ -1,10 +1,15 @@
 """Per-task bottleneck adapters, the attention layer that fuses frozen
-adapters, freeze-group management, and parameter accounting.
+adapters, training stages, and parameter accounting.
+
+A stage is one choice that sets both what runs and what trains
+(``AdapterBank.set_stage``): "finetune" runs the bare encoder and trains
+it; "adapter" runs one task's adapter in every layer and trains it; "fusion"
+runs every adapter plus the fusion attention and trains only the fusion.
+Each stage also trains its task's head; everything else is frozen.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -17,7 +22,9 @@ from .errors import ConfigError, ContractError
 from .losses import head_forward, head_param_shapes, init_head_params
 from .tensor import ParameterStore, Tensor
 
-ADAPTER_UP_INIT_STD = 1e-4  # near-identity at attach time
+ADAPTER_UP_INIT_STD = 1e-4  # near-identity when first wired in
+# the group each stage trains besides ``heads.{task}``
+STAGES = {"finetune": "encoder", "adapter": "adapters.{task}", "fusion": "fusion"}
 
 
 def adapter_param_shapes(config: ModelConfig, task: str) -> Iterator[tuple[str, tuple[int, ...]]]:
@@ -59,8 +66,8 @@ def init_fusion_params(config: ModelConfig, store: ParameterStore,
 # forward
 # ---------------------------------------------------------------------------
 
-def adapter_forward(config: ModelConfig, params: ParameterStore, task: str,
-                    layer_idx: int, h_ff: Tensor) -> Tensor:
+def adapter_forward(params: ParameterStore, task: str, layer_idx: int,
+                    h_ff: Tensor) -> Tensor:
     """relu bottleneck with a residual connection around it."""
     p = f"adapters.{task}.{layer_idx}"
     u = T.relu(T.add_bias(T.matmul(h_ff, params[f"{p}.down.weight"]),
@@ -69,8 +76,7 @@ def adapter_forward(config: ModelConfig, params: ParameterStore, task: str,
     return T.add(h_ff, a)
 
 
-def fusion_forward(config: ModelConfig, params: ParameterStore,
-                   tasks: Sequence[str], layer_idx: int, h_ff: Tensor,
+def fusion_forward(params: ParameterStore, layer_idx: int, h_ff: Tensor,
                    adapter_outputs: Sequence[Tensor]) -> tuple[Tensor, np.ndarray]:
     """Per-token attention over adapter outputs.
 
@@ -83,8 +89,6 @@ def fusion_forward(config: ModelConfig, params: ParameterStore,
     rows in the last layer. Returns the output and the attention weights
     [..., T] (one row per row of ``h_ff``) for inspection.
     """
-    if len(adapter_outputs) != len(tasks):
-        raise ContractError("one adapter output per task expected")
     p = f"fusion.{layer_idx}"
     mixed, alpha = T.fusion_mix(h_ff, adapter_outputs, params[f"{p}.query"],
                                 params[f"{p}.key"], params[f"{p}.value"])
@@ -96,13 +100,12 @@ def fusion_forward(config: ModelConfig, params: ParameterStore,
 # ---------------------------------------------------------------------------
 
 class SingleAdapterSlot:
-    def __init__(self, config: ModelConfig, params: ParameterStore, task: str):
-        self.config = config
+    def __init__(self, params: ParameterStore, task: str):
         self.params = params
         self.task = task
 
     def apply(self, h_ff: Tensor, layer_idx: int) -> Tensor:
-        return adapter_forward(self.config, self.params, self.task, layer_idx, h_ff)
+        return adapter_forward(self.params, self.task, layer_idx, h_ff)
 
 
 class FusionSlot:
@@ -113,18 +116,15 @@ class FusionSlot:
     last layer, where only the [CLS] rows are computed, they are [B, T],
     the only weights there that reach the prediction."""
 
-    def __init__(self, config: ModelConfig, params: ParameterStore,
-                 tasks: Sequence[str]):
-        self.config = config
+    def __init__(self, params: ParameterStore, tasks: Sequence[str]):
         self.params = params
         self.tasks = list(tasks)
         self.last_weights: dict[int, np.ndarray] = {}
 
     def apply(self, h_ff: Tensor, layer_idx: int) -> Tensor:
-        outs = [adapter_forward(self.config, self.params, t, layer_idx, h_ff)
+        outs = [adapter_forward(self.params, t, layer_idx, h_ff)
                 for t in self.tasks]
-        out, alpha = fusion_forward(self.config, self.params, self.tasks,
-                                    layer_idx, h_ff, outs)
+        out, alpha = fusion_forward(self.params, layer_idx, h_ff, outs)
         self.last_weights[layer_idx] = alpha
         return out
 
@@ -132,20 +132,6 @@ class FusionSlot:
 # ---------------------------------------------------------------------------
 # freeze groups
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FreezeGroups:
-    """Partition of all parameter names with a trainable flag per group."""
-    groups: dict[str, list[str]]
-    trainable: dict[str, bool]
-
-    def trainable_names(self) -> list[str]:
-        out = []
-        for g, names in self.groups.items():
-            if self.trainable[g]:
-                out.extend(names)
-        return out
-
 
 def group_of(name: str) -> str:
     if name.startswith("adapters."):
@@ -157,20 +143,14 @@ def group_of(name: str) -> str:
     return "encoder"
 
 
-def build_freeze_groups(store: ParameterStore) -> FreezeGroups:
-    groups: dict[str, list[str]] = {}
-    for name in store.names():
-        groups.setdefault(group_of(name), []).append(name)
-    return FreezeGroups(groups=groups, trainable={g: True for g in groups})
-
-
 # ---------------------------------------------------------------------------
 # assembled model
 # ---------------------------------------------------------------------------
 
 class AdapterBank:
     """Encoder, per-task adapters, optional fusion layer, and task heads in
-    one named parameter store with freeze groups and a slot mode.
+    one named parameter store, split into freeze groups ({group: names},
+    see ``group_of``), with the slot and trainable flags of one stage.
 
     ``dtype`` is the compute dtype: every parameter is held in it, and ops
     keep their inputs' dtype, so activations, gradients and optimizer
@@ -194,72 +174,42 @@ class AdapterBank:
             init_fusion_params(config, self.params, rng)
         for task, num_labels in self.head_labels.items():
             init_head_params(config, self.params, task, num_labels, rng)
-        self.groups = build_freeze_groups(self.params)
+        self.groups: dict[str, list[str]] = {}
+        for name in self.params.names():
+            self.groups.setdefault(group_of(name), []).append(name)
         self.slot: SingleAdapterSlot | FusionSlot | None = None
-        self.slot_mode: tuple = ("none",)
+        self.stage: str | None = None
 
-    # -- slots ---------------------------------------------------------
-    def attach(self, mode: str, tasks: str | Sequence[str] | None = None) -> None:
-        """Set the slot wiring used by every encoder layer.
+    def set_stage(self, stage: str, task: str) -> None:
+        """Wire the slot of ``stage`` into every encoder layer and train only
+        ``heads.{task}`` and the stage's group in ``STAGES``.
 
-        mode "none" | "single" (one task name) | "fusion" (task list).
+        "finetune" wires no slot, "adapter" the adapter of ``task``, and
+        "fusion" every adapter of the bank under the fusion attention.
         """
-        if mode == "none":
-            self.slot = None
-            self.slot_mode = ("none",)
-            return
-        if mode == "single":
-            if not isinstance(tasks, str):
-                raise ConfigError("single-adapter mode takes one task name")
-            if tasks not in self.adapter_tasks:
-                raise ConfigError(f"unknown adapter task {tasks!r}")
-            self.slot = SingleAdapterSlot(self.config, self.params, tasks)
-            self.slot_mode = ("single", tasks)
-            return
-        if mode == "fusion":
-            if not self.with_fusion:
-                raise ConfigError("bank was built without fusion parameters")
-            task_list = list(tasks or ())
-            if not task_list:
-                raise ConfigError("fusion mode needs at least one task")
-            for t in task_list:
-                if t not in self.adapter_tasks:
-                    raise ConfigError(f"unknown adapter task {t!r}")
-            self.slot = FusionSlot(self.config, self.params, task_list)
-            self.slot_mode = ("fusion", tuple(task_list))
-            return
-        raise ConfigError(f"unknown slot mode {mode!r}")
-
-    # -- freezing ------------------------------------------------------
-    def set_trainable(self, stage: str, task: str | None = None) -> None:
-        """stage "adapter": adapter + head of ``task`` train; "fusion":
-        fusion + head of ``task`` train; "finetune": encoder + head train;
-        everything else is frozen."""
-        if stage not in ("adapter", "fusion", "finetune"):
-            raise ConfigError(f"unknown stage {stage!r}")
-        if stage in ("adapter", "fusion", "finetune") and task is None:
-            raise ConfigError("stage needs a target task")
+        if stage not in STAGES:
+            raise ConfigError(f"unknown stage {stage!r}; expected one of "
+                              f"{list(STAGES)}")
         if task not in self.head_labels:
             raise ConfigError(f"no head for task {task!r}")
-        flags = {g: False for g in self.groups.groups}
-        flags[f"heads.{task}"] = True
+        trained = STAGES[stage].format(task=task)
+        if trained not in self.groups:
+            raise ConfigError(f"stage {stage!r} trains {trained!r}, which this "
+                              f"bank does not hold")
+        if stage == "fusion" and not self.adapter_tasks:
+            raise ConfigError("the fusion stage needs at least one adapter")
         if stage == "adapter":
-            if f"adapters.{task}" not in self.groups.groups:
-                raise ConfigError(f"no adapter parameters for task {task!r}")
-            flags[f"adapters.{task}"] = True
+            self.slot = SingleAdapterSlot(self.params, task)
         elif stage == "fusion":
-            if "fusion" not in self.groups.groups:
-                raise ConfigError("no fusion parameters in this bank")
-            flags["fusion"] = True
+            self.slot = FusionSlot(self.params, self.adapter_tasks)
         else:
-            flags["encoder"] = True
-        self.groups.trainable = flags
-        for g, names in self.groups.groups.items():
-            self.params.set_requires_grad(names, flags[g])
+            self.slot = None
+        for group, names in self.groups.items():
+            self.params.set_requires_grad(names, group in (trained, f"heads.{task}"))
+        self.stage = stage
 
-    # -- forward -------------------------------------------------------
     def forward(self, batch: Batch, task: str) -> Tensor:
-        return head_forward(self.config, self.params, task,
+        return head_forward(self.params, task,
                             encode(self.config, self.params, batch, self.slot))
 
     def fusion_weights(self) -> dict[int, np.ndarray]:
@@ -280,7 +230,7 @@ def count_parameters(config: ModelConfig, mode: str, num_tasks: int = 1,
                      num_labels: int = 6) -> dict[str, int]:
     """Exact {total, trainable} counts for a configured model, by shape
     enumeration only (no weight allocation)."""
-    if mode not in ("finetune", "adapter", "fusion"):
+    if mode not in STAGES:
         raise ConfigError(f"unknown counting mode {mode!r}")
     if num_tasks < 1:
         raise ContractError("num_tasks must be at least 1")

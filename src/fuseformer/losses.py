@@ -56,8 +56,7 @@ def init_head_params(config: ModelConfig, store: ParameterStore, task: str,
         init_parameter(store, name, shape, rng)
 
 
-def head_forward(config: ModelConfig, params: ParameterStore, task: str,
-                 cls_state: Tensor) -> Tensor:
+def head_forward(params: ParameterStore, task: str, cls_state: Tensor) -> Tensor:
     """Two linear layers with a tanh between: logits = tanh(x W1 + b1) W2 + b2."""
     p = f"heads.{task}"
     hid = T.tanh(T.add_bias(T.matmul(cls_state, params[f"{p}.dense.weight"]),

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ShapeMismatchError
+from .errors import ContractError, ShapeMismatchError
 
 Array = np.ndarray
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -180,13 +180,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * (a.data > 0.0),)
 
     return _track("relu", (a,), y, backward)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        worst = float(np.min(a.data))
-        raise DomainError(f"log of non-positive value (min operand {worst})")
-    return _track("log", (a,), np.log(a.data), lambda g: (g / a.data,))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -533,16 +526,6 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.broadcast_to(g, x.shape).copy(),)
 
     return _track("sum", (x,), out, backward)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.size
-    out = np.asarray(np.sum(x.data) / n)
-
-    def backward(g: Array):
-        return (np.broadcast_to(g / n, x.shape).copy(),)
-
-    return _track("mean", (x,), out, backward)
 
 
 # ---------------------------------------------------------------------------

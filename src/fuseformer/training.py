@@ -2,6 +2,10 @@
 the two-stage adapter/fusion training pipeline, multi-run averaging, and
 binary checkpointing.
 
+Each ``train_*`` function sets one stage (``fusion.STAGES``) on its bank
+and records it in the checkpoint meta as ``"<stage>:<task>"``;
+``bank_from_checkpoint`` rebuilds that stage or raises CheckpointError.
+
 Checkpoint wire format: 8-byte magic "AFCKPT01", little-endian u64 manifest
 length, UTF-8 JSON manifest {name -> {shape, dtype:"f32", offset}} plus a
 reserved "__meta__" entry (config snapshot, RNG seed, stage tag, vocab),
@@ -326,7 +330,7 @@ def group_hashes(bank: AdapterBank,
         tensors = {name: t.data for name, t in bank.params.items()}
     return {g: hashlib.sha256(b"".join(np.asarray(tensors[n]).astype("<f4").tobytes()
                                        for n in sorted(names))).hexdigest()
-            for g, names in bank.groups.groups.items()
+            for g, names in bank.groups.items()
             if all(n in tensors for n in names)}
 
 
@@ -446,30 +450,30 @@ def fit(bank: AdapterBank, task: TaskSpec, splits: Splits, vocab: Vocabulary,
 def train_adapter(task: TaskSpec, splits: Splits, model_config: ModelConfig,
                   cfg: TrainConfig, vocab: Vocabulary | None = None) -> TrainResult:
     """Stage 1: one task adapter plus its head, encoder frozen."""
+    return _train_new_bank("adapter", task, splits, model_config, cfg, vocab)
+
+
+def train_full(task: TaskSpec, splits: Splits, model_config: ModelConfig,
+               cfg: TrainConfig, vocab: Vocabulary | None = None) -> TrainResult:
+    """Whole-encoder fine-tuning with no adapter slot (baseline analog)."""
+    return _train_new_bank("finetune", task, splits, model_config, cfg, vocab)
+
+
+def _train_new_bank(stage: str, task: TaskSpec, splits: Splits,
+                    model_config: ModelConfig, cfg: TrainConfig,
+                    vocab: Vocabulary | None) -> TrainResult:
+    """Fit a freshly seeded bank, with the task's adapter for "adapter", at
+    ``stage``."""
     if not splits.train or not splits.val:
         raise ConfigError("training needs non-empty train and val splits")
     if vocab is None:
         vocab = build_vocab(splits.train, cfg.vocab_size)
     config = model_config.with_vocab(len(vocab))
     bank = AdapterBank(config, heads={task.name: task.num_labels},
-                       adapter_tasks=[task.name], seed=cfg.seed)
-    bank.attach("single", task.name)
-    bank.set_trainable("adapter", task.name)
-    return _finish(bank, task, splits, vocab, cfg, stage=f"adapter:{task.name}")
-
-
-def train_full(task: TaskSpec, splits: Splits, model_config: ModelConfig,
-               cfg: TrainConfig, vocab: Vocabulary | None = None) -> TrainResult:
-    """Whole-encoder fine-tuning with no adapter slot (baseline analog)."""
-    if not splits.train or not splits.val:
-        raise ConfigError("training needs non-empty train and val splits")
-    if vocab is None:
-        vocab = build_vocab(splits.train, cfg.vocab_size)
-    config = model_config.with_vocab(len(vocab))
-    bank = AdapterBank(config, heads={task.name: task.num_labels}, seed=cfg.seed)
-    bank.attach("none")
-    bank.set_trainable("finetune", task.name)
-    return _finish(bank, task, splits, vocab, cfg, stage=f"finetune:{task.name}")
+                       adapter_tasks=[task.name] if stage == "adapter" else [],
+                       seed=cfg.seed)
+    bank.set_stage(stage, task.name)
+    return _finish(bank, task, splits, vocab, cfg)
 
 
 def train_fusion(target_task: TaskSpec, adapter_checkpoints: list[Checkpoint],
@@ -496,7 +500,7 @@ def train_fusion(target_task: TaskSpec, adapter_checkpoints: list[Checkpoint],
     vocab = Vocabulary(base.get("vocab", []))
     bank = AdapterBank(config, heads={target_task.name: target_task.num_labels},
                        adapter_tasks=tasks, with_fusion=True, seed=cfg.seed)
-    encoder_names = bank.groups.groups["encoder"]
+    encoder_names = bank.groups["encoder"]
     load_into_bank(bank, adapter_checkpoints[0], encoder_names)
     for ckpt, task_name in zip(adapter_checkpoints, tasks):
         for name in encoder_names:
@@ -508,15 +512,14 @@ def train_fusion(target_task: TaskSpec, adapter_checkpoints: list[Checkpoint],
         adapter_names = [n for n in ckpt.tensors
                          if n.startswith(f"adapters.{task_name}.")]
         load_into_bank(bank, ckpt, adapter_names)
-    bank.attach("fusion", tasks)
-    bank.set_trainable("fusion", target_task.name)
-    return _finish(bank, target_task, splits, vocab, cfg,
-                   stage=f"fusion:{target_task.name}")
+    bank.set_stage("fusion", target_task.name)
+    return _finish(bank, target_task, splits, vocab, cfg)
 
 
 def _finish(bank: AdapterBank, task: TaskSpec, splits: Splits,
-            vocab: Vocabulary, cfg: TrainConfig, stage: str) -> TrainResult:
-    """``fit``, then evaluate the test split and checkpoint the bank."""
+            vocab: Vocabulary, cfg: TrainConfig) -> TrainResult:
+    """``fit``, then evaluate the test split and checkpoint the bank under
+    the meta stage ``"<bank.stage>:<task>"``."""
     history, best_epoch, val_report = fit(bank, task, splits, vocab, cfg)
     test_report = None
     if splits.test:
@@ -525,7 +528,7 @@ def _finish(bank: AdapterBank, task: TaskSpec, splits: Splits,
         test_report = evaluate_model(bank, task, test_batches, cfg.threshold,
                                      split="test", seed=cfg.seed)
     ckpt = checkpoint_from_bank(
-        bank, seed=cfg.seed, stage=stage, vocab=vocab,
+        bank, seed=cfg.seed, stage=f"{bank.stage}:{task.name}", vocab=vocab,
         extra_meta={"task": task.name, "task_kind": task.kind,
                     "loss": task.loss, "train_config": cfg.to_dict()})
     return TrainResult(bank=bank, vocab=vocab, task=task, history=history,
@@ -545,7 +548,9 @@ def config_from_meta(cls, meta: dict, key: str):
 
 
 def bank_from_checkpoint(ckpt: Checkpoint) -> tuple[AdapterBank, Vocabulary, TaskSpec]:
-    """Rebuild a model (with its slot wiring) from a saved checkpoint."""
+    """Rebuild a model from a saved checkpoint, at the stage its meta
+    ``stage`` ("<stage>:<task>") names; a stage this library cannot rebuild
+    raises CheckpointError."""
     meta = ckpt.meta
     for key in ("heads", "stage", "task", "task_kind"):
         if key not in meta:
@@ -556,13 +561,14 @@ def bank_from_checkpoint(ckpt: Checkpoint) -> tuple[AdapterBank, Vocabulary, Tas
                        with_fusion=bool(meta.get("with_fusion", False)),
                        seed=int(meta.get("seed", 0)))
     load_into_bank(bank, ckpt)
-    stage = meta["stage"]
-    if stage.startswith("adapter:"):
-        bank.attach("single", stage.split(":", 1)[1])
-    elif stage.startswith("fusion:"):
-        bank.attach("fusion", bank.adapter_tasks)
-    else:
-        bank.attach("none")
+    stage, _, stage_task = meta["stage"].partition(":")
+    if stage_task != meta["task"]:
+        raise CheckpointError(f"checkpoint stage {meta['stage']!r} does not "
+                              f"name the checkpoint task {meta['task']!r}")
+    try:
+        bank.set_stage(stage, meta["task"])
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint stage {meta['stage']!r}: {exc}") from None
     vocab = Vocabulary(meta.get("vocab", []))
     task = TaskSpec(name=meta["task"], kind=meta["task_kind"],
                     loss=meta.get("loss", "bce"))

@@ -174,11 +174,11 @@ def test_criterion_5_freeze_protocol(fusion_pipeline):
 
     bank = fused.bank
     after = group_hashes(bank)
-    enc_names = bank.groups.groups["encoder"]
+    enc_names = bank.groups["encoder"]
     ok_encoder = hash_arrays(r_emo.checkpoint.tensors, enc_names) \
         == after["encoder"]
     ok_adapters = all(
-        hash_arrays(ckpt.tensors, bank.groups.groups[f"adapters.{task}"])
+        hash_arrays(ckpt.tensors, bank.groups[f"adapters.{task}"])
         == after[f"adapters.{task}"]
         for ckpt, task in ((r_emo.checkpoint, "emotion"),
                            (r_s2.checkpoint, "sent2")))

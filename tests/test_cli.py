@@ -296,6 +296,15 @@ MALFORMED = {
 }
 
 
+@pytest.mark.parametrize("stage", ["fuson:emotion", "adapter:a"])
+def test_evaluate_stage_it_cannot_rebuild_exits_2_without_traceback(
+        tmp_path, corpus_path, capsys, stage):
+    ckpt = adapter_checkpoint(tmp_path, lambda m: {"stage": stage})
+    assert run_cli("evaluate", "--checkpoint", ckpt, "--corpus", corpus_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint stage") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_config_exits_2_without_traceback(tmp_path, corpus_path,
                                                     capsys, case):

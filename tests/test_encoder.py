@@ -174,12 +174,12 @@ def set_attention(bank, layer, key_w=None, key_b=None, value_w=None,
                "output.bias": out_b}
     for suffix, value in updates.items():
         if value is not None:
-            bank.params[f"{p}.{suffix}"].data = np.asarray(value, dtype=np.float64)
+            bank.params.assign(f"{p}.{suffix}", value)
 
 
 def test_equal_keys_attend_uniformly_over_unmasked():
     config = tiny_config()
-    bank = make_bank(config, seed=7)
+    bank = make_bank(config, seed=7, dtype=np.float64)
     h = config.hidden_size
     # zero key map -> all keys equal -> uniform weights; identity output path
     set_attention(bank, 0, key_w=np.zeros((h, h)), key_b=np.zeros(h),
@@ -200,7 +200,7 @@ def test_equal_keys_attend_uniformly_over_unmasked():
 
 def test_mask_all_but_one_position():
     config = tiny_config()
-    bank = make_bank(config, seed=9)
+    bank = make_bank(config, seed=9, dtype=np.float64)
     h = config.hidden_size
     set_attention(bank, 0, key_w=np.zeros((h, h)), key_b=np.zeros(h),
                   out_w=np.eye(h), out_b=np.zeros(h))
@@ -218,7 +218,7 @@ def test_mask_all_but_one_position():
 
 def test_attention_rows_sum_to_one_via_unit_values():
     config = tiny_config()
-    bank = make_bank(config, seed=11)
+    bank = make_bank(config, seed=11, dtype=np.float64)
     h = config.hidden_size
     # constant unit values: output == row-sum of attention weights
     set_attention(bank, 0, value_w=np.zeros((h, h)), value_b=np.ones(h),
@@ -299,13 +299,12 @@ def test_layer_forward_zero_up_adapter_equals_slot_none():
         bank.params[f"adapters.emotion.{i}.up.bias"].data[:] = 0.0
     batch = make_batch(config, np.random.default_rng(16))
     x = embed(config, bank.params, batch, all_rows(batch))
-    from fuseformer.fusion import SingleAdapterSlot
-    slot = SingleAdapterSlot(config, bank.params, "emotion")
+    bank.set_stage("adapter", "emotion")
     plain = encoder_layer_forward(config, bank.params, 0, x,
                                   batch.attention_mask, all_rows(batch), None)
     with_adapter = encoder_layer_forward(config, bank.params, 0, x,
                                          batch.attention_mask, all_rows(batch),
-                                         slot)
+                                         bank.slot)
     np.testing.assert_array_equal(plain.data, with_adapter.data)
 
 
@@ -353,26 +352,27 @@ def full_sequence_logits(bank, batch, task):
         h = encoder_layer_forward(config, bank.params, i, h,
                                   batch.attention_mask, rows, bank.slot)
     b, l = batch.token_ids.shape
-    return head_forward(config, bank.params, task,
-                        T.gather_rows(h, np.arange(b) * l))
+    return head_forward(bank.params, task, T.gather_rows(h, np.arange(b) * l))
 
 
 @pytest.mark.parametrize("num_layers", [1, 2])
-@pytest.mark.parametrize("slot,num_tasks", [
-    ("none", 0), ("single", 1), ("fusion", 1), ("fusion", 5)],
+@pytest.mark.parametrize("stage,num_tasks", [
+    ("finetune", 0), ("adapter", 1), ("fusion", 1), ("fusion", 5)],
     ids=["none", "single", "fusion1", "fusion5"])
-def test_cls_only_last_layer_matches_full_sequence(slot, num_tasks, num_layers):
+def test_cls_only_last_layer_matches_full_sequence(stage, num_tasks, num_layers):
     config = tiny_config(num_layers=num_layers)
-    tasks = [f"s{t}" for t in range(num_tasks)]
+    # the adapter stage wires the adapter of the head's task
+    tasks = ["t"] if stage == "adapter" else [f"s{t}" for t in range(num_tasks)]
     bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=tasks,
-                       with_fusion=slot == "fusion", seed=40 + num_tasks,
+                       with_fusion=stage == "fusion", seed=40 + num_tasks,
                        dtype=np.float64)
     rng = np.random.default_rng(41 + num_layers)
     for name, t in bank.params.items():  # real signal through every adapter
         if name.endswith(".up.weight"):
-            t.data = rng.normal(0.0, 0.3, t.shape)
-    if slot != "none":
-        bank.attach(slot, tasks[0] if slot == "single" else tasks)
+            bank.params.assign(name, rng.normal(0.0, 0.3, t.shape))
+    bank.set_stage(stage, "t")
+    # compare the gradients of every parameter, not only the stage's
+    bank.params.set_requires_grad(bank.params.names(), True)
     # padded rows: lengths 6, 4 and 2 of 6
     batch = make_batch(config, rng, b=3, l=6,
                        mask_out=[(1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5)])
@@ -476,12 +476,13 @@ def test_encoder_with_adapter_full_parameter_gradient_check():
     config = tiny_config()
     bank = AdapterBank(config, heads={"emotion": 6}, adapter_tasks=["emotion"],
                        seed=29, dtype=np.float64)
-    bank.attach("single", "emotion")
+    bank.set_stage("adapter", "emotion")
+    bank.params.set_requires_grad(bank.params.names(), True)
     # give the near-zero up-projections real signal
     rng = np.random.default_rng(30)
     for i in range(config.num_layers):
-        bank.params[f"adapters.emotion.{i}.up.weight"].data = \
-            rng.normal(0, 0.3, (config.bottleneck, config.hidden_size))
+        bank.params.assign(f"adapters.emotion.{i}.up.weight",
+                           rng.normal(0, 0.3, (config.bottleneck, config.hidden_size)))
     batch = make_batch(config, rng, b=2, l=4, mask_out=[(1, 3)])
     labels = (rng.random((2, 6)) < 0.5).astype(float)
 

@@ -1,4 +1,4 @@
-"""Adapters, fusion attention, freeze groups, and parameter accounting."""
+"""Adapters, fusion attention, training stages, and parameter accounting."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,10 @@ from fuseformer import tensor as T
 from fuseformer.data import Batch, CLS, PAD
 from fuseformer.encoder import ModelConfig, encode
 from fuseformer.errors import ConfigError, ContractError, ShapeMismatchError
-from fuseformer.fusion import (AdapterBank, adapter_forward,
-                               adapter_parameter_count, build_freeze_groups,
-                               count_parameters, fusion_forward, group_of)
+from fuseformer.fusion import (STAGES, AdapterBank, FusionSlot,
+                               SingleAdapterSlot, adapter_forward,
+                               adapter_parameter_count, count_parameters,
+                               fusion_forward, group_of)
 from fuseformer.losses import PosWeights, weighted_bce
 from fuseformer.tensor import Tensor, finite_difference_check
 
@@ -44,7 +45,7 @@ def test_adapter_zero_up_projection_is_exact_identity():
     bank.params["adapters.t.0.up.weight"].data[:] = 0.0
     bank.params["adapters.t.0.up.bias"].data[:] = 0.0
     h = random_hidden(config, np.random.default_rng(1))
-    out = adapter_forward(config, bank.params, "t", 0, h)
+    out = adapter_forward(bank.params, "t", 0, h)
     np.testing.assert_array_equal(out.data, h.data)
 
 
@@ -54,7 +55,7 @@ def test_adapter_bottleneck_width_and_shape():
     assert bank.params["adapters.t.0.down.weight"].shape == (8, 4)
     assert bank.params["adapters.t.0.up.weight"].shape == (4, 8)
     h = random_hidden(config, np.random.default_rng(2))
-    assert adapter_forward(config, bank.params, "t", 0, h).shape == h.shape
+    assert adapter_forward(bank.params, "t", 0, h).shape == h.shape
 
 
 def test_adapter_gradient_check_all_four_tensors():
@@ -70,8 +71,7 @@ def test_adapter_gradient_check_all_four_tensors():
               if n.startswith("adapters.t.0.")]
     assert len(params) == 4
     report = finite_difference_check(
-        lambda: T.sum_all(T.mul(mix, adapter_forward(config, bank.params,
-                                                     "t", 0, h))),
+        lambda: T.sum_all(T.mul(mix, adapter_forward(bank.params, "t", 0, h))),
         params, h=1e-5, tol=1e-4)
     assert report.passed, report.worst()
 
@@ -86,15 +86,14 @@ def fusion_fixture(tasks, seed=5):
                        with_fusion=True, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 1)
     h = random_hidden(config, rng)
-    outs = [adapter_forward(config, bank.params, t, 0, h) for t in tasks]
+    outs = [adapter_forward(bank.params, t, 0, h) for t in tasks]
     return config, bank, h, outs
 
 
 def test_fusion_identical_values_make_alpha_irrelevant():
     config, bank, h, _ = fusion_fixture(["a", "b", "c"])
     shared = random_hidden(config, np.random.default_rng(9))
-    out, alpha = fusion_forward(config, bank.params, ["a", "b", "c"], 0, h,
-                                [shared, shared, shared])
+    out, alpha = fusion_forward(bank.params, 0, h, [shared, shared, shared])
     flat = shared.data.reshape(-1, config.hidden_size)
     expected = (flat @ bank.params["fusion.0.value"].data).reshape(h.shape) + h.data
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -102,7 +101,7 @@ def test_fusion_identical_values_make_alpha_irrelevant():
 
 def test_fusion_single_task_degenerates():
     config, bank, h, outs = fusion_fixture(["a"])
-    out, alpha = fusion_forward(config, bank.params, ["a"], 0, h, outs)
+    out, alpha = fusion_forward(bank.params, 0, h, outs)
     assert np.all(alpha == 1.0)
     flat = outs[0].data.reshape(-1, config.hidden_size)
     expected = (flat @ bank.params["fusion.0.value"].data).reshape(h.shape) + h.data
@@ -111,7 +110,7 @@ def test_fusion_single_task_degenerates():
 
 def test_fusion_weights_form_simplex_at_every_position():
     config, bank, h, outs = fusion_fixture(["a", "b", "c"], seed=6)
-    _, alpha = fusion_forward(config, bank.params, ["a", "b", "c"], 0, h, outs)
+    _, alpha = fusion_forward(bank.params, 0, h, outs)
     assert alpha.shape == (2, 4, 3)
     assert np.all(alpha >= 0)
     np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-9)
@@ -120,14 +119,14 @@ def test_fusion_weights_form_simplex_at_every_position():
 def test_fusion_zero_tasks_contract():
     config, bank, h, _ = fusion_fixture(["a"])
     with pytest.raises(ContractError):
-        fusion_forward(config, bank.params, [], 0, h, [])
+        fusion_forward(bank.params, 0, h, [])
 
 
 def test_fusion_misshaped_adapter_outputs_raise_shape_mismatch():
     config, bank, h, outs = fusion_fixture(["a", "b"])
     short = Tensor(np.ones((2, 3, config.hidden_size)))
     with pytest.raises(ShapeMismatchError, match=r"\(2, 3, 8\).*\(2, 4, 8\)"):
-        fusion_forward(config, bank.params, ["a", "b"], 0, h, [outs[0], short])
+        fusion_forward(bank.params, 0, h, [outs[0], short])
 
 
 @pytest.mark.parametrize("num_tasks", [1, 5])
@@ -136,8 +135,7 @@ def test_fusion_bank_records_one_fusion_mix_node_per_layer(num_tasks):
     tasks = [f"s{t}" for t in range(num_tasks)]
     bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=tasks,
                        with_fusion=True, seed=36)
-    bank.attach("fusion", tasks)
-    bank.set_trainable("fusion", "t")
+    bank.set_stage("fusion", "t")
     logits = bank.forward(make_batch(config, np.random.default_rng(36)), "t")
     ops, seen, todo = [], set(), [logits.node]
     while todo:
@@ -160,9 +158,8 @@ def test_fusion_gradient_check():
     mix = T.constant(rng.uniform(-1, 1, h.shape))
 
     def loss_fn():
-        outs = [adapter_forward(config, bank.params, t, 0, h)
-                for t in ("a", "b")]
-        out, _ = fusion_forward(config, bank.params, ["a", "b"], 0, h, outs)
+        outs = [adapter_forward(bank.params, t, 0, h) for t in ("a", "b")]
+        out, _ = fusion_forward(bank.params, 0, h, outs)
         return T.sum_all(T.mul(mix, out))
 
     params = [(n, bank.params[n]) for n in bank.params.names()
@@ -173,7 +170,7 @@ def test_fusion_gradient_check():
 
 
 # ---------------------------------------------------------------------------
-# attach
+# stages: what runs
 # ---------------------------------------------------------------------------
 
 def test_attach_none_equals_vanilla_encoder():
@@ -181,7 +178,8 @@ def test_attach_none_equals_vanilla_encoder():
     vanilla = AdapterBank(config, heads={"t": 6}, seed=30)
     decorated = AdapterBank(config, heads={"t": 6},
                             adapter_tasks=["a", "b"], with_fusion=True, seed=30)
-    decorated.attach("none")
+    decorated.set_stage("finetune", "t")
+    assert decorated.slot is None
     batch = make_batch(config, np.random.default_rng(31))
     h1 = encode(config, vanilla.params, batch, vanilla.slot)
     h2 = encode(config, decorated.params, batch, decorated.slot)
@@ -190,16 +188,17 @@ def test_attach_none_equals_vanilla_encoder():
 
 def test_attach_single_uses_only_that_adapter():
     config = tiny_config()
-    bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=["a", "b"],
+    bank = AdapterBank(config, heads={"a": 6}, adapter_tasks=["a", "b"],
                        with_fusion=True, seed=32)
-    bank.attach("single", "a")
+    bank.set_stage("adapter", "a")
+    assert isinstance(bank.slot, SingleAdapterSlot)
     batch = make_batch(config, np.random.default_rng(33))
     before = encode(config, bank.params, batch, bank.slot).data.copy()
     # perturbing the unused adapter changes nothing
     bank.params["adapters.b.0.up.weight"].data[:] = 7.0
     after = encode(config, bank.params, batch, bank.slot).data
     np.testing.assert_array_equal(before, after)
-    # perturbing the attached adapter does
+    # perturbing the wired adapter does
     bank.params["adapters.a.0.up.weight"].data[:] = 7.0
     changed = encode(config, bank.params, batch, bank.slot).data
     assert not np.array_equal(before, changed)
@@ -209,7 +208,9 @@ def test_attach_fusion_wires_all_tasks():
     config = tiny_config()
     bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=["s2", "s7", "emo"],
                        with_fusion=True, seed=34)
-    bank.attach("fusion", ["s2", "s7", "emo"])
+    bank.set_stage("fusion", "t")
+    assert isinstance(bank.slot, FusionSlot)
+    assert bank.slot.tasks == ["s2", "s7", "emo"]
     batch = make_batch(config, np.random.default_rng(35))
     encode(config, bank.params, batch, bank.slot)
     weights = bank.fusion_weights()
@@ -225,9 +226,7 @@ def test_trimmed_batch_matches_max_len_batch(stage):
     tasks = ["a", "b", "c"] if stage == "fusion" else []
     bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=tasks,
                        with_fusion=stage == "fusion", seed=37)
-    if tasks:
-        bank.attach("fusion", tasks)
-    bank.set_trainable(stage, "t")
+    bank.set_stage(stage, "t")
     rng = np.random.default_rng(38)
     lengths = np.array([3, 5, 2])
     full = make_batch(config, rng, b=3, l=config.max_positions)
@@ -256,16 +255,22 @@ def test_attach_unknown_task_is_config_error():
     config = tiny_config()
     bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=["a"],
                        with_fusion=True, seed=36)
-    with pytest.raises(ConfigError):
-        bank.attach("single", "nope")
-    with pytest.raises(ConfigError):
-        bank.attach("fusion", ["a", "nope"])
-    with pytest.raises(ConfigError):
-        bank.attach("warp")
+    with pytest.raises(ConfigError, match="no head"):
+        bank.set_stage("adapter", "nope")
+    # an adapter is wired only under its own task's head
+    with pytest.raises(ConfigError, match="adapters.t"):
+        bank.set_stage("adapter", "t")
+    with pytest.raises(ConfigError, match="unknown stage"):
+        bank.set_stage("warp", "t")
+    no_adapters = AdapterBank(config, heads={"t": 6}, with_fusion=True, seed=36)
+    with pytest.raises(ConfigError, match="at least one adapter"):
+        no_adapters.set_stage("fusion", "t")
+    assert bank.slot is None and bank.stage is None
+    assert bank.params.trainable_names() == bank.params.names()
 
 
 # ---------------------------------------------------------------------------
-# freeze groups / set_trainable
+# stages: what trains
 # ---------------------------------------------------------------------------
 
 def full_bank(seed=40):
@@ -276,45 +281,56 @@ def full_bank(seed=40):
 
 def test_freeze_groups_partition_every_parameter_once():
     bank = full_bank()
-    groups = build_freeze_groups(bank.params)
-    seen = [n for names in groups.groups.values() for n in names]
+    seen = [n for names in bank.groups.values() for n in names]
     assert sorted(seen) == sorted(bank.params.names())
-    assert set(groups.groups) == {"encoder", "adapters.emo", "adapters.s2",
+    assert all(group_of(n) == g for g, names in bank.groups.items() for n in names)
+    assert set(bank.groups) == {"encoder", "adapters.emo", "adapters.s2",
                                   "fusion", "heads.emo", "heads.s2"}
 
 
 def test_stage_adapter_trains_adapter_and_head_only():
     bank = full_bank()
-    bank.set_trainable("adapter", "emo")
+    bank.set_stage("adapter", "emo")
+    assert bank.stage == "adapter"
     trainable = set(bank.params.trainable_names())
-    assert trainable == set(bank.groups.groups["adapters.emo"]) \
-        | set(bank.groups.groups["heads.emo"])
-    for name in bank.groups.groups["encoder"]:
+    assert trainable == set(bank.groups["adapters.emo"]) \
+        | set(bank.groups["heads.emo"])
+    for name in bank.groups["encoder"]:
         assert not bank.params[name].requires_grad
 
 
 def test_stage_fusion_trains_fusion_and_target_head_only():
     bank = full_bank()
-    bank.set_trainable("fusion", "emo")
+    bank.set_stage("fusion", "emo")
+    assert bank.stage == "fusion"
     trainable = set(bank.params.trainable_names())
-    assert trainable == set(bank.groups.groups["fusion"]) \
-        | set(bank.groups.groups["heads.emo"])
+    assert trainable == set(bank.groups["fusion"]) \
+        | set(bank.groups["heads.emo"])
 
 
 def test_stage_finetune_trains_encoder_and_head():
     bank = full_bank()
-    bank.set_trainable("finetune", "emo")
+    bank.set_stage("finetune", "emo")
+    assert bank.stage == "finetune"
     trainable = set(bank.params.trainable_names())
-    assert trainable == set(bank.groups.groups["encoder"]) \
-        | set(bank.groups.groups["heads.emo"])
+    assert trainable == set(bank.groups["encoder"]) \
+        | set(bank.groups["heads.emo"])
 
 
 def test_stage_errors():
     bank = full_bank()
+    bank.set_stage("adapter", "emo")
     with pytest.raises(ConfigError):
-        bank.set_trainable("adapter", "missing")
+        bank.set_stage("adapter", "missing")
     with pytest.raises(ConfigError):
-        bank.set_trainable("warp", "emo")
+        bank.set_stage("warp", "emo")
+    no_fusion = AdapterBank(bank.config, heads={"emo": 6}, adapter_tasks=["emo"])
+    with pytest.raises(ConfigError, match="'fusion'"):
+        no_fusion.set_stage("fusion", "emo")
+    # a rejected stage leaves the wiring and the flags as they were
+    assert bank.stage == "adapter" and bank.slot.task == "emo"
+    assert set(bank.params.trainable_names()) \
+        == set(bank.groups["adapters.emo"]) | set(bank.groups["heads.emo"])
 
 
 def test_frozen_encoder_bit_identical_after_optimizer_steps():
@@ -322,13 +338,12 @@ def test_frozen_encoder_bit_identical_after_optimizer_steps():
     from fuseformer.training import TrainConfig, adamw_step
 
     bank = full_bank(seed=41)
-    bank.attach("single", "emo")
-    bank.set_trainable("adapter", "emo")
+    bank.set_stage("adapter", "emo")
     config = bank.config
     batch = make_batch(config, np.random.default_rng(42), b=2, l=4)
     labels = (np.random.default_rng(43).random((2, 6)) < 0.5).astype(float)
-    encoder_bytes = bank.params.state_bytes(bank.groups.groups["encoder"])
-    adapter_bytes = bank.params.state_bytes(bank.groups.groups["adapters.emo"])
+    encoder_bytes = bank.params.state_bytes(bank.groups["encoder"])
+    adapter_bytes = bank.params.state_bytes(bank.groups["adapters.emo"])
     cfg = TrainConfig(lr=0.05, epochs=1, patience=1, batch_size=2, runs=1)
     state = {}
     trainable = [(n, bank.params[n]) for n in bank.params.trainable_names()]
@@ -338,9 +353,9 @@ def test_frozen_encoder_bit_identical_after_optimizer_steps():
         loss = bce(bank.forward(batch, "emo"), labels)
         backward(loss)
         adamw_step(trainable, state, t, 0.05, cfg)
-    assert bank.params.state_bytes(bank.groups.groups["encoder"]) == encoder_bytes
+    assert bank.params.state_bytes(bank.groups["encoder"]) == encoder_bytes
     # and the trainable adapter actually moved
-    assert bank.params.state_bytes(bank.groups.groups["adapters.emo"]) != adapter_bytes
+    assert bank.params.state_bytes(bank.groups["adapters.emo"]) != adapter_bytes
 
 
 def test_fusion_params_change_with_nonzero_gradient():
@@ -349,22 +364,21 @@ def test_fusion_params_change_with_nonzero_gradient():
     from fuseformer.training import TrainConfig, adamw_step
 
     bank = full_bank(seed=44)
-    bank.attach("fusion", ["emo", "s2"])
-    bank.set_trainable("fusion", "emo")
+    bank.set_stage("fusion", "emo")
     batch = make_batch(bank.config, np.random.default_rng(45), b=2, l=4)
     labels = (np.random.default_rng(46).random((2, 6)) < 0.5).astype(float)
     adapters_before = bank.params.state_bytes(
-        bank.groups.groups["adapters.emo"] + bank.groups.groups["adapters.s2"])
-    fusion_before = bank.params.state_bytes(bank.groups.groups["fusion"])
+        bank.groups["adapters.emo"] + bank.groups["adapters.s2"])
+    fusion_before = bank.params.state_bytes(bank.groups["fusion"])
     bank.params.zero_grad()
     loss = bce(bank.forward(batch, "emo"), labels)
     backward(loss)
     trainable = [(n, bank.params[n]) for n in bank.params.trainable_names()]
     assert any(p.grad is not None and np.any(p.grad != 0) for _, p in trainable)
     adamw_step(trainable, {}, 1, 0.05, TrainConfig(lr=0.05))
-    assert bank.params.state_bytes(bank.groups.groups["fusion"]) != fusion_before
+    assert bank.params.state_bytes(bank.groups["fusion"]) != fusion_before
     assert bank.params.state_bytes(
-        bank.groups.groups["adapters.emo"] + bank.groups.groups["adapters.s2"]) \
+        bank.groups["adapters.emo"] + bank.groups["adapters.s2"]) \
         == adapters_before
 
 
@@ -408,13 +422,18 @@ def test_fusion5_minus_fusion3_is_exactly_two_adapters():
 
 def test_count_matches_allocated_bank():
     config = tiny_config(num_layers=2)
-    bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=["a", "b", "c"],
-                       with_fusion=True, seed=50)
-    expected = count_parameters(config, "fusion", num_tasks=3, num_labels=6)
-    assert bank.params.num_parameters() == expected["total"]
-    bank.set_trainable("fusion", "t")
-    assert bank.params.num_parameters(bank.params.trainable_names()) \
-        == expected["trainable"]
+    # each stage's bank: its adapters (the head's own for "adapter") and fusion
+    adapters = {"finetune": [], "adapter": ["t"], "fusion": ["a", "b", "c"]}
+    assert list(adapters) == list(STAGES)
+    for stage, tasks in adapters.items():
+        bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=tasks,
+                           with_fusion=stage == "fusion", seed=50)
+        expected = count_parameters(config, stage, num_tasks=max(len(tasks), 1),
+                                    num_labels=6)
+        assert bank.params.num_parameters() == expected["total"], stage
+        bank.set_stage(stage, "t")
+        assert bank.params.num_parameters(bank.params.trainable_names()) \
+            == expected["trainable"], stage
 
 
 def test_total_equals_trainable_when_nothing_frozen():
@@ -452,8 +471,7 @@ def fusion5_bank(dtype, seed=7):
     for name in bank.params.names():
         if ".up.weight" in name:
             bank.params.assign(name, rng.normal(0.0, 0.05, bank.params[name].shape))
-    bank.attach("fusion", tasks)
-    bank.set_trainable("fusion", "t")
+    bank.set_stage("fusion", "t")
     return bank
 
 

@@ -34,29 +34,28 @@ def logits_of(values):
 def head_fixture(num_labels=6, seed=0):
     config = ModelConfig(num_layers=1, hidden_size=8, num_heads=2, ff_size=16,
                          vocab_size=12, max_positions=8, reduction_factor=2)
-    bank = AdapterBank(config, heads={"t": num_labels}, seed=seed, dtype=np.float64)
-    return config, bank
+    return AdapterBank(config, heads={"t": num_labels}, seed=seed, dtype=np.float64)
 
 
 def test_head_zero_weights_give_zero_logits():
-    config, bank = head_fixture()
-    for name in bank.groups.groups["heads.t"]:
+    bank = head_fixture()
+    for name in bank.groups["heads.t"]:
         bank.params[name].data[:] = 0.0
     cls_state = Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 8)))
-    out = head_forward(config, bank.params, "t", cls_state)
+    out = head_forward(bank.params, "t", cls_state)
     np.testing.assert_array_equal(out.data, np.zeros((3, 6)))
 
 
 def test_head_shape_contract():
-    config, bank = head_fixture(num_labels=7)
+    bank = head_fixture(num_labels=7)
     cls_state = Tensor(np.zeros((5, 8)))
-    assert head_forward(config, bank.params, "t", cls_state).shape == (5, 7)
+    assert head_forward(bank.params, "t", cls_state).shape == (5, 7)
 
 
 def test_head_is_tanh_then_linear():
-    config, bank = head_fixture(num_labels=1, seed=3)
+    bank = head_fixture(num_labels=1, seed=3)
     cls_state = Tensor(np.random.default_rng(4).uniform(-1, 1, (2, 8)))
-    got = head_forward(config, bank.params, "t", cls_state).data
+    got = head_forward(bank.params, "t", cls_state).data
     p = bank.params
     hidden = np.tanh(cls_state.data @ p["heads.t.dense.weight"].data
                      + p["heads.t.dense.bias"].data)
@@ -65,13 +64,12 @@ def test_head_is_tanh_then_linear():
 
 
 def test_head_gradient_check_both_layers():
-    config, bank = head_fixture(seed=5)
+    bank = head_fixture(seed=5)
     cls_state = Tensor(np.random.default_rng(6).uniform(-1, 1, (2, 8)))
     mix = T.constant(np.random.default_rng(7).uniform(-1, 1, (2, 6)))
-    params = [(n, bank.params[n]) for n in bank.groups.groups["heads.t"]]
+    params = [(n, bank.params[n]) for n in bank.groups["heads.t"]]
     report = finite_difference_check(
-        lambda: T.sum_all(T.mul(mix, head_forward(config, bank.params, "t",
-                                                  cls_state))),
+        lambda: T.sum_all(T.mul(mix, head_forward(bank.params, "t", cls_state))),
         params, h=1e-5, tol=1e-4)
     assert report.passed, report.worst()
 

@@ -334,10 +334,10 @@ def test_train_adapter_keeps_encoder_bit_identical():
     # identical seed => identical initialization; encoder must not have moved
     init_bank = AdapterBank(got.config, heads={"emotion": 6},
                             adapter_tasks=["emotion"], seed=cfg.seed)
-    enc = got.groups.groups["encoder"]
+    enc = got.groups["encoder"]
     assert got.params.state_bytes(enc) == init_bank.params.state_bytes(enc)
     # adapter and head did move
-    moved = got.groups.groups["adapters.emotion"] + got.groups.groups["heads.emotion"]
+    moved = got.groups["adapters.emotion"] + got.groups["heads.emotion"]
     assert got.params.state_bytes(moved) != init_bank.params.state_bytes(moved)
 
 
@@ -473,11 +473,11 @@ def test_train_fusion_freezes_encoder_and_adapters_bitwise():
     r1, r2 = two_adapter_checkpoints(splits, cfg)
     result = train_fusion(EMOTION, [r1.checkpoint, r2.checkpoint], splits, cfg)
     bank = result.bank
-    for name in bank.groups.groups["encoder"]:
+    for name in bank.groups["encoder"]:
         np.testing.assert_array_equal(bank.params[name].data,
                                       r1.checkpoint.tensors[name])
     for ckpt, task in ((r1.checkpoint, "emotion"), (r2.checkpoint, "sent2")):
-        for name in bank.groups.groups[f"adapters.{task}"]:
+        for name in bank.groups[f"adapters.{task}"]:
             np.testing.assert_array_equal(bank.params[name].data,
                                           ckpt.tensors[name])
     hashes = group_hashes(bank)
@@ -517,13 +517,41 @@ def test_bank_from_checkpoint_restores_slot_and_task(tmp_path):
     save_checkpoint(result.checkpoint, path)
     bank, vocab, task = bank_from_checkpoint(load_checkpoint(path))
     assert task == EMOTION
-    assert bank.slot_mode == ("single", "emotion")
+    assert bank.stage == "adapter" and bank.slot.task == "emotion"
     assert vocab.tokens == result.vocab.tokens
     # forward still works and reproduces stored parameters at f32 precision
     from fuseformer.data import make_batches
     batches = make_batches(splits.test, vocab, cfg.max_len, task.kind, 8)
     logits = bank.forward(batches[0], task.name)
     assert np.all(np.isfinite(logits.data))
+
+
+@pytest.mark.parametrize("stage", ["finetune", "adapter", "fusion"])
+def test_bank_from_checkpoint_restores_each_stage(stage):
+    bank = AdapterBank(desk_config(), heads={"emotion": 6},
+                       adapter_tasks=["emotion", "sent2"], with_fusion=True, seed=3)
+    bank.set_stage(stage, "emotion")
+    ckpt = checkpoint_from_bank(bank, seed=3, stage=f"{stage}:emotion",
+                                extra_meta={"task": "emotion",
+                                            "task_kind": "multilabel-6"})
+    got, _, _ = bank_from_checkpoint(ckpt)
+    assert got.stage == stage
+    assert type(got.slot) is type(bank.slot)
+    assert got.params.trainable_names() == bank.params.trainable_names()
+
+
+@pytest.mark.parametrize("stage,match", [
+    ("fuson:emotion", "unknown stage"),
+    ("adapter:a", "does not name"),
+    ("adapter", "does not name"),
+    ("fusion:emotion", "'fusion'"),
+], ids=["unknown_prefix", "other_task", "no_task", "missing_group"])
+def test_bank_from_checkpoint_rejects_a_stage_it_cannot_rebuild(stage, match):
+    ckpt = checkpoint_from_bank(small_bank(), seed=0, stage=stage,
+                                extra_meta={"task": "emotion",
+                                            "task_kind": "multilabel-6"})
+    with pytest.raises(CheckpointError, match=match):
+        bank_from_checkpoint(ckpt)
 
 
 # ---------------------------------------------------------------------------
