@@ -14,7 +14,7 @@ from .metrics import (MetricsReport, binary_accuracy, confusion,
                       emotion_report, f1, multiclass_accuracy)
 from .tensor import ParameterStore, Tensor, backward, finite_difference_check
 from .training import (Checkpoint, TaskSpec, TrainConfig, adamw_step,
-                       load_checkpoint, lr_schedule, run_experiment,
+                       grad_check, load_checkpoint, lr_schedule, run_experiment,
                        save_checkpoint, train_adapter, train_fusion)
 
 __version__ = "0.1.0"
@@ -28,7 +28,7 @@ __all__ = [
     "build_vocab", "class_statistics", "confusion", "count_parameters",
     "cross_entropy_7", "discretize_sentiment_7", "emotion_report", "encode",
     "f1", "finite_difference_check", "focal_multilabel", "fusion_forward",
-    "head_forward", "load_checkpoint", "load_corpus", "lr_schedule",
+    "grad_check", "head_forward", "load_checkpoint", "load_corpus", "lr_schedule",
     "multiclass_accuracy", "pos_weights", "run_experiment",
     "save_checkpoint", "synth_corpus", "tokenize", "train_adapter",
     "train_fusion", "weighted_bce",

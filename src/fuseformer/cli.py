@@ -16,22 +16,24 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from .data import (DEFAULT_CLASS_PRIORS, EMOTIONS, Splits, Vocabulary,
                    build_vocab, class_statistics, load_corpus, make_batches,
                    split_corpus, synth_corpus, write_corpus)
 from .encoder import ModelConfig
 from .errors import (CheckpointError, ConfigError, ContractError, CorpusError,
                      NumericalDivergenceError)
-from .fusion import STAGES, AdapterBank, count_parameters
+from .fusion import STAGES, count_parameters
 from .losses import pos_weights
 from .metrics import MetricsReport
-from .tensor import finite_difference_check
 from .training import (TaskSpec, TrainConfig, bank_from_checkpoint,
-                       config_from_meta, evaluate_model, group_hashes,
+                       config_from_meta, evaluate_model, grad_check,
                        load_checkpoint, run_experiment, save_checkpoint, seeded,
                        train_adapter, train_fusion)
+
+# TrainConfig fields that a flag of the same name overrides
+FLAG_FIELDS = ("runs", "seed", "loss", "threshold", "warmup_steps",
+               "loss_reduction", "epochs", "batch_size", "max_len", "lr",
+               "patience")
 
 TASK_TABLE = {
     "sent2": ("binary", "mosei-style"),
@@ -85,17 +87,8 @@ def _config_file(args) -> dict:
 def _resolve_train_config(args) -> TrainConfig:
     raw = _config_file(args)
     cfg = TrainConfig.from_dict({k: v for k, v in raw.items() if k != "model"})
-    overrides = {}
-    for flag, field_name in (("runs", "runs"), ("seed", "seed"),
-                             ("loss", "loss"), ("threshold", "threshold"),
-                             ("warmup_steps", "warmup_steps"),
-                             ("loss_reduction", "loss_reduction"),
-                             ("epochs", "epochs"), ("batch_size", "batch_size"),
-                             ("max_len", "max_len"), ("lr", "lr"),
-                             ("patience", "patience")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
+    overrides = {name: getattr(args, name) for name in FLAG_FIELDS
+                 if getattr(args, name, None) is not None}
     epochs = overrides.get("epochs", cfg.epochs)
     if "patience" not in overrides and cfg.patience > epochs:
         overrides["patience"] = epochs
@@ -207,21 +200,12 @@ def cmd_train_fusion(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     result = train_fusion(task, checkpoints, splits, cfg)
-    before = group_hashes(result.bank, {name: arr for ckpt in checkpoints
-                                        for name, arr in ckpt.tensors.items()})
-    after = group_hashes(result.bank)
-    params = result.bank.params
-    audit = {g: {"before": before[g], "after": after[g],
-                 "frozen": before[g] == after[g]}
-             for g, names in result.bank.groups.items()
-             if not any(params[n].requires_grad for n in names)}
-    ok = all(entry["frozen"] for entry in audit.values())
+    ok = all(entry["frozen"] for entry in result.audit.values())
     save_checkpoint(result.checkpoint, out / f"fusion-{task.name}.ckpt")
-    model_config = result.bank.config
     _write_json(out / f"fusion-report-{task.name}.json",
                 {**_report_body(result.test_report or result.val_report,
-                                cfg, model_config),
-                 "history": result.history, "audit": audit})
+                                cfg, result.bank.config),
+                 "history": result.history, "audit": result.audit})
     print("FROZEN OK" if ok else "FROZEN VIOLATION")
     if result.test_report:
         print(result.test_report.text_table())
@@ -253,81 +237,21 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-GRAD_CHECK_BLOCKS = ("embeddings", "attention", "ff", "adapter", "fusion", "head")
-
-
-def _block_of(name: str) -> str:
-    if name.startswith("embeddings."):
-        return "embeddings"
-    if ".attention." in name:
-        return "attention"
-    if ".ff." in name:
-        return "ff"
-    if name.startswith("adapters."):
-        return "adapter"
-    if name.startswith("fusion."):
-        return "fusion"
-    return "head"
-
-
 def cmd_grad_check(args) -> int:
-    from .losses import weighted_bce, PosWeights
-    from .data import Batch
-
-    config = ModelConfig(num_layers=2, hidden_size=64, num_heads=4,
-                         ff_size=256, vocab_size=24, max_positions=8)
-    # central differences need float64: at float32 a 1e-5 step is noise
-    bank = AdapterBank(config, heads={"emotion": 6},
-                       adapter_tasks=["sent2", "emotion"], with_fusion=True,
-                       seed=args.seed, dtype=np.float64)
-    # the fusion wiring, with every block trainable so that every block is checked
-    bank.set_stage("fusion", "emotion")
-    bank.params.set_requires_grad(bank.params.names(), True)
-    rng = np.random.default_rng(args.seed)
-    b, l = 2, 6
-    ids = rng.integers(4, config.vocab_size, size=(b, l))
-    ids[:, 0] = 2
-    mask = np.ones((b, l), dtype=np.int64)
-    mask[0, l - 1] = 0
-    labels = (rng.random((b, 6)) < 0.5).astype(np.float64)
-    batch = Batch(token_ids=ids, attention_mask=mask,
-                  segment_ids=np.zeros_like(ids), labels=labels)
-    weights = PosWeights(w=np.array([0.92, 3.0, 3.76, 9.0, 4.88, 11.5]))
-
-    def loss_fn():
-        return weighted_bce(bank.forward(batch, "emotion"), labels, weights)
-
-    transform = None
-    if args.corrupt_grad:
-        first = bank.params.names()[0]
-        transform = lambda name, g: g * 1.5 if name == first else g  # noqa: E731
-
-    report = finite_difference_check(
-        loss_fn, bank.params.items(), h=args.h, tol=args.tol,
-        max_coords_per_block=args.max_coords,
-        rng=np.random.default_rng(args.seed + 1), grad_transform=transform)
-
-    by_block: dict[str, list] = {blk: [] for blk in GRAD_CHECK_BLOCKS}
-    for block in report.blocks:
-        by_block[_block_of(block.name)].append(block)
-    failed = []
-    for blk in GRAD_CHECK_BLOCKS:
-        checks = by_block[blk]
-        worst = max(checks, key=lambda c: c.max_rel_err)
-        status = "PASS" if worst.max_rel_err < args.tol else "FAIL"
-        print(f"{blk:<12} {status}  max_rel_err={worst.max_rel_err:.3e}  "
+    reports = grad_check(args.seed, args.h, args.tol, args.max_coords)
+    for blk, report in reports.items():
+        worst = report.worst()
+        print(f"{blk:<12} {'PASS' if report.passed else 'FAIL'}  "
+              f"max_rel_err={worst.max_rel_err:.3e}  "
               f"worst={worst.name}{list(worst.worst_index)}  "
-              f"coords={sum(c.checked for c in checks)}")
-        if status == "FAIL":
-            failed.append((blk, worst))
+              f"coords={sum(c.checked for c in report.blocks)}")
     if args.out:
         _write_json(Path(args.out) / "grad-check.json",
                     {"tol": args.tol, "h": args.h,
-                     "blocks": {blk: {
-                         "max_rel_err": max(c.max_rel_err for c in by_block[blk]),
-                         "passed": all(c.max_rel_err < args.tol
-                                       for c in by_block[blk])}
-                         for blk in GRAD_CHECK_BLOCKS}})
+                     "blocks": {blk: {"max_rel_err": report.worst().max_rel_err,
+                                      "passed": report.passed}
+                                for blk, report in reports.items()}})
+    failed = [blk for blk, report in reports.items() if not report.passed]
     if failed:
         print(f"gradient check failed for {len(failed)} block(s)",
               file=sys.stderr)
@@ -430,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-coords", dest="max_coords", type=int, default=24)
     p.add_argument("--out")
-    p.add_argument("--corrupt-grad", dest="corrupt_grad", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_grad_check)
 
     p = sub.add_parser("count-params", help="exact parameter accounting")

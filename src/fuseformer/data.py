@@ -25,8 +25,6 @@ EMOTIONS = ("joy", "sadness", "anger", "surprise", "disgust", "fear")
 # corpus; used as default priors for the synthetic generator
 DEFAULT_CLASS_PRIORS = (0.52, 0.25, 0.21, 0.10, 0.17, 0.08)
 
-TASK_KINDS = ("binary", "multiclass-7", "multilabel-6")
-
 NEGATIVE = 0
 NON_NEGATIVE = 1
 

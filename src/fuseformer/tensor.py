@@ -259,31 +259,21 @@ def _row_sum(x: Array) -> Array:
     return (x.reshape(-1, n) @ np.ones(n, x.dtype)).reshape(x.shape[:-1] + (1,))
 
 
-def _softmax(x: Array, axis: int) -> Array:
-    """Max-shifted softmax. The max is a running ``np.maximum`` over slices
-    of the (short) axis, which is exact and faster than ``np.max``."""
-    x = np.moveaxis(x, axis, -1)
+def _softmax(x: Array) -> Array:
+    """Max-shifted softmax over the last axis; rows sum to 1 within 1e-12 in
+    float64. The max is a running ``np.maximum`` over slices of the (short)
+    axis, which is exact and faster than ``np.max``."""
     m = x[..., 0].copy()
     for j in range(1, x.shape[-1]):
         np.maximum(m, x[..., j], out=m)
     e = x - m[..., None]
     np.exp(e, out=e)
     e /= _row_sum(e)
-    return np.moveaxis(e, -1, axis)
+    return e
 
 
-def _softmax_backward(y: Array, g: Array, axis: int) -> Array:
-    y, g = np.moveaxis(y, axis, -1), np.moveaxis(g, axis, -1)
-    return np.moveaxis(y * (g - _row_sum(g * y)), -1, axis)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-shifted softmax along ``axis``; rows sum to 1 within 1e-12 in
-    float64 (1e-6 in float32)."""
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise ContractError(f"softmax: axis {axis} out of bounds for shape {x.shape}")
-    y = _softmax(x.data, axis)
-    return _track("softmax", (x,), y, lambda g: (_softmax_backward(y, g, axis),))
+def _softmax_backward(y: Array, g: Array) -> Array:
+    return y * (g - _row_sum(g * y))
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +311,10 @@ def attention_weights(q: Tensor, k: Tensor, heads: int, scale: float,
     if key_mask is not None:
         fill = (1.0 - np.asarray(key_mask, dtype=scores.dtype)) * _MASKED_SCORE
         scores = scores + fill[..., None, None, :]
-    y = _softmax(scores, -1)
+    y = _softmax(scores)
 
     def backward(g: Array):
-        ds = _softmax_backward(y, g, -1) * scale
+        ds = _softmax_backward(y, g) * scale
         return _merge_heads(ds @ kh), _merge_heads(ds.swapaxes(-1, -2) @ qh)
 
     return _track("attention_weights", (q, k), y, backward)
@@ -380,7 +370,7 @@ def fusion_mix(h: Tensor, adapter_outputs: Sequence[Tensor], w_q: Tensor,
     z = np.stack([t.data.reshape(-1, hidden) for t in adapter_outputs])  # [T, N, H]
     q = h2 @ w_q.data
     r = q @ w_k.data.T
-    alpha = _softmax(np.einsum("tnh,nh->nt", z, r), -1)                 # [N, T]
+    alpha = _softmax(np.einsum("tnh,nh->nt", z, r))                     # [N, T]
     m = np.einsum("nt,tnh->nh", alpha, z)
     out = (m @ w_v.data).reshape(h.shape)
 
@@ -463,15 +453,6 @@ def embedding(table: Tensor, ids: Array) -> Tensor:
         return (dt,)
 
     return _track("embedding", (table,), out, backward)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = x.data.reshape(shape)
-
-    def backward(g: Array):
-        return (g.reshape(x.shape),)
-
-    return _track("reshape", (x,), out, backward)
 
 
 def _check_rows(op: str, rows: Array, limit: int) -> None:

@@ -1,10 +1,11 @@
 """AdamW with decoupled weight decay, linear LR schedule, early stopping,
-the two-stage adapter/fusion training pipeline, multi-run averaging, and
-binary checkpointing.
+the two-stage adapter/fusion training pipeline, multi-run averaging,
+binary checkpointing, and the block-wise gradient check.
 
 Each ``train_*`` function sets one stage (``fusion.STAGES``) on its bank
 and records it in the checkpoint meta as ``"<stage>:<task>"``;
 ``bank_from_checkpoint`` rebuilds that stage or raises CheckpointError.
+``train_fusion`` also returns the stage-2 freeze audit.
 
 Checkpoint wire format: 8-byte magic "AFCKPT01", little-endian u64 manifest
 length, UTF-8 JSON manifest {name -> {shape, dtype:"f32", offset}} plus a
@@ -36,12 +37,12 @@ from .errors import (CheckpointError, ConfigError, ContractError,
                      NumericalDivergenceError)
 from .fusion import AdapterBank
 from .losses import (LOSS_NAMES, REDUCTIONS, PosWeights, cross_entropy_7,
-                     multilabel_loss, pos_weights)
+                     multilabel_loss, pos_weights, weighted_bce)
 from .metrics import (OVERALL_METRICS, MetricsReport, aggregate_reports,
                       binary_report, early_stop_metric, emotion_report,
                       multiclass_report)
 from .runtime import steady_process
-from .tensor import Tensor, backward, no_grad
+from .tensor import FDReport, Tensor, backward, finite_difference_check, no_grad
 
 CHECKPOINT_MAGIC = b"AFCKPT01"
 META_KEY = "__meta__"
@@ -348,6 +349,9 @@ class TrainResult:
     val_report: MetricsReport | None
     test_report: MetricsReport | None
     checkpoint: Checkpoint
+    # train_fusion only: {group: {"before", "after", "frozen"}} over the
+    # groups stage 2 freezes, "before" hashed from the adapter checkpoints
+    audit: dict[str, dict] = field(default_factory=dict)
 
 
 def _batch_loss(bank: AdapterBank, task: TaskSpec, batch: Batch,
@@ -504,6 +508,9 @@ def train_fusion(target_task: TaskSpec, adapter_checkpoints: list[Checkpoint],
     load_into_bank(bank, adapter_checkpoints[0], encoder_names)
     for ckpt, task_name in zip(adapter_checkpoints, tasks):
         for name in encoder_names:
+            if name not in ckpt.tensors:
+                raise CheckpointError(f"adapter checkpoint for task {task_name!r} "
+                                      f"is missing entry {name!r}")
             if not np.array_equal(ckpt.tensors[name],
                                   adapter_checkpoints[0].tensors[name]):
                 raise CheckpointError(
@@ -513,7 +520,15 @@ def train_fusion(target_task: TaskSpec, adapter_checkpoints: list[Checkpoint],
                          if n.startswith(f"adapters.{task_name}.")]
         load_into_bank(bank, ckpt, adapter_names)
     bank.set_stage("fusion", target_task.name)
-    return _finish(bank, target_task, splits, vocab, cfg)
+    result = _finish(bank, target_task, splits, vocab, cfg)
+    before = group_hashes(bank, {name: arr for ckpt in adapter_checkpoints
+                                 for name, arr in ckpt.tensors.items()})
+    after = group_hashes(bank)
+    result.audit = {g: {"before": before[g], "after": after[g],
+                        "frozen": before[g] == after[g]}
+                    for g, names in bank.groups.items()
+                    if not any(bank.params[n].requires_grad for n in names)}
+    return result
 
 
 def _finish(bank: AdapterBank, task: TaskSpec, splits: Splits,
@@ -573,6 +588,64 @@ def bank_from_checkpoint(ckpt: Checkpoint) -> tuple[AdapterBank, Vocabulary, Tas
     task = TaskSpec(name=meta["task"], kind=meta["task_kind"],
                     loss=meta.get("loss", "bce"))
     return bank, vocab, task
+
+
+# ---------------------------------------------------------------------------
+# block-wise gradient check
+# ---------------------------------------------------------------------------
+
+GRAD_CHECK_BLOCKS = ("embeddings", "attention", "ff", "adapter", "fusion", "head")
+
+
+def _block_of(name: str) -> str:
+    if name.startswith("embeddings."):
+        return "embeddings"
+    if ".attention." in name:
+        return "attention"
+    if ".ff." in name:
+        return "ff"
+    if name.startswith("adapters."):
+        return "adapter"
+    if name.startswith("fusion."):
+        return "fusion"
+    return "head"
+
+
+def grad_check(seed: int, h: float, tol: float, max_coords: int | None,
+               grad_transform: Callable[[str, np.ndarray], np.ndarray] | None = None
+               ) -> dict[str, FDReport]:
+    """Central-difference check of every parameter of a seeded float64 desk
+    bank at the fusion wiring (two adapters), on a 2 x 6 batch with one
+    padded key under the weighted BCE loss. Every parameter is trainable,
+    so every block is checked. Returns one report per ``GRAD_CHECK_BLOCKS``
+    entry, over that block's parameters, in that order; ``grad_transform``
+    is passed to ``finite_difference_check``."""
+    config = ModelConfig(num_layers=2, hidden_size=64, num_heads=4,
+                         ff_size=256, vocab_size=24, max_positions=8)
+    # central differences need float64: at float32 a 1e-5 step is noise
+    bank = AdapterBank(config, heads={"emotion": 6},
+                       adapter_tasks=["sent2", "emotion"], with_fusion=True,
+                       seed=seed, dtype=np.float64)
+    bank.set_stage("fusion", "emotion")
+    bank.params.set_requires_grad(bank.params.names(), True)
+    rng = np.random.default_rng(seed)
+    b, l = 2, 6
+    ids = rng.integers(4, config.vocab_size, size=(b, l))
+    ids[:, 0] = 2
+    mask = np.ones((b, l), dtype=np.int64)
+    mask[0, l - 1] = 0
+    labels = (rng.random((b, 6)) < 0.5).astype(np.float64)
+    batch = Batch(token_ids=ids, attention_mask=mask,
+                  segment_ids=np.zeros_like(ids), labels=labels)
+    weights = PosWeights(w=np.array([0.92, 3.0, 3.76, 9.0, 4.88, 11.5]))
+    report = finite_difference_check(
+        lambda: weighted_bce(bank.forward(batch, "emotion"), labels, weights),
+        bank.params.items(), h=h, tol=tol, max_coords_per_block=max_coords,
+        rng=np.random.default_rng(seed + 1), grad_transform=grad_transform)
+    by_block = {blk: FDReport(tol=tol) for blk in GRAD_CHECK_BLOCKS}
+    for check in report.blocks:
+        by_block[_block_of(check.name)].blocks.append(check)
+    return by_block
 
 
 # ---------------------------------------------------------------------------

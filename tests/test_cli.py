@@ -6,10 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from fuseformer import cli, training
 from fuseformer.cli import main
 from fuseformer.data import (RawExample, load_corpus, synth_corpus,
                              write_corpus)
-from fuseformer.training import load_checkpoint
+from fuseformer.tensor import BlockCheck, FDReport
+from fuseformer.training import (GRAD_CHECK_BLOCKS, load_checkpoint,
+                                 save_checkpoint)
 
 
 def run_cli(*argv):
@@ -152,13 +155,20 @@ def test_train_adapter_rerun_is_byte_identical_modulo_meta(tmp_path, corpus_path
         == (out2 / "adapter-emotion.ckpt").read_bytes()
 
 
-def test_train_fusion_audit_and_evaluate_consistency(tmp_path, corpus_path, capsys):
+def train_two_adapters(tmp_path, corpus_path):
+    """Stage-1 emotion and sent2 checkpoints of the model_json bank, in
+    ``tmp_path / "run"``; returns the config path and that directory."""
     cfg = model_json(tmp_path)
     out = tmp_path / "run"
     for task in ("emotion", "sent2"):
         assert run_cli("train-adapter", "--task", task, "--corpus", corpus_path,
                        "--config", cfg, "--runs", 1, "--seed", 3, "--out", out,
                        *TRAIN_FLAGS) == 0
+    return cfg, out
+
+
+def test_train_fusion_audit_and_evaluate_consistency(tmp_path, corpus_path, capsys):
+    cfg, out = train_two_adapters(tmp_path, corpus_path)
     capsys.readouterr()
     code = run_cli("train-fusion", "--task", "emotion", "--corpus", corpus_path,
                    "--config", cfg, "--runs", 1, "--seed", 4, "--out", out,
@@ -183,6 +193,47 @@ def test_train_fusion_audit_and_evaluate_consistency(tmp_path, corpus_path, caps
     eval_report = json.loads((out / "eval-emotion.json").read_text())
     assert eval_report["report"]["overall"] \
         == fusion_report["report"]["overall"]
+
+
+def test_train_fusion_moved_frozen_weight_exits_4(tmp_path, corpus_path, capsys,
+                                                  monkeypatch):
+    cfg, out = train_two_adapters(tmp_path, corpus_path)
+    fit = training.fit
+
+    def fit_then_move(bank, *args):
+        result = fit(bank, *args)
+        bank.params["embeddings.token"].data[0, 0] += 1.0
+        return result
+
+    monkeypatch.setattr(training, "fit", fit_then_move)
+    capsys.readouterr()
+    code = run_cli("train-fusion", "--task", "emotion", "--corpus", corpus_path,
+                   "--config", cfg, "--runs", 1, "--seed", 4, "--out", out,
+                   "--adapters", out / "adapter-emotion.ckpt",
+                   out / "adapter-sent2.ckpt", *TRAIN_FLAGS)
+    assert code == 4
+    assert "FROZEN VIOLATION" in capsys.readouterr().out
+    audit = json.loads((out / "fusion-report-emotion.json").read_text())["audit"]
+    assert {g: e["frozen"] for g, e in audit.items()} == {
+        "encoder": False, "adapters.emotion": True, "adapters.sent2": True}
+
+
+def test_train_fusion_checkpoint_missing_encoder_entry_exits_2(
+        tmp_path, corpus_path, capsys):
+    cfg, out = train_two_adapters(tmp_path, corpus_path)
+    ckpt = load_checkpoint(out / "adapter-sent2.ckpt")
+    del ckpt.tensors["embeddings.token"]
+    save_checkpoint(ckpt, tmp_path / "broken-sent2.ckpt")
+    capsys.readouterr()
+    code = run_cli("train-fusion", "--task", "emotion", "--corpus", corpus_path,
+                   "--config", cfg, "--runs", 1, "--seed", 4, "--out", out,
+                   "--adapters", out / "adapter-emotion.ckpt",
+                   tmp_path / "broken-sent2.ckpt", *TRAIN_FLAGS)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "'embeddings.token'" in err
+    assert not (out / "fusion-emotion.ckpt").exists()
 
 
 def test_evaluate_empty_corpus_exits_2(tmp_path, corpus_path):
@@ -373,9 +424,21 @@ def test_grad_check_passes_and_reports_all_blocks(tmp_path, capsys):
     assert all(b["passed"] for b in payload["blocks"].values())
 
 
-def test_grad_check_corrupted_gradient_exits_4(capsys):
-    assert run_cli("grad-check", "--max-coords", 4, "--corrupt-grad") == 4
-    assert "FAIL" in capsys.readouterr().out
+def test_grad_check_corrupted_gradient_exits_4(tmp_path, capsys, monkeypatch):
+    def failing_ff(seed, h, tol, max_coords):
+        return {blk: FDReport(tol=tol, blocks=[BlockCheck(
+                    name=f"{blk}.w", max_rel_err=0.5 if blk == "ff" else 1e-9,
+                    worst_index=(0,), checked=1)])
+                for blk in GRAD_CHECK_BLOCKS}
+
+    monkeypatch.setattr(cli, "grad_check", failing_ff)
+    assert run_cli("grad-check", "--out", tmp_path) == 4
+    captured = capsys.readouterr()
+    assert captured.out.count("FAIL") == 1
+    assert f"{'ff':<12} FAIL  max_rel_err=5.000e-01  worst=ff.w[0]" in captured.out
+    assert "failed for 1 block(s)" in captured.err
+    payload = json.loads((tmp_path / "grad-check.json").read_text())
+    assert [b for b, v in payload["blocks"].items() if not v["passed"]] == ["ff"]
 
 
 # ---------------------------------------------------------------------------

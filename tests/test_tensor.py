@@ -133,17 +133,14 @@ ELEMENTWISE_CASES = [
      lambda a: T.pow_const(a, 2.0)),
     ("log_sigmoid", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),),
      lambda a: T.log_sigmoid(a)),
-    ("softmax", lambda r: (Tensor(r.uniform(-2, 2, (3, 5)), requires_grad=True),),
-     lambda a: T.softmax(a, axis=1)),
-    ("softmax_axis0", lambda r: (Tensor(r.uniform(-2, 2, (3, 5)), requires_grad=True),),
-     lambda a: T.softmax(a, axis=0)),
+    ("attention_weights", lambda r: (Tensor(r.uniform(-2, 2, (3, 5)), requires_grad=True),
+                                     Tensor(r.uniform(-2, 2, (4, 5)), requires_grad=True)),
+     lambda q, k: T.attention_weights(q, k, 1, 0.5)),
     ("log_softmax", lambda r: (Tensor(r.uniform(-2, 2, (3, 5)), requires_grad=True),),
      lambda a: T.log_softmax(a, axis=1)),
     ("add_bias", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
                             Tensor(r.uniform(-2, 2, 4), requires_grad=True)),
      lambda a, b: T.add_bias(a, b)),
-    ("reshape", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),),
-     lambda a: T.reshape(a, (2, 6))),
     ("matmul_leading_dims",
      lambda r: (Tensor(r.uniform(-2, 2, (2, 3, 4)), requires_grad=True),
                 Tensor(r.uniform(-2, 2, (4, 2)), requires_grad=True)),
@@ -385,18 +382,22 @@ def fusion_mix_leaves(num_adapters, seed, shape=(2, 3, 4)):
     return h, zs, ws, mix
 
 
-def attention_reference(h, zs, ws):
+def attention_reference(h, zs, ws, mix):
     """The unreassociated layer: project every z_t through W_K and W_V, then
-    one single-head, unscaled, unmasked attention per token. The stacked z is
-    its own leaf, so its gradient slices are the z_t gradients."""
-    b, l, hidden = h.shape
+    one single-head, unscaled, unmasked attention per token, with one query
+    row per token ([b, l, 1, H] leaves). The stacked z is its own leaf, so
+    its gradient slices are the z_t gradients. Returns the output [b, l, H],
+    the weights [b, l, T] and the gradients of sum(mix * output) for h, each
+    z_t and the three weights."""
     stacked = Tensor(np.stack([z.data for z in zs], axis=-2), requires_grad=True)
     w_q, w_k, w_v = (Tensor(w.data.copy(), requires_grad=True) for w in ws)
-    h_ref = Tensor(h.data.copy(), requires_grad=True)
-    q = T.reshape(T.matmul(h_ref, w_q), (b, l, 1, hidden))
-    alpha = T.attention_weights(q, T.matmul(stacked, w_k), 1, 1.0)
-    out = T.reshape(T.attend(alpha, T.matmul(stacked, w_v)), (b, l, hidden))
-    return out, alpha.data.reshape(b, l, len(zs)), h_ref, stacked, (w_q, w_k, w_v)
+    h_ref = Tensor(h.data[..., None, :].copy(), requires_grad=True)
+    alpha = T.attention_weights(T.matmul(h_ref, w_q), T.matmul(stacked, w_k), 1, 1.0)
+    out = T.attend(alpha, T.matmul(stacked, w_v))
+    backward(T.sum_all(T.mul(T.constant(mix.data[..., None, :]), out)))
+    return (out.data[..., 0, :], alpha.data[..., 0, 0, :], h_ref.grad[..., 0, :],
+            [stacked.grad[..., t, :] for t in range(len(zs))],
+            [w.grad for w in (w_q, w_k, w_v)])
 
 
 @pytest.mark.parametrize("num_adapters", [1, 5])
@@ -415,16 +416,15 @@ def test_fusion_mix_matches_attention_reference(num_adapters):
     h, zs, ws, mix = fusion_mix_leaves(num_adapters, seed=50 + num_adapters)
     out, alpha = T.fusion_mix(h, zs, *ws)
     backward(T.sum_all(T.mul(mix, out)))
-    ref_out, ref_alpha, h_ref, stacked, ws_ref = attention_reference(h, zs, ws)
-    backward(T.sum_all(T.mul(mix, ref_out)))
+    ref_out, ref_alpha, ref_dh, ref_dzs, ref_dws = attention_reference(h, zs, ws, mix)
     assert alpha.shape == h.shape[:-1] + (num_adapters,)
-    np.testing.assert_allclose(out.data, ref_out.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
     np.testing.assert_allclose(alpha, ref_alpha, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(h.grad, h_ref.grad, rtol=0, atol=1e-12)
-    for t, z in enumerate(zs):
-        np.testing.assert_allclose(z.grad, stacked.grad[..., t, :], rtol=0, atol=1e-12)
-    for w, w_ref in zip(ws, ws_ref):
-        np.testing.assert_allclose(w.grad, w_ref.grad, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(h.grad, ref_dh, rtol=0, atol=1e-12)
+    for z, ref_dz in zip(zs, ref_dzs):
+        np.testing.assert_allclose(z.grad, ref_dz, rtol=0, atol=1e-12)
+    for w, ref_dw in zip(ws, ref_dws):
+        np.testing.assert_allclose(w.grad, ref_dw, rtol=0, atol=1e-12)
 
 
 def test_fusion_mix_under_no_grad_records_no_node():
@@ -467,15 +467,15 @@ def test_fusion_mix_shape_errors_name_both_shapes():
 
 
 # ---------------------------------------------------------------------------
-# softmax properties
+# softmax properties (of the kernel that attention_weights and fusion_mix run)
 # ---------------------------------------------------------------------------
 
 def test_softmax_symmetry():
-    np.testing.assert_allclose(T.softmax(T.constant([0.0, 0.0])).data, [0.5, 0.5])
+    np.testing.assert_allclose(T._softmax(np.array([0.0, 0.0])), [0.5, 0.5])
 
 
 def test_softmax_max_shift_stability():
-    out = T.softmax(T.constant([1000.0, 0.0])).data
+    out = T._softmax(np.array([1000.0, 0.0]))
     assert out[0] == pytest.approx(1.0)
     assert out[1] == pytest.approx(0.0, abs=1e-300)
     assert np.all(np.isfinite(out))
@@ -484,15 +484,9 @@ def test_softmax_max_shift_stability():
 def test_softmax_is_probability_vector():
     for trial in range(25):
         rng = np.random.default_rng(trial)
-        x = T.constant(rng.uniform(-50, 50, (4, 7)))
-        y = T.softmax(x, axis=-1).data
+        y = T._softmax(rng.uniform(-50, 50, (4, 7)))
         assert np.all(y >= 0)
         np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
-
-
-def test_softmax_axis_out_of_bounds():
-    with pytest.raises(ContractError):
-        T.softmax(T.constant([[1.0]]), axis=2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Optimizer semantics against a scalar reference, schedule shape, early
-stopping, checkpoint wire format, stage separation, and run averaging."""
+stopping, checkpoint wire format, stage separation and the freeze audit, run
+averaging, and the block-wise gradient check."""
 
 import json
 import math
@@ -11,16 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuseformer import runtime
+from fuseformer import runtime, training
 from fuseformer.data import Splits, build_vocab, make_batches, synth_corpus
 from fuseformer.encoder import ModelConfig
 from fuseformer.errors import (CheckpointError, ConfigError, ContractError,
                                NumericalDivergenceError)
 from fuseformer.fusion import AdapterBank
 from fuseformer.tensor import Tensor
-from fuseformer.training import (CHECKPOINT_MAGIC, TaskSpec,
+from fuseformer.training import (CHECKPOINT_MAGIC, GRAD_CHECK_BLOCKS, TaskSpec,
                                  TrainConfig, adamw_step, bank_from_checkpoint,
-                                 checkpoint_from_bank, evaluate_model, group_hashes,
+                                 checkpoint_from_bank, evaluate_model, grad_check,
+                                 group_hashes,
                                  load_checkpoint, load_into_bank, lr_schedule,
                                  run_experiment, save_checkpoint, seeded,
                                  train_adapter, train_full, train_fusion)
@@ -483,6 +485,39 @@ def test_train_fusion_freezes_encoder_and_adapters_bitwise():
     hashes = group_hashes(bank)
     assert set(hashes) >= {"encoder", "adapters.emotion", "adapters.sent2",
                            "fusion", "heads.emotion"}
+    # the audit covers exactly the groups stage 2 freezes
+    assert set(result.audit) == {"encoder", "adapters.emotion", "adapters.sent2"}
+    for group, entry in result.audit.items():
+        assert entry == {"before": hashes[group], "after": hashes[group],
+                         "frozen": True}
+
+
+def test_train_fusion_audit_reports_a_moved_frozen_weight(monkeypatch):
+    splits = tiny_splits()
+    cfg = fast_cfg()
+    r1, r2 = two_adapter_checkpoints(splits, cfg)
+    fit = training.fit
+
+    def fit_then_move(bank, *args):  # a stage 2 that breaks the freeze
+        out = fit(bank, *args)
+        bank.params["embeddings.token"].data[0, 0] += 1.0
+        return out
+
+    monkeypatch.setattr(training, "fit", fit_then_move)
+    result = train_fusion(EMOTION, [r1.checkpoint, r2.checkpoint], splits, cfg)
+    assert result.audit["encoder"]["frozen"] is False
+    assert result.audit["encoder"]["before"] != result.audit["encoder"]["after"]
+    assert result.audit["adapters.emotion"]["frozen"] is True
+    assert result.audit["adapters.sent2"]["frozen"] is True
+
+
+def test_train_fusion_rejects_a_checkpoint_missing_an_encoder_entry():
+    splits = tiny_splits()
+    cfg = fast_cfg()
+    r1, r2 = two_adapter_checkpoints(splits, cfg)
+    del r2.checkpoint.tensors["embeddings.token"]
+    with pytest.raises(CheckpointError, match="'sent2'.*'embeddings.token'"):
+        train_fusion(EMOTION, [r1.checkpoint, r2.checkpoint], splits, cfg)
 
 
 def test_train_fusion_rejects_mismatched_configs():
@@ -552,6 +587,22 @@ def test_bank_from_checkpoint_rejects_a_stage_it_cannot_rebuild(stage, match):
                                             "task_kind": "multilabel-6"})
     with pytest.raises(CheckpointError, match=match):
         bank_from_checkpoint(ckpt)
+
+
+# ---------------------------------------------------------------------------
+# block-wise gradient check
+# ---------------------------------------------------------------------------
+
+def test_grad_check_corrupted_block_reads_fail():
+    corrupted = "layers.1.ff.out.weight"
+    reports = grad_check(
+        0, 1e-5, 1e-4, 4,
+        grad_transform=lambda name, g: g + 0.01 if name == corrupted else g)
+    assert tuple(reports) == GRAD_CHECK_BLOCKS
+    assert all(c.checked <= 4 for r in reports.values() for c in r.blocks)
+    assert not reports["ff"].passed
+    assert reports["ff"].worst().name == corrupted
+    assert all(r.passed for block, r in reports.items() if block != "ff")
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +701,6 @@ def test_malformed_checkpoint_model_config_is_checkpoint_error(value):
 
 
 def test_unknown_early_stop_metric_is_rejected_before_the_first_step(monkeypatch):
-    import fuseformer.training as training
-
     steps = []
     monkeypatch.setattr(training, "adamw_step", lambda *a, **k: steps.append(a))
     cfg = fast_cfg(metric_for_early_stop="accuracy")  # not an emotion metric
