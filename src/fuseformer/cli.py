@@ -77,8 +77,12 @@ def _config_file(args) -> dict:
     object), or {} without --config."""
     if not args.config:
         return {}
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    # bad UTF-8 or JSON, an int over the digit limit, too deep a nesting
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"--config {args.config}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"--config {args.config} must hold a JSON object")
     return raw
@@ -376,7 +380,7 @@ def main(argv=None) -> int:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (CorpusError, ConfigError, CheckpointError, ContractError,
-            OSError, json.JSONDecodeError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

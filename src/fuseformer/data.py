@@ -68,10 +68,10 @@ class ClassStats:
 def _check_sentiment(value, line: int) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise CorpusError(f"sentiment must be a number, got {value!r}", line)
-    s = float(value)
-    if not -3.0 <= s <= 3.0:
-        raise CorpusError(f"sentiment {s} outside [-3, 3]", line)
-    return s
+    # compared before float(), which overflows on a huge integer
+    if not -3.0 <= value <= 3.0:
+        raise CorpusError(f"sentiment {value!r:.40} outside [-3, 3]", line)
+    return float(value)
 
 
 def _check_emotions(value, line: int) -> tuple[float, ...]:
@@ -84,10 +84,9 @@ def _check_emotions(value, line: int) -> tuple[float, ...]:
     for v in value:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise CorpusError(f"emotion intensity must be a number, got {v!r}", line)
-        e = float(v)
-        if not 0.0 <= e <= 3.0:
-            raise CorpusError(f"emotion intensity {e} outside [0, 3]", line)
-        out.append(e)
+        if not 0.0 <= v <= 3.0:
+            raise CorpusError(f"emotion intensity {v!r:.40} outside [0, 3]", line)
+        out.append(float(v))
     return tuple(out)
 
 
@@ -97,14 +96,22 @@ def load_corpus(path, schema: str) -> list[RawExample]:
         raise ContractError(f"unknown corpus schema {schema!r}")
     path = Path(path)
     examples: list[RawExample] = []
-    with path.open("r", encoding="utf-8") as fh:
+    # bytes that are not UTF-8 decode to lone surrogates, which no decoded
+    # text holds otherwise, so the line they sit on can be named
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
             try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise CorpusError("line is not valid UTF-8", lineno) from None
+            try:
                 obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"malformed JSON ({exc.msg})", lineno) from None
+            # bad JSON, an int over the digit limit, nesting past the recursion limit
+            except (ValueError, RecursionError) as exc:
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                raise CorpusError(f"malformed JSON ({msg})", lineno) from None
             if not isinstance(obj, dict):
                 raise CorpusError("line is not a JSON object", lineno)
             for key in ("id", "text"):
@@ -264,7 +271,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"vocabulary {path} is not valid UTF-8 (byte "
+                              f"{exc.start})") from None
         return cls([line for line in text.splitlines() if line])
 
 

@@ -181,9 +181,10 @@ def embed(config: ModelConfig, params: ParameterStore, batch: Batch,
                         params["embeddings.norm.beta"], config.eps)
 
 
-def _linear(x: Tensor, params: ParameterStore, prefix: str) -> Tensor:
-    return T.add_bias(T.matmul(x, params[f"{prefix}.weight"]),
-                      params[f"{prefix}.bias"])
+def linear(params: ParameterStore, prefix: str, x: Tensor) -> Tensor:
+    """``x @ {prefix}.weight + {prefix}.bias``: one ``matmul`` node. Every
+    linear layer of the model (attention, FF, adapters, heads) is this."""
+    return T.matmul(x, params[f"{prefix}.weight"], params[f"{prefix}.bias"])
 
 
 def multi_head_attention(config: ModelConfig, params: ParameterStore,
@@ -204,14 +205,14 @@ def multi_head_attention(config: ModelConfig, params: ParameterStore,
     prefix = f"layers.{layer_idx}.attention"
     b, l = mask.shape
     q_rows, q_lead = (rows, (b, l)) if queries is None else (np.arange(b), (b, 1))
-    q = _linear(h if queries is None else queries, params, f"{prefix}.query")
-    k, v = (T.scatter_rows(_linear(h, params, f"{prefix}.{name}"), rows, (b, l))
+    q = linear(params, f"{prefix}.query", h if queries is None else queries)
+    k, v = (T.scatter_rows(linear(params, f"{prefix}.{name}", h), rows, (b, l))
             for name in ("key", "value"))
     weights = T.attention_weights(T.scatter_rows(q, q_rows, q_lead), k,
                                   config.num_heads,
                                   1.0 / math.sqrt(config.head_dim), mask)
-    return _linear(T.gather_rows(T.attend(weights, v), q_rows), params,
-                   f"{prefix}.output")
+    return linear(params, f"{prefix}.output",
+                  T.gather_rows(T.attend(weights, v), q_rows))
 
 
 def encoder_layer_forward(config: ModelConfig, params: ParameterStore,
@@ -233,7 +234,7 @@ def encoder_layer_forward(config: ModelConfig, params: ParameterStore,
     attn = multi_head_attention(config, params, layer_idx, h, mask, rows, queries)
     h1 = T.layer_norm(T.add(x, attn), params[f"{p}.attention.norm.gamma"],
                       params[f"{p}.attention.norm.beta"], config.eps)
-    ff = _linear(T.gelu(_linear(h1, params, f"{p}.ff.in")), params, f"{p}.ff.out")
+    ff = linear(params, f"{p}.ff.out", T.gelu(linear(params, f"{p}.ff.in", h1)))
     h2 = T.layer_norm(T.add(h1, ff), params[f"{p}.ff.norm.gamma"],
                       params[f"{p}.ff.norm.beta"], config.eps)
     if adapter_slot is None:

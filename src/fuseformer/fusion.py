@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .data import Batch
 from .encoder import (ModelConfig, encode, encoder_param_shapes,
-                      init_encoder_params, init_parameter)
+                      init_encoder_params, init_parameter, linear)
 from .errors import ConfigError, ContractError
 from .losses import head_forward, head_param_shapes, init_head_params
 from .tensor import ParameterStore, Tensor
@@ -70,10 +70,8 @@ def adapter_forward(params: ParameterStore, task: str, layer_idx: int,
                     h_ff: Tensor) -> Tensor:
     """relu bottleneck with a residual connection around it."""
     p = f"adapters.{task}.{layer_idx}"
-    u = T.relu(T.add_bias(T.matmul(h_ff, params[f"{p}.down.weight"]),
-                          params[f"{p}.down.bias"]))
-    a = T.add_bias(T.matmul(u, params[f"{p}.up.weight"]), params[f"{p}.up.bias"])
-    return T.add(h_ff, a)
+    u = T.relu(linear(params, f"{p}.down", h_ff))
+    return T.add(h_ff, linear(params, f"{p}.up", u))
 
 
 def fusion_forward(params: ParameterStore, layer_idx: int, h_ff: Tensor,

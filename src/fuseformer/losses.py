@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import ClassStats
-from .encoder import ModelConfig, init_parameter
+from .encoder import ModelConfig, init_parameter, linear
 from .errors import ContractError
 from .tensor import ParameterStore, Tensor
 
@@ -59,10 +59,7 @@ def init_head_params(config: ModelConfig, store: ParameterStore, task: str,
 def head_forward(params: ParameterStore, task: str, cls_state: Tensor) -> Tensor:
     """Two linear layers with a tanh between: logits = tanh(x W1 + b1) W2 + b2."""
     p = f"heads.{task}"
-    hid = T.tanh(T.add_bias(T.matmul(cls_state, params[f"{p}.dense.weight"]),
-                            params[f"{p}.dense.bias"]))
-    return T.add_bias(T.matmul(hid, params[f"{p}.out.weight"]),
-                      params[f"{p}.out.bias"])
+    return linear(params, f"{p}.out", T.tanh(linear(params, f"{p}.dense", cls_state)))
 
 
 def pos_weights(stats: ClassStats, cap: float | None = None) -> PosWeights:

@@ -9,10 +9,9 @@ Every differentiable operation records a node holding its inputs and a
 backward closure. ``backward`` orders the graph below a scalar root
 topologically and replays it in reverse, accumulating gradients with ``+=``
 across shared subexpressions. Inside ``no_grad`` nothing is recorded.
-Elementwise broadcasting is deliberately
-restricted to scalar-vs-tensor and equal shapes; ``matmul``, ``add_bias``,
-``layer_norm``, the attention ops and ``fusion_mix`` act on the last axes
-and accept any leading dims.
+Elementwise broadcasting is deliberately restricted to scalar-vs-tensor
+and equal shapes; ``matmul``, ``layer_norm``, the attention ops and
+``fusion_mix`` act on the last axes and accept any leading dims.
 """
 
 from __future__ import annotations
@@ -224,32 +223,23 @@ def log_sigmoid(a: Tensor) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """[..., k] @ [k, n] -> [..., n], computed as one 2-D GEMM over the
-    flattened leading dims (numpy's N-d ``@`` would loop over them)."""
-    if a.data.ndim == 0 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeMismatchError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    a2 = a.data.reshape(-1, b.shape[0])
-    out = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+def matmul(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The affine op of every linear layer: [..., k] @ [k, n] + b[n] ->
+    [..., n]. The bias add is part of the op, so a linear layer is one tape
+    node. The product is one 2-D GEMM over the flattened leading dims
+    (numpy's N-d ``@`` would loop over them)."""
+    if (x.data.ndim == 0 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeMismatchError(
+            f"matmul: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+    x2 = x.data.reshape(-1, w.shape[0])
+    out = (x2 @ w.data + b.data).reshape(x.shape[:-1] + w.shape[1:])
 
     def backward(g: Array):
-        g2 = g.reshape(-1, b.shape[1])
-        return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
+        g2 = g.reshape(-1, w.shape[1])
+        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
 
-    return _track("matmul", (a, b), out, backward)
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a 1-D bias along the last axis of ``x``."""
-    if b.data.ndim != 1 or x.shape[-1] != b.shape[0]:
-        raise ShapeMismatchError(f"add_bias: incompatible shapes {x.shape} and {b.shape}")
-    out = x.data + b.data
-
-    def backward(g: Array):
-        lead = tuple(range(g.ndim - 1))
-        return g, g.sum(axis=lead)
-
-    return _track("add_bias", (x, b), out, backward)
+    return _track("matmul", (x, w, b), out, backward)
 
 
 def _row_sum(x: Array) -> Array:
@@ -677,6 +667,9 @@ def finite_difference_check(loss_fn: Callable[[], Tensor],
     """
     if h <= 0:
         raise ContractError(f"finite_difference_check: h must be positive, got {h}")
+    if max_coords_per_block is not None and max_coords_per_block < 1:
+        raise ContractError(f"finite_difference_check: max_coords_per_block must be "
+                            f"at least 1, got {max_coords_per_block}")
     params = list(params)
     for name, t in params:
         if t.data.dtype != np.float64:

@@ -248,7 +248,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("manifest length exceeds file size")
     try:
         manifest = json.loads(blob[16:manifest_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # bad UTF-8 or JSON, an int over the digit limit, too deep a nesting
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"corrupt manifest: {exc}") from None
     if not isinstance(manifest, dict):
         raise CheckpointError("manifest is not a JSON object")
@@ -321,7 +322,8 @@ def load_into_bank(bank: AdapterBank, ckpt: Checkpoint,
 
 def group_hashes(bank: AdapterBank,
                  tensors: Mapping[str, np.ndarray] | None = None) -> dict[str, str]:
-    """sha256 of each freeze group's float32 bytes in sorted name order.
+    """sha256 of each freeze group's float32 bytes in sorted name order, fed
+    one tensor at a time.
 
     Values are read from ``tensors`` ({name: array}) when given, else from
     the bank's parameters; groups that ``tensors`` does not fully cover are
@@ -329,10 +331,14 @@ def group_hashes(bank: AdapterBank,
     """
     if tensors is None:
         tensors = {name: t.data for name, t in bank.params.items()}
-    return {g: hashlib.sha256(b"".join(np.asarray(tensors[n]).astype("<f4").tobytes()
-                                       for n in sorted(names))).hexdigest()
-            for g, names in bank.groups.items()
-            if all(n in tensors for n in names)}
+    hashes = {}
+    for g, names in bank.groups.items():
+        if all(n in tensors for n in names):
+            h = hashlib.sha256()
+            for n in sorted(names):
+                h.update(np.ascontiguousarray(tensors[n], dtype="<f4"))
+            hashes[g] = h.hexdigest()
+    return hashes
 
 
 # ---------------------------------------------------------------------------

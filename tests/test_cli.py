@@ -2,6 +2,7 @@
 and the freeze audit."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -412,6 +413,65 @@ def test_train_binary_ext_path(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# malformed input files
+# ---------------------------------------------------------------------------
+
+HUGE_INT = b"1" * 5000  # past Python's 4300-digit limit on int conversion
+
+
+def assert_input_error(code, capsys, prefix):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(prefix) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", [
+    b'{"id":"a","text":"caf\xe9","sentiment":1}',
+    b'{"id":"a","text":"x","sentiment":1' + b"0" * 400 + b"}",
+    b'{"id":"a","text":"x","emotions":[1' + b"0" * 400 + b",0,0,0,0,0]}",
+    b'{"id":"a","text":"x","sentiment":' + HUGE_INT + b"}",
+    b"[" * 100_000,
+], ids=["not_utf8", "sentiment_overflows_float", "emotion_overflows_float",
+        "int_over_digit_limit", "nested_past_recursion_limit"])
+def test_malformed_corpus_file_exits_2_without_traceback(tmp_path, capsys, line):
+    p = tmp_path / "c.jsonl"
+    p.write_bytes(b'{"id":"ok","text":"x","sentiment":0}\n' + line + b"\n")
+    assert_input_error(run_cli("stats", "--corpus", p, "--task", "emotion"), capsys,
+                       "error: line 2: ")
+
+
+@pytest.mark.parametrize("raw", [b'{"threshold": ' + HUGE_INT + b"}",
+                                 b'{"lr": 0.1, "note": "\xff"}'],
+                         ids=["int_over_digit_limit", "not_utf8"])
+def test_malformed_config_file_exits_2_without_traceback(tmp_path, corpus_path,
+                                                         capsys, raw):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(raw)
+    code = run_cli("train-adapter", "--task", "emotion", "--corpus", corpus_path,
+                   "--config", cfg, "--runs", 1, "--out", tmp_path / "run")
+    assert_input_error(code, capsys, f"error: --config {cfg}: ")
+
+
+def test_checkpoint_manifest_int_over_digit_limit_exits_2_without_traceback(
+        tmp_path, corpus_path, capsys):
+    manifest = b'{"embeddings.token": {"offset": ' + HUGE_INT + b"}}"
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(training.CHECKPOINT_MAGIC + struct.pack("<Q", len(manifest))
+                     + manifest)
+    code = run_cli("evaluate", "--checkpoint", ckpt, "--corpus", corpus_path)
+    assert_input_error(code, capsys, "error: corrupt manifest: ")
+
+
+def test_vocab_file_not_utf8_exits_2_without_traceback(tmp_path, corpus_path, capsys):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_bytes(b"joy\ncaf\xe9\n")
+    code = run_cli("train-adapter", "--task", "emotion", "--corpus", corpus_path,
+                   "--vocab", vocab, "--runs", 1, "--out", tmp_path / "run",
+                   *TRAIN_FLAGS)
+    assert_input_error(code, capsys, "error: vocabulary ")
+
+
+# ---------------------------------------------------------------------------
 # grad-check
 # ---------------------------------------------------------------------------
 
@@ -439,6 +499,13 @@ def test_grad_check_corrupted_gradient_exits_4(tmp_path, capsys, monkeypatch):
     assert "failed for 1 block(s)" in captured.err
     payload = json.loads((tmp_path / "grad-check.json").read_text())
     assert [b for b, v in payload["blocks"].items() if not v["passed"]] == ["ff"]
+
+
+@pytest.mark.parametrize("coords", [-1, 0])
+def test_grad_check_max_coords_below_one_exits_2(tmp_path, capsys, coords):
+    code = run_cli("grad-check", "--max-coords", coords, "--out", tmp_path)
+    assert_input_error(code, capsys, "error: ")
+    assert not (tmp_path / "grad-check.json").exists()
 
 
 # ---------------------------------------------------------------------------

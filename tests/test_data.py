@@ -1,6 +1,8 @@
 """Corpus loading, label rules, vocabulary/tokenizer, class statistics, and
 the synthetic generator."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,32 @@ def test_corpus_round_trip(tmp_path):
     p = tmp_path / "c.jsonl"
     D.write_corpus(corpus, p)
     assert D.load_corpus(p, "mosei-style") == corpus
+
+
+# random bytes seldom parse, so lines are also drawn as JSON objects with the
+# corpus keys and values of any JSON type, huge integers among them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+    | st.integers() | st.sampled_from([10 ** 400, -(10 ** 400), 0, 1, 3]),
+    lambda inner: st.lists(inner, max_size=7) | st.dictionaries(st.text(max_size=4),
+                                                                 inner, max_size=3),
+    max_leaves=12)
+JSON_LINES = st.dictionaries(
+    st.sampled_from(["id", "text", "sentiment", "emotions", "binary_label"]),
+    JSON_VALUES).map(lambda obj: json.dumps(obj).encode())
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.binary(max_size=40) | JSON_LINES, max_size=4),
+       schema=st.sampled_from(["mosei-style", "binary-style"]))
+def test_any_bytes_load_or_raise_corpus_error(tmp_path_factory, lines, schema):
+    p = tmp_path_factory.mktemp("fuzz") / "c.jsonl"
+    p.write_bytes(b"\n".join(lines))
+    try:
+        examples = D.load_corpus(p, schema)
+    except CorpusError:
+        return
+    assert all(isinstance(ex, D.RawExample) for ex in examples)
 
 
 # ---------------------------------------------------------------------------

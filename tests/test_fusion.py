@@ -545,3 +545,49 @@ def test_float32_fusion_bank_matches_float64_on_the_same_weights():
     assert rel(logits[np.float32], logits[np.float64]) < 1e-5
     for name, g in grads[np.float64].items():
         assert rel(grads[np.float32][name], g) < 1e-4, name
+
+
+# ---------------------------------------------------------------------------
+# the tape of one training step
+# ---------------------------------------------------------------------------
+
+LINEARS = {
+    "encoder": [f"layers.{i}.{name}" for i in range(2) for name in (
+        "attention.query", "attention.key", "attention.value", "attention.output",
+        "ff.in", "ff.out")],
+    "head": ["heads.t.dense", "heads.t.out"],
+}
+# stage: (tape nodes reachable from the loss, the linear layers on them). The
+# frozen embeddings and layer 0 record no node in the adapter and fusion
+# stages, so only the trained adapters, fusion and layer 1 reach the tape.
+TAPES = {
+    "finetune": (53, LINEARS["encoder"] + LINEARS["head"]),
+    "adapter": (38, ["adapters.t.0.down", "adapters.t.0.up"] + LINEARS["encoder"][6:]
+                + ["adapters.t.1.down", "adapters.t.1.up"] + LINEARS["head"]),
+    "fusion": (42, LINEARS["encoder"][6:] + [f"adapters.{t}.1.{p}" for t in "tu"
+                                             for p in ("down", "up")]
+               + LINEARS["head"]),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(TAPES))
+def test_training_step_tape_has_one_matmul_node_per_linear_layer(stage):
+    bank = AdapterBank(ModelConfig(vocab_size=64), heads={"t": 6},
+                       adapter_tasks=["t", "u"], with_fusion=True, seed=3)
+    bank.set_stage(stage, "t")
+    batch = padded_batch(np.random.default_rng(9))
+    loss = weighted_bce(bank.forward(batch, "t"), batch.labels, FUSION5_WEIGHTS)
+    nodes, todo = {}, [loss.node]
+    while todo:
+        node = todo.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            todo.extend(t.node for t in node.inputs if t.node is not None)
+    count, linears = TAPES[stage]
+    assert len(nodes) == count
+    # each linear layer is one matmul(x, weight, bias) node
+    matmuls = [n for n in nodes.values() if n.op == "matmul"]
+    assert sorted(n.inputs[1].name for n in matmuls) \
+        == sorted(f"{p}.weight" for p in linears)
+    assert all(n.inputs[2].name == n.inputs[1].name.replace(".weight", ".bias")
+               for n in matmuls)

@@ -1,6 +1,8 @@
 """Autodiff core: op-level gradient checks against central finite
 differences, tape semantics, and the verification harness itself."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -46,28 +48,38 @@ def assert_grad_matches(build_loss, leaves, tol=TOL):
 # ---------------------------------------------------------------------------
 
 def test_matmul_identity():
-    out = T.matmul(T.constant(np.eye(2)), T.constant([[1.0, 2.0], [3.0, 4.0]]))
+    out = T.matmul(T.constant(np.eye(2)), T.constant([[1.0, 2.0], [3.0, 4.0]]),
+                   T.constant(np.zeros(2)))
     np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_matmul_projection():
-    out = T.matmul(T.constant([[1.0, 0.0], [0.0, 0.0]]),
-                   T.constant([[5.0], [7.0]]))
-    np.testing.assert_array_equal(out.data, [[5.0], [0.0]])
+    x = np.array([[1.0, 0.0], [0.0, 0.0]])
+    w, b = np.array([[5.0], [7.0]]), np.array([-0.5])
+    out = T.matmul(T.constant(x), T.constant(w), T.constant(b))
+    np.testing.assert_array_equal(out.data, [[4.5], [-0.5]])
+    np.testing.assert_array_equal(out.data, x @ w + b)
 
 
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 3\)"):
-        T.matmul(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 3))))
+def test_matmul_shape_errors_name_all_three_shapes():
+    # inner dims that differ, a bias of the wrong length, a bias that is not 1-D
+    for w, b in [((2, 3), (3,)), ((3, 4), (3,)), ((3, 4), (1, 4))]:
+        pattern = r".*".join(re.escape(str(s)) for s in ((2, 3), w, b))
+        with pytest.raises(ShapeMismatchError, match=pattern):
+            T.matmul(T.constant(np.ones((2, 3))), T.constant(np.ones(w)),
+                     T.constant(np.ones(b)))
 
 
 def test_matmul_gradient_vs_finite_differences():
     rng = np.random.default_rng(0)
     a = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True, name="a")
-    b = Tensor(rng.uniform(-2, 2, (4, 2)), requires_grad=True, name="b")
+    w = Tensor(rng.uniform(-2, 2, (4, 2)), requires_grad=True, name="w")
+    b = Tensor(rng.uniform(-2, 2, 2), requires_grad=True, name="b")
     weights = T.constant(rng.uniform(-1, 1, (3, 2)))
-    assert_grad_matches(lambda: T.sum_all(T.mul(weights, T.matmul(a, b))),
-                        [a, b], tol=1e-6)
+    assert_grad_matches(lambda: T.sum_all(T.mul(weights, T.matmul(a, w, b))),
+                        [a, w, b], tol=1e-6)
+    # d/db of sum(weights * (a w + b)) is the column sum of weights
+    np.testing.assert_allclose(b.grad, weights.data.sum(axis=0), rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +150,15 @@ ELEMENTWISE_CASES = [
      lambda q, k: T.attention_weights(q, k, 1, 0.5)),
     ("log_softmax", lambda r: (Tensor(r.uniform(-2, 2, (3, 5)), requires_grad=True),),
      lambda a: T.log_softmax(a, axis=1)),
-    ("add_bias", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
-                            Tensor(r.uniform(-2, 2, 4), requires_grad=True)),
-     lambda a, b: T.add_bias(a, b)),
+    ("matmul_bias", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
+                               Tensor(r.uniform(-2, 2, (4, 2)), requires_grad=True),
+                               Tensor(r.uniform(-2, 2, 2), requires_grad=True)),
+     lambda a, w, b: T.matmul(a, w, b)),
     ("matmul_leading_dims",
      lambda r: (Tensor(r.uniform(-2, 2, (2, 3, 4)), requires_grad=True),
-                Tensor(r.uniform(-2, 2, (4, 2)), requires_grad=True)),
-     lambda a, b: T.matmul(a, b)),
+                Tensor(r.uniform(-2, 2, (4, 2)), requires_grad=True),
+                Tensor(r.uniform(-2, 2, 2), requires_grad=True)),
+     lambda a, w, b: T.matmul(a, w, b)),
     ("gather_rows", lambda r: (Tensor(r.uniform(-2, 2, (2, 3, 4)),
                                       requires_grad=True),),
      lambda a: T.gather_rows(a, np.array([0, 2, 3, 5]))),
@@ -392,8 +406,10 @@ def attention_reference(h, zs, ws, mix):
     stacked = Tensor(np.stack([z.data for z in zs], axis=-2), requires_grad=True)
     w_q, w_k, w_v = (Tensor(w.data.copy(), requires_grad=True) for w in ws)
     h_ref = Tensor(h.data[..., None, :].copy(), requires_grad=True)
-    alpha = T.attention_weights(T.matmul(h_ref, w_q), T.matmul(stacked, w_k), 1, 1.0)
-    out = T.attend(alpha, T.matmul(stacked, w_v))
+    zero = T.constant(np.zeros(h.shape[-1]))  # adding +0.0 is exact
+    alpha = T.attention_weights(T.matmul(h_ref, w_q, zero),
+                                T.matmul(stacked, w_k, zero), 1, 1.0)
+    out = T.attend(alpha, T.matmul(stacked, w_v, zero))
     backward(T.sum_all(T.mul(T.constant(mix.data[..., None, :]), out)))
     return (out.data[..., 0, :], alpha.data[..., 0, 0, :], h_ref.grad[..., 0, :],
             [stacked.grad[..., t, :] for t in range(len(zs))],
@@ -685,6 +701,14 @@ def test_fd_check_h_contract():
     p = Tensor(np.asarray([1.0]), requires_grad=True)
     with pytest.raises(ContractError):
         finite_difference_check(lambda: T.sum_all(T.mul(p, p)), [("p", p)], h=0.0)
+
+
+@pytest.mark.parametrize("coords", [-1, 0])
+def test_fd_check_max_coords_contract(coords):
+    p = Tensor(np.asarray([1.0]), requires_grad=True)
+    with pytest.raises(ContractError, match="at least 1"):
+        finite_difference_check(lambda: T.sum_all(T.mul(p, p)), [("p", p)],
+                                max_coords_per_block=coords)
 
 
 def test_fd_check_relative_error_definition():
