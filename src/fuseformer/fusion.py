@@ -75,21 +75,24 @@ def adapter_forward(params: ParameterStore, task: str, layer_idx: int,
 
 
 def fusion_forward(params: ParameterStore, layer_idx: int, h_ff: Tensor,
-                   adapter_outputs: Sequence[Tensor]) -> tuple[Tensor, np.ndarray]:
-    """Per-token attention over adapter outputs.
+                   tasks: Sequence[str]) -> tuple[Tensor, np.ndarray]:
+    """The adapters of ``tasks`` and the per-token attention over their
+    outputs, as one ``tensor.adapter_fusion`` op.
 
     Query comes from the FF-sublayer output, keys/values from each adapter
-    output; the mixture is added back onto the residual stream. The
-    attention is one ``tensor.fusion_mix`` op, which scores
-    ``((h W_Q) W_K^T) . z_t`` and mixes ``(sum_t a_t z_t) W_V``, so it runs
-    three GEMMs whatever the number of adapters. ``h_ff`` holds the rows
-    the encoder layer computes: [n, H] real-token rows, or [B, H] [CLS]
-    rows in the last layer. Returns the output and the attention weights
-    [..., T] (one row per row of ``h_ff``) for inspection.
+    output; the mixture is added back onto the residual stream. The op runs
+    the adapters and the attention in the bottleneck space, so no adapter
+    output is built. ``h_ff`` holds the rows the encoder layer computes:
+    [n, H] real-token rows, or [B, H] [CLS] rows in the last layer. Returns
+    the output and the attention weights [..., T] (one row per row of
+    ``h_ff``) for inspection.
     """
     p = f"fusion.{layer_idx}"
-    mixed, alpha = T.fusion_mix(h_ff, adapter_outputs, params[f"{p}.query"],
-                                params[f"{p}.key"], params[f"{p}.value"])
+    adapters = [f"adapters.{task}.{layer_idx}" for task in tasks]
+    mixed, alpha = T.adapter_fusion(
+        h_ff, *([params[f"{a}.{name}"] for a in adapters]
+                for name in ("down.weight", "down.bias", "up.weight", "up.bias")),
+        params[f"{p}.query"], params[f"{p}.key"], params[f"{p}.value"])
     return T.add(h_ff, mixed), alpha
 
 
@@ -107,7 +110,7 @@ class SingleAdapterSlot:
 
 
 class FusionSlot:
-    """Runs every task adapter, then the fusion attention; keeps the last
+    """Runs every task adapter under the fusion attention; keeps the last
     forward's attention weights per layer for inspection. Below the last
     layer they are [n, T], one row per real token of the packed batch (no
     padded row is computed, so their means need no padding mask); in the
@@ -120,9 +123,7 @@ class FusionSlot:
         self.last_weights: dict[int, np.ndarray] = {}
 
     def apply(self, h_ff: Tensor, layer_idx: int) -> Tensor:
-        outs = [adapter_forward(self.params, t, layer_idx, h_ff)
-                for t in self.tasks]
-        out, alpha = fusion_forward(self.params, layer_idx, h_ff, outs)
+        out, alpha = fusion_forward(self.params, layer_idx, h_ff, self.tasks)
         self.last_weights[layer_idx] = alpha
         return out
 

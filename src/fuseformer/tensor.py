@@ -11,7 +11,7 @@ topologically and replays it in reverse, accumulating gradients with ``+=``
 across shared subexpressions. Inside ``no_grad`` nothing is recorded.
 Elementwise broadcasting is deliberately restricted to scalar-vs-tensor
 and equal shapes; ``matmul``, ``layer_norm``, the attention ops and
-``fusion_mix`` act on the last axes and accept any leading dims.
+``adapter_fusion`` act on the last axes and accept any leading dims.
 """
 
 from __future__ import annotations
@@ -328,59 +328,108 @@ def attend(weights: Tensor, v: Tensor) -> Tensor:
     return _track("attend", (weights, v), out, backward)
 
 
-def fusion_mix(h: Tensor, adapter_outputs: Sequence[Tensor], w_q: Tensor,
-               w_k: Tensor, w_v: Tensor) -> tuple[Tensor, Array]:
-    """AdapterFusion attention from ``h`` over the T adapter outputs z_t,
-    each [..., H] like ``h``, with [H, H] query, key and value weights:
-    ``sum_t a_t (z_t W_V)`` with ``a = softmax_t((h W_Q) . (z_t W_K))``.
+def adapter_fusion(h: Tensor, w_down: Sequence[Tensor], b_down: Sequence[Tensor],
+                   w_up: Sequence[Tensor], b_up: Sequence[Tensor], w_q: Tensor,
+                   w_k: Tensor, w_v: Tensor) -> tuple[Tensor, Array]:
+    """T bottleneck adapters and the AdapterFusion attention over them, from
+    ``h`` [..., H]: adapter t gives ``z_t = h + y_t`` with
+    ``y_t = relu(h W_down,t + b_down,t) W_up,t + b_up,t`` ([H, b], [b],
+    [b, H], [H] weights), and the output is ``sum_t a_t (z_t W_V)`` with
+    ``a = softmax_t((h W_Q) . (z_t W_K))`` and [H, H] query, key and value
+    weights.
 
-    Scores and mixture are both linear in z_t, so they are computed as
-    ``((h W_Q) W_K^T) . z_t`` and ``(sum_t a_t z_t) W_V``: three
-    [N, H] x [H, H] GEMMs over the N leading positions whatever T is, six in
-    the backward, and the T-wide contractions in between. One tape node.
-    Returns the output [..., H] and the weights a [..., T]. The backward
-    returns ``None`` for ``h`` and each z_t when they need no gradient.
+    No z_t is built. Each bias b_up,t rides as one more bottleneck unit
+    whose activation is 1: with u_t the [b + 1]-wide activations and
+    W_t = [W_up,t; b_up,t], ``y_t = u_t W_t``. With r = h (W_Q W_K^T), every
+    score shares the term h . r, which softmax ignores, so the scores are
+    ``u_t . (r W_t^T)`` and the output is ``(h + sum_t a_t u_t W_t) W_V``.
+    Every GEMM is [N, H] x [H, Tb + H], [N, H] x [H, H] or
+    [N, T(b + 1)] x [T(b + 1), H] over the N leading positions. One tape
+    node; its backward returns ``None`` for every input that needs no
+    gradient and skips that work. Returns the output [..., H] and the
+    weights a [..., T].
     """
-    if not adapter_outputs:
-        raise ContractError("fusion_mix requires at least one adapter output")
+    tasks = len(w_down)
+    if not tasks:
+        raise ContractError("adapter_fusion requires at least one adapter")
+    if not len(b_down) == len(w_up) == len(b_up) == tasks:
+        raise ContractError(
+            f"adapter_fusion: {tasks} down weights but {len(b_down)} down biases, "
+            f"{len(w_up)} up weights and {len(b_up)} up biases")
     if h.data.ndim == 0:
-        raise ShapeMismatchError("fusion_mix: query input must have a hidden axis")
+        raise ShapeMismatchError("adapter_fusion: input must have a hidden axis")
     hidden = h.shape[-1]
-    for z in adapter_outputs:
-        if z.shape != h.shape:
+    width = w_down[0].shape[-1] if w_down[0].data.ndim == 2 else -1
+    for shapes in zip(w_down, b_down, w_up, b_up):
+        got = tuple(t.shape for t in shapes)
+        if got != ((hidden, width), (width,), (width, hidden), (hidden,)):
             raise ShapeMismatchError(
-                f"fusion_mix: adapter output shape {z.shape} differs from "
-                f"query input shape {h.shape}")
+                f"adapter_fusion: adapter shapes {got} do not match input shape "
+                f"{h.shape} and bottleneck {width}")
     for w in (w_q, w_k, w_v):
         if w.shape != (hidden, hidden):
             raise ShapeMismatchError(
-                f"fusion_mix: weight shape {w.shape} does not match query input "
+                f"adapter_fusion: weight shape {w.shape} does not match input "
                 f"shape {h.shape}; expected {(hidden, hidden)}")
-    h2 = h.data.reshape(-1, hidden)
-    z = np.stack([t.data.reshape(-1, hidden) for t in adapter_outputs])  # [T, N, H]
-    q = h2 @ w_q.data
-    r = q @ w_k.data.T
-    alpha = _softmax(np.einsum("tnh,nh->nt", z, r))                     # [N, T]
-    m = np.einsum("nt,tnh->nh", alpha, z)
+    x = h.data.reshape(-1, hidden)
+    n, wide = x.shape[0], width + 1
+    wd = np.concatenate([t.data for t in w_down], axis=1)             # [H, Tb]
+    bd = np.concatenate([t.data for t in b_down])
+    wu = np.concatenate([np.stack([t.data for t in w_up]),
+                         np.stack([t.data for t in b_up])[:, None]], axis=1)
+    wu = wu.reshape(tasks * wide, hidden)                              # [T(b+1), H]
+    wqk = w_q.data @ w_k.data.T
+    first = x @ np.concatenate([wd, wqk], axis=1)                      # [N, Tb + H]
+    u = np.ones((n, tasks, wide), dtype=x.dtype)
+    u[..., :width] = np.maximum(first[:, :tasks * width] + bd,
+                                0.0).reshape(n, tasks, width)
+    r = first[:, tasks * width:]
+    rw = (r @ wu.T).reshape(n, tasks, wide)
+    alpha = _softmax(_row_sum(u * rw)[..., 0])                        # [N, T]
+    v = (alpha[..., None] * u).reshape(n, tasks * wide)
+    m = x + v @ wu
     out = (m @ w_v.data).reshape(h.shape)
 
+    inputs = (h, *w_down, *b_down, *w_up, *b_up, w_q, w_k, w_v)
+
     def backward(g: Array):
+        need = [_needs_grad(t) for t in inputs]
+        need_h, need_q, need_k, need_v = need[0], *need[-3:]
+        need_down, need_up = any(need[1:1 + 2 * tasks]), any(need[1 + 2 * tasks:-3])
         g2 = g.reshape(-1, hidden)
         dm = g2 @ w_v.data.T
-        # softmax backward with each z_t centred on the mixture m: since
-        # sum_t a_t (z_t - m) = 0, this is exact, and it keeps the part all
-        # z_t share out of the scores' differences, which float32 would lose
-        zc = z - m
-        ds = alpha * np.einsum("tnh,nh->nt", zc, dm)
-        dz = [(alpha[:, t, None] * dm + ds[:, t, None] * r).reshape(h.shape)
-              if _needs_grad(zt) else None for t, zt in enumerate(adapter_outputs)]
-        dr = np.einsum("nt,tnh->nh", ds, zc)
-        dq = dr @ w_k.data
-        dh = (dq @ w_q.data.T).reshape(h.shape) if _needs_grad(h) else None
-        return dh, *dz, h2.T @ dq, dr.T @ q, m.T @ g2
+        dv = (dm @ wu.T).reshape(n, tasks, wide)
+        # d a_t = dm . y_t: the dm . h part every z_t shares is left out
+        # (the softmax backward cancels it), so float32 keeps the differences
+        ds = _softmax_backward(alpha, _row_sum(dv * u)[..., 0])
+        drw = (ds[..., None] * u).reshape(n, tasks * wide)
+        grads: list[Array | None] = [None] * len(need)
+        if need_h or need_q or need_k:
+            dr = drw @ wu
+            if need_q or need_k:
+                p = x.T @ dr
+                grads[-3], grads[-2] = p @ w_k.data, p.T @ w_q.data
+        if need_v:
+            grads[-1] = m.T @ g2
+        if need_up:
+            dwu = (v.T @ dm + drw.T @ r).reshape(tasks, wide, hidden)
+            for t in range(tasks):
+                grads[1 + 2 * tasks + t] = dwu[t, :width]
+                grads[1 + 3 * tasks + t] = dwu[t, width]
+        if need_h or need_down:
+            du = alpha[..., None] * dv + ds[..., None] * rw
+            da = (du[..., :width] * (u[..., :width] > 0.0)).reshape(n, tasks * width)
+            if need_down:
+                dwd, dbd = x.T @ da, da.sum(axis=0)
+                for t in range(tasks):
+                    cols = slice(t * width, (t + 1) * width)
+                    grads[1 + t], grads[1 + tasks + t] = dwd[:, cols], dbd[cols]
+            if need_h:
+                grads[0] = (dm + dr @ wqk.T + da @ wd.T).reshape(h.shape)
+        return tuple(gi if ok else None for gi, ok in zip(grads, need))
 
-    out_t = _track("fusion_mix", (h, *adapter_outputs, w_q, w_k, w_v), out, backward)
-    return out_t, alpha.reshape(h.shape[:-1] + (len(z),))
+    out_t = _track("adapter_fusion", inputs, out, backward)
+    return out_t, alpha.reshape(h.shape[:-1] + (tasks,))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -430,7 +479,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
 # ---------------------------------------------------------------------------
 
 def embedding(table: Tensor, ids: Array) -> Tensor:
-    """Gather rows of ``table`` by integer ids; gradient scatter-adds."""
+    """Gather rows of ``table`` by integer ids; gradient scatter-adds.
+
+    The scatter runs on the flat view of the table, one index per element
+    (``np.add.at`` is several times faster on 1-D indices than on rows);
+    every element sees the same adds in the same order as a row scatter."""
     ids = np.asarray(ids)
     if np.any(ids < 0) or np.any(ids >= table.shape[0]):
         raise ContractError(
@@ -439,7 +492,9 @@ def embedding(table: Tensor, ids: Array) -> Tensor:
 
     def backward(g: Array):
         dt = np.zeros_like(table.data)
-        np.add.at(dt, ids, g)
+        width = math.prod(table.shape[1:])
+        flat = (ids.reshape(-1, 1) * width + np.arange(width)).ravel()
+        np.add.at(dt.reshape(-1), flat, g.ravel())
         return (dt,)
 
     return _track("embedding", (table,), out, backward)

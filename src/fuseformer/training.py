@@ -659,11 +659,15 @@ def grad_check(seed: int, h: float, tol: float, max_coords: int | None,
 # ---------------------------------------------------------------------------
 
 def run_parallelism() -> int:
+    """``FUSEFORMER_THREADS`` (default 1), which must be a positive integer."""
     raw = os.environ.get("FUSEFORMER_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"FUSEFORMER_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def run_experiment(cfg: TrainConfig,

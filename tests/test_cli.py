@@ -305,6 +305,21 @@ def test_train_adapter_invalid_config_exits_2_without_traceback(
     assert not list(out.glob("*.ckpt"))
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+def test_fuseformer_threads_not_a_positive_integer_exits_2(
+        tmp_path, corpus_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("FUSEFORMER_THREADS", threads)
+    out = tmp_path / "run"
+    code = run_cli("train-adapter", "--task", "emotion", "--corpus", corpus_path,
+                   "--config", model_json(tmp_path), "--runs", 1, "--seed", 3,
+                   "--out", out, "--epochs", 1, "--batch-size", 10, "--max-len", 10)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: FUSEFORMER_THREADS") and repr(threads) in err
+    assert "Traceback" not in err
+    assert not list(out.glob("*.ckpt"))
+
+
 def adapter_checkpoint(tmp_path, meta):
     """A stage-1 emotion checkpoint of the model_json bank, with ``meta``
     (a function of the model dict) overriding its meta entries."""

@@ -91,17 +91,21 @@ def fusion_fixture(tasks, seed=5):
 
 
 def test_fusion_identical_values_make_alpha_irrelevant():
-    config, bank, h, _ = fusion_fixture(["a", "b", "c"])
-    shared = random_hidden(config, np.random.default_rng(9))
-    out, alpha = fusion_forward(bank.params, 0, h, [shared, shared, shared])
-    flat = shared.data.reshape(-1, config.hidden_size)
+    config, bank, h, outs = fusion_fixture(["a", "b", "c"])
+    for name in ("down.weight", "down.bias", "up.weight", "up.bias"):
+        for t in ("b", "c"):
+            bank.params.assign(f"adapters.{t}.0.{name}",
+                               bank.params[f"adapters.a.0.{name}"].data)
+    out, alpha = fusion_forward(bank.params, 0, h, ["a", "b", "c"])
+    np.testing.assert_allclose(alpha, 1.0 / 3.0, atol=1e-12)
+    flat = outs[0].data.reshape(-1, config.hidden_size)
     expected = (flat @ bank.params["fusion.0.value"].data).reshape(h.shape) + h.data
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
 def test_fusion_single_task_degenerates():
     config, bank, h, outs = fusion_fixture(["a"])
-    out, alpha = fusion_forward(bank.params, 0, h, outs)
+    out, alpha = fusion_forward(bank.params, 0, h, ["a"])
     assert np.all(alpha == 1.0)
     flat = outs[0].data.reshape(-1, config.hidden_size)
     expected = (flat @ bank.params["fusion.0.value"].data).reshape(h.shape) + h.data
@@ -109,8 +113,8 @@ def test_fusion_single_task_degenerates():
 
 
 def test_fusion_weights_form_simplex_at_every_position():
-    config, bank, h, outs = fusion_fixture(["a", "b", "c"], seed=6)
-    _, alpha = fusion_forward(bank.params, 0, h, outs)
+    config, bank, h, _ = fusion_fixture(["a", "b", "c"], seed=6)
+    _, alpha = fusion_forward(bank.params, 0, h, ["a", "b", "c"])
     assert alpha.shape == (2, 4, 3)
     assert np.all(alpha >= 0)
     np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-9)
@@ -123,10 +127,11 @@ def test_fusion_zero_tasks_contract():
 
 
 def test_fusion_misshaped_adapter_outputs_raise_shape_mismatch():
-    config, bank, h, outs = fusion_fixture(["a", "b"])
-    short = Tensor(np.ones((2, 3, config.hidden_size)))
-    with pytest.raises(ShapeMismatchError, match=r"\(2, 3, 8\).*\(2, 4, 8\)"):
-        fusion_forward(bank.params, 0, h, [outs[0], short])
+    config, bank, h, _ = fusion_fixture(["a", "b"])
+    # adapter b's up projection leaves the hidden size: [4, 3] for [4, 8]
+    bank.params["adapters.b.0.up.weight"].data = np.ones((4, 3))
+    with pytest.raises(ShapeMismatchError, match=r"\(4, 3\).*\(2, 4, 8\)"):
+        fusion_forward(bank.params, 0, h, ["a", "b"])
 
 
 @pytest.mark.parametrize("num_tasks", [1, 5])
@@ -145,7 +150,9 @@ def test_fusion_bank_records_one_fusion_mix_node_per_layer(num_tasks):
         seen.add(id(node))
         ops.append(node.op)
         todo.extend(t.node for t in node.inputs if t.node is not None)
-    assert ops.count("fusion_mix") == config.num_layers
+    # the adapters run inside the fusion node, so no adapter op is recorded
+    assert ops.count("adapter_fusion") == config.num_layers
+    assert "relu" not in ops
     assert "attention_weights" in ops  # the encoder's self-attention
     # every real token below the last layer, the [CLS] rows in it
     assert {i: w.shape for i, w in bank.fusion_weights().items()} \
@@ -156,15 +163,15 @@ def test_fusion_gradient_check():
     config, bank, h, _ = fusion_fixture(["a", "b"], seed=7)
     rng = np.random.default_rng(8)
     mix = T.constant(rng.uniform(-1, 1, h.shape))
+    h.requires_grad = True
 
     def loss_fn():
-        outs = [adapter_forward(bank.params, t, 0, h) for t in ("a", "b")]
-        out, _ = fusion_forward(bank.params, 0, h, outs)
+        out, _ = fusion_forward(bank.params, 0, h, ["a", "b"])
         return T.sum_all(T.mul(mix, out))
 
     params = [(n, bank.params[n]) for n in bank.params.names()
-              if n.startswith("fusion.")]
-    assert len(params) == 3
+              if n.startswith(("fusion.", "adapters."))] + [("h", h)]
+    assert len(params) == 3 + 2 * 4 + 1
     report = finite_difference_check(loss_fn, params, h=1e-5, tol=1e-4)
     assert report.passed, report.worst()
 
@@ -560,13 +567,13 @@ LINEARS = {
 # stage: (tape nodes reachable from the loss, the linear layers on them). The
 # frozen embeddings and layer 0 record no node in the adapter and fusion
 # stages, so only the trained adapters, fusion and layer 1 reach the tape.
+# In the fusion stage each layer's adapters run inside its adapter_fusion
+# node, so no adapter linear is a matmul node.
 TAPES = {
     "finetune": (53, LINEARS["encoder"] + LINEARS["head"]),
     "adapter": (38, ["adapters.t.0.down", "adapters.t.0.up"] + LINEARS["encoder"][6:]
                 + ["adapters.t.1.down", "adapters.t.1.up"] + LINEARS["head"]),
-    "fusion": (42, LINEARS["encoder"][6:] + [f"adapters.{t}.1.{p}" for t in "tu"
-                                             for p in ("down", "up")]
-               + LINEARS["head"]),
+    "fusion": (34, LINEARS["encoder"][6:] + LINEARS["head"]),
 }
 
 

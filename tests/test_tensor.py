@@ -1,6 +1,7 @@
 """Autodiff core: op-level gradient checks against central finite
 differences, tape semantics, and the verification harness itself."""
 
+import functools
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from fuseformer import tensor as T
 from fuseformer.errors import ContractError, ShapeMismatchError
+from fuseformer.fusion import adapter_forward
 from fuseformer.tensor import (Tensor, backward, finite_difference_check,
                                relative_error)
 
@@ -164,6 +166,12 @@ ELEMENTWISE_CASES = [
      lambda a: T.gather_rows(a, np.array([0, 2, 3, 5]))),
     ("scatter_rows", lambda r: (Tensor(r.uniform(-2, 2, (4, 3)), requires_grad=True),),
      lambda a: T.scatter_rows(a, np.array([1, 2, 4, 5]), (2, 3))),
+    # h, then two adapters' [4, 2], [2], [2, 4] and [4] weights, then W_Q/K/V
+    ("adapter_fusion", lambda r: tuple(
+        Tensor(r.uniform(-1, 1, s), requires_grad=True)
+        for s in [(2, 3, 4)] + [(4, 2)] * 2 + [(2,)] * 2 + [(2, 4)] * 2 + [(4,)] * 2
+        + [(4, 4)] * 3),
+     lambda h, *w: T.adapter_fusion(h, w[0:2], w[2:4], w[4:6], w[6:8], *w[8:])[0]),
 ]
 
 
@@ -189,9 +197,6 @@ MORE_OP_CASES = [
                                   for _ in range(3)),
      lambda q, k, v: T.attend(T.attention_weights(q, k, 2, 0.5,
                                                   np.array([[1, 1, 0], [1, 1, 1]])), v)),
-    ("fusion_mix", lambda r: tuple(Tensor(r.uniform(-1, 1, s), requires_grad=True)
-                                   for s in [(2, 3, 4)] * 3 + [(4, 4)] * 3),
-     lambda h, z0, z1, wq, wk, wv: T.fusion_mix(h, [z0, z1], wq, wk, wv)[0]),
     ("sum", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),),
      lambda a: T.sum_all(a)),
 ]
@@ -211,9 +216,10 @@ def test_ops_and_their_backwards_keep_the_input_dtype(name, make, apply, dtype):
 
 
 def test_fusion_mix_weights_keep_the_input_dtype():
-    h, zs, ws, _ = fusion_mix_leaves(3, seed=61)
+    h, adapters, ws, _ = adapter_fusion_leaves(3, seed=61)
     to32 = lambda t: Tensor(t.data.astype(np.float32))  # noqa: E731
-    _, alpha = T.fusion_mix(to32(h), [to32(z) for z in zs], *map(to32, ws))
+    _, alpha = T.adapter_fusion(to32(h), *([to32(t) for t in a] for a in adapters),
+                                *map(to32, ws))
     assert alpha.dtype == np.float32
 
 
@@ -244,6 +250,21 @@ def test_embedding_gradient_scatter_adds():
     expected[0] = 1.0
     expected[2] = 2.0  # looked up twice
     np.testing.assert_array_equal(table.grad, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_backward_is_bit_identical_to_a_row_scatter(dtype):
+    # the desk token, position and segment tables, each looked up by 340
+    # ids with many repeats
+    rng = np.random.default_rng(63)
+    for rows in (600, 32, 2):
+        table = Tensor(rng.normal(size=(rows, 64)).astype(dtype), requires_grad=True)
+        ids = rng.integers(0, rows, 340)
+        g = rng.normal(size=(340, 64)).astype(dtype)
+        (got,) = T.embedding(table, ids).node.backward_fn(g)
+        want = np.zeros_like(table.data)
+        np.add.at(want, ids, g)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_embedding_id_out_of_range():
@@ -328,7 +349,7 @@ ATTENTION_SHAPES = {
     "encoder": dict(q=(2, 4, 8), kv=(2, 4, 8), heads=2, scale=0.5,
                     mask=np.array([[1, 1, 1, 0], [1, 1, 1, 1]])),
     # one query per row over 5 keys, single head, unscaled, no mask
-    # (fusion_mix is checked against this shape below)
+    # (adapter_fusion is checked against this shape below)
     "fusion": dict(q=(2, 3, 1, 4), kv=(2, 3, 5, 4), heads=1, scale=1.0,
                    mask=None),
 }
@@ -381,19 +402,26 @@ def test_attention_shape_errors():
 
 
 # ---------------------------------------------------------------------------
-# fusion_mix
+# the fusion mix: adapter_fusion, T adapters and the fusion attention in one op
 # ---------------------------------------------------------------------------
 
-def fusion_mix_leaves(num_adapters, seed, shape=(2, 3, 4)):
+ADAPTER_PARTS = ("down.weight", "down.bias", "up.weight", "up.bias")
+
+
+def adapter_fusion_leaves(num_adapters, seed, shape=(2, 3, 4), width=2):
+    """h, the four per-adapter weight lists (down/up weights and biases),
+    the W_Q/W_K/W_V weights and a mixing constant."""
     rng = np.random.default_rng(seed)
     hidden = shape[-1]
     h = Tensor(rng.uniform(-2, 2, shape), requires_grad=True, name="h")
-    zs = [Tensor(rng.uniform(-2, 2, shape), requires_grad=True, name=f"z{t}")
-          for t in range(num_adapters)]
+    part_shapes = ((hidden, width), (width,), (width, hidden), (hidden,))
+    adapters = [[Tensor(rng.uniform(-1, 1, s), requires_grad=True, name=f"{t}.{part}")
+                 for t in range(num_adapters)]
+                for part, s in zip(ADAPTER_PARTS, part_shapes)]
     ws = [Tensor(rng.uniform(-1, 1, (hidden, hidden)), requires_grad=True, name=n)
           for n in ("w_q", "w_k", "w_v")]
     mix = T.constant(rng.uniform(-1, 1, shape))
-    return h, zs, ws, mix
+    return h, adapters, ws, mix
 
 
 def attention_reference(h, zs, ws, mix):
@@ -416,74 +444,109 @@ def attention_reference(h, zs, ws, mix):
             [w.grad for w in (w_q, w_k, w_v)])
 
 
+def adapter_fusion_reference(h, adapters, ws, mix):
+    """T separate ``adapter_forward`` calls, then ``attention_reference``.
+    The gradients of h and the adapter weights are the z_t gradients carried
+    back through the adapters (a vector-Jacobian product) plus, for h, its
+    gradient as the query. Returns the output, the weights and the gradients
+    of h, of each adapter weight (in ``adapters`` order) and of W_Q/K/V."""
+    store = T.ParameterStore(np.float64)
+    for part, tensors in zip(ADAPTER_PARTS, adapters):
+        for t, leaf in enumerate(tensors):
+            store.add(f"adapters.{t}.0.{part}", leaf.data)
+    h_in = Tensor(h.data.copy(), requires_grad=True)
+    zs = [adapter_forward(store, str(t), 0, h_in) for t in range(len(adapters[0]))]
+    out, alpha, dh, dzs, dws = attention_reference(h, zs, ws, mix)
+    backward(functools.reduce(T.add, (T.sum_all(T.mul(T.constant(dz), z))
+                                      for dz, z in zip(dzs, zs))))
+    grads = [[store[f"adapters.{t}.0.{part}"].grad for t in range(len(tensors))]
+             for part, tensors in zip(ADAPTER_PARTS, adapters)]
+    return out, alpha, dh + h_in.grad, grads, dws
+
+
 @pytest.mark.parametrize("num_adapters", [1, 5])
 def test_fusion_mix_passes_finite_difference_check(num_adapters):
-    h, zs, ws, mix = fusion_mix_leaves(num_adapters, seed=40 + num_adapters)
-    leaves = [h, *zs, *ws]
+    h, adapters, ws, mix = adapter_fusion_leaves(num_adapters, seed=40 + num_adapters)
+    leaves = [h, *(t for a in adapters for t in a), *ws]
     report = finite_difference_check(
-        lambda: T.sum_all(T.mul(mix, T.fusion_mix(h, zs, *ws)[0])),
+        lambda: T.sum_all(T.mul(mix, T.adapter_fusion(h, *adapters, *ws)[0])),
         [(t.name, t) for t in leaves], tol=1e-4)
-    assert len(report.blocks) == num_adapters + 4
+    assert len(report.blocks) == 4 * num_adapters + 4
     assert report.passed, report.worst()
 
 
 @pytest.mark.parametrize("num_adapters", [1, 5])
 def test_fusion_mix_matches_attention_reference(num_adapters):
-    h, zs, ws, mix = fusion_mix_leaves(num_adapters, seed=50 + num_adapters)
-    out, alpha = T.fusion_mix(h, zs, *ws)
+    h, adapters, ws, mix = adapter_fusion_leaves(num_adapters, seed=50 + num_adapters)
+    out, alpha = T.adapter_fusion(h, *adapters, *ws)
     backward(T.sum_all(T.mul(mix, out)))
-    ref_out, ref_alpha, ref_dh, ref_dzs, ref_dws = attention_reference(h, zs, ws, mix)
+    ref_out, ref_alpha, ref_dh, ref_da, ref_dws = adapter_fusion_reference(
+        h, adapters, ws, mix)
     assert alpha.shape == h.shape[:-1] + (num_adapters,)
     np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
     np.testing.assert_allclose(alpha, ref_alpha, rtol=0, atol=1e-12)
     np.testing.assert_allclose(h.grad, ref_dh, rtol=0, atol=1e-12)
-    for z, ref_dz in zip(zs, ref_dzs):
-        np.testing.assert_allclose(z.grad, ref_dz, rtol=0, atol=1e-12)
+    for tensors, ref_grads in zip(adapters, ref_da):
+        for leaf, ref_grad in zip(tensors, ref_grads):
+            np.testing.assert_allclose(leaf.grad, ref_grad, rtol=0, atol=1e-12,
+                                       err_msg=leaf.name)
     for w, ref_dw in zip(ws, ref_dws):
         np.testing.assert_allclose(w.grad, ref_dw, rtol=0, atol=1e-12)
 
 
 def test_fusion_mix_under_no_grad_records_no_node():
-    h, zs, ws, _ = fusion_mix_leaves(3, seed=60)
-    taped, taped_alpha = T.fusion_mix(h, zs, *ws)
-    assert taped.node is not None and taped.node.op == "fusion_mix"
-    assert taped.node.inputs == (h, *zs, *ws)
+    h, adapters, ws, _ = adapter_fusion_leaves(3, seed=60)
+    taped, taped_alpha = T.adapter_fusion(h, *adapters, *ws)
+    assert taped.node is not None and taped.node.op == "adapter_fusion"
+    assert taped.node.inputs == (h, *(t for a in adapters for t in a), *ws)
     with T.no_grad():
-        out, alpha = T.fusion_mix(h, zs, *ws)
+        out, alpha = T.adapter_fusion(h, *adapters, *ws)
     assert out.node is None
     np.testing.assert_array_equal(out.data, taped.data)
     np.testing.assert_array_equal(alpha, taped_alpha)
 
 
 def test_fusion_mix_backward_skips_inputs_that_need_no_gradient():
-    h, zs, ws, mix = fusion_mix_leaves(3, seed=62)
+    h, adapters, ws, mix = adapter_fusion_leaves(3, seed=62)
     g = mix.data
-    full = T.fusion_mix(h, zs, *ws)[0].node.backward_fn(g)
-    frozen = [T.constant(t.data) for t in (h, *zs)]
-    grads = T.fusion_mix(frozen[0], frozen[1:], *ws)[0].node.backward_fn(g)
-    assert grads[:4] == (None,) * 4
-    for got, want in zip(grads[4:], full[4:]):
+    full = T.adapter_fusion(h, *adapters, *ws)[0].node.backward_fn(g)
+    # stage 2 at layer 0: h and every adapter frozen, only W_Q/K/V trained
+    frozen_h = T.constant(h.data)
+    frozen = [[T.constant(t.data) for t in a] for a in adapters]
+    grads = T.adapter_fusion(frozen_h, *frozen, *ws)[0].node.backward_fn(g)
+    assert grads[:13] == (None,) * 13
+    for got, want in zip(grads[13:], full[13:]):
         np.testing.assert_array_equal(got, want)
-    # an input with a node of its own still gets its gradient
-    taped_z = T.scale(zs[1], 1.0)
-    grads = T.fusion_mix(frozen[0], [frozen[1], taped_z, frozen[3]], *ws)[0] \
-        .node.backward_fn(g)
-    assert grads[0] is None and grads[1] is None and grads[3] is None
-    np.testing.assert_array_equal(grads[2], full[2])
+    # stage 2 above layer 0: h has a node of its own and gets its gradient
+    grads = T.adapter_fusion(T.scale(h, 1.0), *frozen, *ws)[0].node.backward_fn(g)
+    assert grads[1:13] == (None,) * 12
+    for got, want in zip(grads[:1] + grads[13:], full[:1] + full[13:]):
+        np.testing.assert_array_equal(got, want)
+    # one trained adapter weight among frozen ones
+    frozen[2][1] = adapters[2][1]  # adapter 1's up weight
+    grads = T.adapter_fusion(frozen_h, *frozen, *ws)[0].node.backward_fn(g)
+    assert [i for i, gi in enumerate(grads) if gi is not None] == [8, 13, 14, 15]
+    np.testing.assert_array_equal(grads[8], full[8])
 
 
 def test_fusion_mix_shape_errors_name_both_shapes():
-    h, zs, ws, _ = fusion_mix_leaves(2, seed=61)
+    h, adapters, ws, _ = adapter_fusion_leaves(2, seed=61)
     with pytest.raises(ContractError):
-        T.fusion_mix(h, [], *ws)
-    with pytest.raises(ShapeMismatchError, match=r"\(2, 3, 5\).*\(2, 3, 4\)"):
-        T.fusion_mix(h, [zs[0], T.constant(np.ones((2, 3, 5)))], *ws)
+        T.adapter_fusion(h, [], [], [], [], *ws)
+    with pytest.raises(ContractError, match="2 down weights but 1 down biases"):
+        T.adapter_fusion(h, adapters[0], adapters[1][:1], *adapters[2:], *ws)
+    # adapter 1 has a bottleneck of 3 where adapter 0 has 2
+    wide = [T.constant(np.ones((4, 3))), T.constant(np.ones(3)),
+            T.constant(np.ones((3, 4))), T.constant(np.ones(4))]
+    mixed = [[a[0], w] for a, w in zip(adapters, wide)]
+    with pytest.raises(ShapeMismatchError, match=r"\(4, 3\).*\(2, 3, 4\).*bottleneck 2"):
+        T.adapter_fusion(h, *mixed, *ws)
     with pytest.raises(ShapeMismatchError, match=r"\(4, 3\).*\(2, 3, 4\)"):
-        T.fusion_mix(h, zs, ws[0], T.constant(np.ones((4, 3))), ws[2])
+        T.adapter_fusion(h, *adapters, ws[0], T.constant(np.ones((4, 3))), ws[2])
 
 
 # ---------------------------------------------------------------------------
-# softmax properties (of the kernel that attention_weights and fusion_mix run)
+# softmax properties (of the kernel that attention_weights and adapter_fusion run)
 # ---------------------------------------------------------------------------
 
 def test_softmax_symmetry():
