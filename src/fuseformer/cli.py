@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import Callable
 
 from .data import (DEFAULT_CLASS_PRIORS, EMOTIONS, Splits, Vocabulary,
                    build_vocab, class_statistics, load_corpus, make_batches,
@@ -25,7 +26,7 @@ from .errors import (CheckpointError, ConfigError, ContractError, CorpusError,
 from .fusion import STAGES, count_parameters
 from .losses import pos_weights
 from .metrics import MetricsReport
-from .training import (TaskSpec, TrainConfig, bank_from_checkpoint,
+from .training import (TaskSpec, TrainConfig, TrainResult, bank_from_checkpoint,
                        config_from_meta, evaluate_model, grad_check,
                        load_checkpoint, run_experiment, save_checkpoint, seeded,
                        train_adapter, train_fusion)
@@ -159,6 +160,42 @@ def _report_body(report: MetricsReport, cfg: TrainConfig,
             "config": {"train": cfg.to_dict(), "model": asdict(model_config)}}
 
 
+def _result_body(result: TrainResult, cfg: TrainConfig) -> dict:
+    body = {**_report_body(result.test_report or result.val_report, cfg,
+                           result.bank.config),
+            "history": result.history, "best_epoch": result.best_epoch}
+    if result.audit:
+        body["audit"] = result.audit
+    return body
+
+
+def _train_seeds(cfg: TrainConfig, train: Callable[[TrainConfig], TrainResult],
+                 out: Path, checkpoint: str, report: str,
+                 aggregate: str) -> dict[int, TrainResult]:
+    """Train seeds ``cfg.seed`` .. ``cfg.seed + runs - 1`` through
+    ``run_experiment`` and write each seed's ``<checkpoint>-seed<s>.ckpt`` and
+    ``<report>-seed<s>.json``, the base seed's ``<checkpoint>.ckpt`` and the
+    ``<aggregate>.json`` over all seeds. Returns the results by seed."""
+    out.mkdir(parents=True, exist_ok=True)
+    results: dict[int, TrainResult] = {}
+
+    def run(seed: int) -> MetricsReport:
+        result = results[seed] = train(seeded(cfg, seed))
+        return result.test_report or result.val_report
+
+    _, summary = run_experiment(cfg, run)
+    for seed, result in sorted(results.items()):
+        save_checkpoint(result.checkpoint, out / f"{checkpoint}-seed{seed}.ckpt")
+        _write_json(out / f"{report}-seed{seed}.json",
+                    _result_body(result, seeded(cfg, seed)))
+    base = results[cfg.seed]
+    save_checkpoint(base.checkpoint, out / f"{checkpoint}.ckpt")
+    _write_json(out / f"{aggregate}.json",
+                {**_report_body(summary, cfg, base.bank.config), "runs": cfg.runs})
+    print(summary.text_table())
+    return results
+
+
 def cmd_train_adapter(args) -> int:
     cfg = _resolve_train_config(args)
     task = _task_spec(args.task, cfg)
@@ -166,32 +203,9 @@ def cmd_train_adapter(args) -> int:
     splits = _splits(args, args.task)
     vocab = Vocabulary.load(args.vocab) if args.vocab else \
         build_vocab(splits.train, cfg.vocab_size)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    results = {}
-
-    def run(seed: int):
-        result = train_adapter(task, splits, model_config, seeded(cfg, seed),
-                               vocab=vocab)
-        results[seed] = result
-        return result.test_report if result.test_report else result.val_report
-
-    reports, aggregate = run_experiment(cfg, run)
-    for seed, result in sorted(results.items()):
-        save_checkpoint(result.checkpoint,
-                        out / f"adapter-{task.name}-seed{seed}.ckpt")
-        _write_json(out / f"report-{task.name}-seed{seed}.json",
-                    {**_report_body(results[seed].test_report or
-                                    results[seed].val_report, seeded(cfg, seed),
-                                    model_config),
-                     "history": results[seed].history,
-                     "best_epoch": results[seed].best_epoch})
-    base = results[cfg.seed]
-    save_checkpoint(base.checkpoint, out / f"adapter-{task.name}.ckpt")
-    _write_json(out / f"aggregate-{task.name}.json",
-                {**_report_body(aggregate, cfg, model_config),
-                 "runs": cfg.runs})
-    print(aggregate.text_table())
+    _train_seeds(cfg, lambda c: train_adapter(task, splits, model_config, c, vocab=vocab),
+                 Path(args.out), f"adapter-{task.name}", f"report-{task.name}",
+                 f"aggregate-{task.name}")
     return EXIT_OK
 
 
@@ -201,18 +215,14 @@ def cmd_train_fusion(args) -> int:
     checkpoints = [load_checkpoint(p) for p in args.adapters]
     splits = _splits(args, args.task)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    result = train_fusion(task, checkpoints, splits, cfg)
-    ok = all(entry["frozen"] for entry in result.audit.values())
-    save_checkpoint(result.checkpoint, out / f"fusion-{task.name}.ckpt")
+    results = _train_seeds(cfg, lambda c: train_fusion(task, checkpoints, splits, c),
+                           out, f"fusion-{task.name}", f"fusion-report-{task.name}",
+                           f"fusion-aggregate-{task.name}")
     _write_json(out / f"fusion-report-{task.name}.json",
-                {**_report_body(result.test_report or result.val_report,
-                                cfg, result.bank.config),
-                 "history": result.history, "audit": result.audit})
+                _result_body(results[cfg.seed], cfg))
+    ok = all(entry["frozen"] for result in results.values()
+             for entry in result.audit.values())
     print("FROZEN OK" if ok else "FROZEN VIOLATION")
-    if result.test_report:
-        print(result.test_report.text_table())
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -302,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus", required=True)
         p.add_argument("--val-corpus")
         p.add_argument("--test-corpus")
-        p.add_argument("--vocab", help="shared vocabulary file")
         p.add_argument("--task", required=True, choices=sorted(TASK_TABLE))
         p.add_argument("--loss", choices=["bce", "weighted_bce", "focal"])
         p.add_argument("--runs", type=int)
@@ -335,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-adapter", help="stage 1: task adapter + head")
     common_train(p)
+    p.add_argument("--vocab", help="shared vocabulary file")
     p.set_defaults(fn=cmd_train_adapter)
 
     p = sub.add_parser("train-fusion", help="stage 2: fusion + target head")

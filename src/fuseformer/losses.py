@@ -1,13 +1,15 @@
 """Classification heads and the loss family: plain BCE, positive-weighted
 BCE for class imbalance, multi-label focal loss, and 7-way cross-entropy.
 
-Targets, positive weights and other constants take the dtype of the
-logits, so a float32 model gets a float32 loss and gradient.
+Each loss is one ``scalar_loss`` tape node: its value is computed in numpy
+from the logits and its gradient in closed form. Targets, positive weights
+and other constants take the dtype of the logits, so a float32 model gets a
+float32 loss and gradient.
 
-All BCE variants run through the fused stable log-sigmoid form, so extreme
-logits never overflow. The positive weight w_c = negatives_c / positives_c
-multiplies only the positive term: with more negatives than positives it
-pushes recall up, and precision in the opposite situation.
+All BCE variants use the stable log-sigmoid form, so extreme logits never
+overflow. The positive weight w_c = negatives_c / positives_c multiplies
+only the positive term: with more negatives than positives it pushes recall
+up, and precision in the opposite situation.
 """
 
 from __future__ import annotations
@@ -92,29 +94,46 @@ def _check_binary_targets(logits: Tensor, targets: np.ndarray) -> np.ndarray:
     return targets.astype(logits.data.dtype, copy=False)
 
 
-def _reduce(total_neg_sum: Tensor, batch_size: int, reduction: str) -> Tensor:
+def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
+    # separate branches so exp never sees a large positive argument
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _log_sigmoid(x: np.ndarray) -> np.ndarray:
+    """log(sigmoid(x)) = min(x, 0) - log1p(exp(-|x|)), finite for every
+    finite x."""
+    return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+
+
+def _coefficient(batch_size: int, reduction: str) -> float:
+    """c in L = c * (sum over elements): 1/B for "batch-mean", 1 for "sum"."""
     if reduction == "batch-mean":
-        return T.scale(total_neg_sum, 1.0 / batch_size)
+        return 1.0 / batch_size
     if reduction == "sum":
-        return total_neg_sum
+        return 1.0
     raise ContractError(f"unknown reduction {reduction!r}")
 
 
 def weighted_bce(logits: Tensor, targets: np.ndarray, weights: PosWeights,
                  reduction: str = "batch-mean") -> Tensor:
     """Sum over classes of -[w_c y log sigma(x) + (1-y) log sigma(-x)],
-    then mean over the batch (or a plain double sum with reduction="sum")."""
+    then mean over the batch (or a plain double sum with reduction="sum").
+    dL/dx = c [(1-y) sigma(x) - w_c y sigma(-x)]."""
     y = _check_binary_targets(logits, targets)
     w = np.asarray(weights.w, dtype=y.dtype)
     if w.shape != (logits.shape[-1],):
         raise ContractError(
             f"weights length {w.shape} does not match {logits.shape[-1]} classes")
-    coef_pos = T.constant(w * y)
-    coef_neg = T.constant(1.0 - y)
-    pos_term = T.mul(coef_pos, T.log_sigmoid(logits))
-    neg_term = T.mul(coef_neg, T.log_sigmoid(T.neg(logits)))
-    total = T.neg(T.sum_all(T.add(pos_term, neg_term)))
-    return _reduce(total, logits.shape[0], reduction)
+    c = _coefficient(logits.shape[0], reduction)
+    x, wy = logits.data, w * y
+    value = -np.sum(wy * _log_sigmoid(x) + (1.0 - y) * _log_sigmoid(-x)) * c
+    return T.scalar_loss(logits, value, lambda: (
+        c * (1.0 - y) * _sigmoid_stable(x) - c * wy * _sigmoid_stable(-x)))
 
 
 def bce(logits: Tensor, targets: np.ndarray,
@@ -128,25 +147,32 @@ def focal_multilabel(logits: Tensor, targets: np.ndarray, gamma: float = 2.0,
                      alpha: float | None = None,
                      reduction: str = "batch-mean") -> Tensor:
     """-alpha_t (1 - p_t)^gamma log(p_t) per element, p_t = sigma(x) when
-    y = 1 and 1 - sigma(x) otherwise; gamma = 0 recovers plain BCE."""
+    y = 1 and 1 - sigma(x) otherwise; gamma = 0 recovers plain BCE.
+
+    With s = 2y - 1, t = s x and q = sigma(-t) = 1 - p_t, the gradient is
+    dL/dx = -c alpha_t s q^gamma (q - gamma (1 - q) log sigma(t)), which
+    raises q to no negative power, so it stays finite when q underflows."""
     if gamma < 0:
         raise ContractError(f"gamma must be nonnegative, got {gamma}")
     if alpha is not None and not 0.0 < alpha <= 1.0:
         raise ContractError(f"alpha must lie in (0, 1], got {alpha}")
     y = _check_binary_targets(logits, targets)
-    sign = T.constant(2.0 * y - 1.0)
-    t = T.mul(sign, logits)                       # log p_t = log sigma(t)
-    damp = T.pow_const(T.sigmoid(T.neg(t)), gamma)  # (1 - p_t)^gamma
-    elems = T.mul(damp, T.log_sigmoid(t))
-    if alpha is not None:
-        elems = T.mul(T.constant(alpha * y + (1.0 - alpha) * (1.0 - y)), elems)
-    total = T.neg(T.sum_all(elems))
-    return _reduce(total, logits.shape[0], reduction)
+    c = _coefficient(logits.shape[0], reduction)
+    sign = 2.0 * y - 1.0
+    t = sign * logits.data
+    q = _sigmoid_stable(-t)
+    damp = q ** float(gamma)
+    log_p = _log_sigmoid(t)
+    a = 1.0 if alpha is None else alpha * y + (1.0 - alpha) * (1.0 - y)
+    value = -np.sum(a * (damp * log_p)) * c
+    return T.scalar_loss(logits, value, lambda: (
+        -c * a * sign * damp * (q - gamma * (1.0 - q) * log_p)))
 
 
 def cross_entropy_7(logits: Tensor, target_ids: np.ndarray,
                     reduction: str = "batch-mean") -> Tensor:
-    """Mean over the batch of -log softmax(logits)[target]."""
+    """Mean over the batch of -log softmax(logits)[target];
+    dL/dx = c (softmax(x) - onehot)."""
     ids = np.asarray(target_ids)
     k = logits.shape[-1]
     if ids.shape != (logits.shape[0],):
@@ -154,11 +180,13 @@ def cross_entropy_7(logits: Tensor, target_ids: np.ndarray,
             f"target ids shape {ids.shape} does not match batch {logits.shape[0]}")
     if np.any(ids < 0) or np.any(ids >= k):
         raise ContractError(f"target id out of range [0, {k})")
+    c = _coefficient(logits.shape[0], reduction)
     onehot = np.zeros(logits.shape, dtype=logits.data.dtype)
     onehot[np.arange(len(ids)), ids] = 1.0
-    picked = T.mul(T.log_softmax(logits, axis=1), T.constant(onehot))
-    total = T.neg(T.sum_all(picked))
-    return _reduce(total, logits.shape[0], reduction)
+    shifted = logits.data - np.max(logits.data, axis=1, keepdims=True)
+    log_p = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    value = -np.sum(log_p * onehot) * c
+    return T.scalar_loss(logits, value, lambda: np.exp(log_p) * c - c * onehot)
 
 
 LOSS_NAMES = ("bce", "weighted_bce", "focal")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import EMOTIONS
 from .errors import ContractError
-from .tensor import _sigmoid_stable
+from .losses import _sigmoid_stable
 
 # Keys of ``MetricsReport.overall`` for each task kind.
 OVERALL_METRICS = {"multilabel-6": ("mean_accuracy", "weighted_f1"),

@@ -9,9 +9,10 @@ Every differentiable operation records a node holding its inputs and a
 backward closure. ``backward`` orders the graph below a scalar root
 topologically and replays it in reverse, accumulating gradients with ``+=``
 across shared subexpressions. Inside ``no_grad`` nothing is recorded.
-Elementwise broadcasting is deliberately restricted to scalar-vs-tensor
-and equal shapes; ``matmul``, ``layer_norm``, the attention ops and
-``adapter_fusion`` act on the last axes and accept any leading dims.
+``add`` takes equal shapes only; ``matmul``, ``layer_norm``, the attention
+ops and ``adapter_fusion`` act on the last axes and accept any leading dims.
+A loss is one ``scalar_loss`` node whose value and gradient its caller
+computes in closed form.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
 
-def constant(data) -> Tensor:
-    return Tensor(data)
-
-
 _THREAD = threading.local()
 
 
@@ -107,64 +104,13 @@ def _track(op: str, inputs: Sequence[Tensor], out_data: Array,
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops (scalar-vs-tensor and equal-shape broadcasting only)
+# elementwise ops
 # ---------------------------------------------------------------------------
 
-def _binary_shapes(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
-        return
-    raise ShapeMismatchError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-
-
-def _reduce_to(shape: tuple[int, ...], g: Array) -> Array:
-    # gradient of a size-1 operand broadcast against a full tensor
-    if g.shape == shape:
-        return g
-    return np.sum(g).reshape(shape) if math.prod(shape) == 1 else g.reshape(shape)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes("add", a, b)
-    out = a.data + b.data
-
-    def backward(g: Array):
-        return _reduce_to(a.shape, g), _reduce_to(b.shape, g)
-
-    return _track("add", (a, b), out, backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes("mul", a, b)
-    out = a.data * b.data
-
-    def backward(g: Array):
-        return _reduce_to(a.shape, g * b.data), _reduce_to(b.shape, g * a.data)
-
-    return _track("mul", (a, b), out, backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _track("neg", (a,), -a.data, lambda g: (-g,))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _track("scale", (a,), a.data * c, lambda g: (g * c,))
-
-
-def _sigmoid_stable(x: Array) -> Array:
-    # separate branches so exp never sees a large positive argument
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = _sigmoid_stable(a.data)
-    return _track("sigmoid", (a,), y, lambda g: (g * y * (1.0 - y),))
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    return _track("add", (a, b), a.data + b.data, lambda g: (g, g))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -196,27 +142,6 @@ def gelu(a: Tensor) -> Tensor:
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
 
     return _track("gelu", (a,), y, backward)
-
-
-def pow_const(a: Tensor, exponent: float) -> Tensor:
-    e = float(exponent)
-    y = a.data ** e
-
-    def backward(g: Array):
-        return (g * e * a.data ** (e - 1.0),) if e != 0.0 else (np.zeros_like(a.data),)
-
-    return _track("pow", (a,), y, backward)
-
-
-def log_sigmoid(a: Tensor) -> Tensor:
-    """Numerically stable log(sigmoid(x)) = min(x, 0) - log1p(exp(-|x|))."""
-    x = a.data
-    y = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-
-    def backward(g: Array):
-        return (g * _sigmoid_stable(-x),)
-
-    return _track("log_sigmoid", (a,), y, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +357,6 @@ def adapter_fusion(h: Tensor, w_down: Sequence[Tensor], b_down: Sequence[Tensor]
     return out_t, alpha.reshape(h.shape[:-1] + (tasks,))
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise ContractError(f"log_softmax: axis {axis} out of bounds for shape {x.shape}")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-    y = shifted - lse
-
-    def backward(g: Array):
-        sm = np.exp(y)
-        return (g - sm * np.sum(g, axis=axis, keepdims=True),)
-
-    return _track("log_softmax", (x,), y, backward)
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
     """Standardize over the last axis, then scale by gamma and shift by beta."""
     if eps <= 0:
@@ -545,13 +456,21 @@ def scatter_rows(x: Tensor, rows: Array, lead: tuple[int, ...]) -> Tensor:
     return _track("scatter_rows", (x,), out.reshape(*lead, hidden), backward)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    out = np.asarray(np.sum(x.data))
+# ---------------------------------------------------------------------------
+# losses
+# ---------------------------------------------------------------------------
 
-    def backward(g: Array):
-        return (np.broadcast_to(g, x.shape).copy(),)
-
-    return _track("sum", (x,), out, backward)
+def scalar_loss(x: Tensor, value, grad: Callable[[], Array]) -> Tensor:
+    """A scalar function of ``x`` as one tape node: the caller computes its
+    ``value`` and passes ``grad``, which returns dL/dx with the shape and
+    dtype of ``x``. Only ``backward`` calls ``grad``, so a forward that is
+    never differentiated computes no gradient. The output is a 0-d array in
+    the dtype of ``x``."""
+    out = np.asarray(value, dtype=x.data.dtype)
+    if out.shape != ():
+        raise ShapeMismatchError(f"scalar_loss: value must be a scalar, got shape "
+                                 f"{out.shape}")
+    return _track("scalar_loss", (x,), out, lambda g: (g * grad(),))
 
 
 # ---------------------------------------------------------------------------

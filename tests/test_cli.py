@@ -219,6 +219,95 @@ def test_train_fusion_moved_frozen_weight_exits_4(tmp_path, corpus_path, capsys,
         "encoder": False, "adapters.emotion": True, "adapters.sent2": True}
 
 
+def test_train_fusion_trains_every_seed(tmp_path, corpus_path, capsys):
+    cfg, out = train_two_adapters(tmp_path, corpus_path)
+    capsys.readouterr()
+    code = run_cli("train-fusion", "--task", "emotion", "--corpus", corpus_path,
+                   "--config", cfg, "--runs", 2, "--seed", 4, "--out", out,
+                   "--adapters", out / "adapter-emotion.ckpt",
+                   out / "adapter-sent2.ckpt", *TRAIN_FLAGS)
+    assert code == 0
+    assert "FROZEN OK" in capsys.readouterr().out
+    reports = {seed: json.loads((out / f"fusion-report-emotion-seed{seed}.json")
+                                .read_text()) for seed in (4, 5)}
+    assert {seed: r["config"]["train"]["seed"] for seed, r in reports.items()} \
+        == {4: 4, 5: 5}
+    for r in reports.values():
+        assert r["audit"] and all(entry["frozen"] for entry in r["audit"].values())
+    ckpts = [(out / f"fusion-emotion-seed{seed}.ckpt").read_bytes() for seed in (4, 5)]
+    assert ckpts[0] != ckpts[1]
+    # the unseeded checkpoint and report are the base seed's
+    assert (out / "fusion-emotion.ckpt").read_bytes() == ckpts[0]
+    assert strip_meta(out / "fusion-report-emotion.json") \
+        == strip_meta(out / "fusion-report-emotion-seed4.json")
+    agg = json.loads((out / "fusion-aggregate-emotion.json").read_text())
+    assert agg["runs"] == 2 and agg["config"]["train"]["runs"] == 2
+
+
+def test_train_fusion_moved_frozen_weight_in_one_seed_exits_4(
+        tmp_path, corpus_path, capsys, monkeypatch):
+    cfg, out = train_two_adapters(tmp_path, corpus_path)
+    fit = training.fit
+
+    def fit_then_move_in_seed_5(bank, task, splits, vocab, train_cfg):
+        result = fit(bank, task, splits, vocab, train_cfg)
+        if train_cfg.seed == 5:
+            bank.params["embeddings.token"].data[0, 0] += 1.0
+        return result
+
+    monkeypatch.setattr(training, "fit", fit_then_move_in_seed_5)
+    capsys.readouterr()
+    code = run_cli("train-fusion", "--task", "emotion", "--corpus", corpus_path,
+                   "--config", cfg, "--runs", 2, "--seed", 4, "--out", out,
+                   "--adapters", out / "adapter-emotion.ckpt",
+                   out / "adapter-sent2.ckpt", *TRAIN_FLAGS)
+    assert code == 4
+    assert "FROZEN VIOLATION" in capsys.readouterr().out
+    audits = {seed: json.loads((out / f"fusion-report-emotion-seed{seed}.json")
+                               .read_text())["audit"] for seed in (4, 5)}
+    assert audits[4]["encoder"]["frozen"] and not audits[5]["encoder"]["frozen"]
+
+
+def test_train_fusion_rejects_vocab_flag(tmp_path, corpus_path, capsys):
+    # the vocabulary comes from the adapter checkpoints
+    cfg = model_json(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train-fusion", "--task", "emotion", "--corpus", corpus_path,
+                "--config", cfg, "--vocab", tmp_path / "v.txt", "--out", tmp_path / "run",
+                "--adapters", tmp_path / "adapter-emotion.ckpt")
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --vocab" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_fuseformer_threads_2_matches_a_serial_run_byte_for_byte(
+        tmp_path, corpus_path, monkeypatch):
+    cfg = model_json(tmp_path)
+    outs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FUSEFORMER_THREADS", threads)
+        out = outs[threads] = tmp_path / f"threads{threads}"
+        for task in ("emotion", "sent2"):
+            assert run_cli("train-adapter", "--task", task, "--corpus", corpus_path,
+                           "--config", cfg, "--runs", 2, "--seed", 3, "--out", out,
+                           *TRAIN_FLAGS) == 0
+        assert run_cli("train-fusion", "--task", "emotion", "--corpus", corpus_path,
+                       "--config", cfg, "--runs", 2, "--seed", 4, "--out", out,
+                       "--adapters", out / "adapter-emotion.ckpt",
+                       out / "adapter-sent2.ckpt", *TRAIN_FLAGS) == 0
+    names = sorted(p.name for p in outs["1"].iterdir())
+    assert names == sorted(p.name for p in outs["2"].iterdir())
+    # (emotion, sent2, fusion) x seeds x (checkpoint, report)
+    assert len([n for n in names if "-seed" in n]) == 3 * 2 * 2
+    for name in names:
+        serial, threaded = outs["1"] / name, outs["2"] / name
+        if name.endswith(".json"):
+            assert strip_meta(serial) == strip_meta(threaded), name
+        else:
+            assert serial.read_bytes() == threaded.read_bytes(), name
+
+
 def test_train_fusion_checkpoint_missing_encoder_entry_exits_2(
         tmp_path, corpus_path, capsys):
     cfg, out = train_two_adapters(tmp_path, corpus_path)

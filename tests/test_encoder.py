@@ -15,7 +15,8 @@ from fuseformer.encoder import (ModelConfig, embed, encode,
 from fuseformer.errors import ConfigError, ContractError
 from fuseformer.fusion import AdapterBank
 from fuseformer.losses import head_forward
-from fuseformer.tensor import finite_difference_check
+from fuseformer.tensor import Tensor, finite_difference_check
+from probes import probe
 
 
 def tiny_config(**over):
@@ -152,11 +153,9 @@ def test_embed_gradient_wrt_tables():
     batch = make_batch(config, np.random.default_rng(4), b=2, l=4)
     tables = [(n, bank.params[n]) for n in
               ("embeddings.token", "embeddings.position", "embeddings.segment")]
-    mix = T.constant(np.random.default_rng(5).uniform(-1, 1,
-                                                      (2 * 4, config.hidden_size)))
+    mix = np.random.default_rng(5).uniform(-1, 1, (2 * 4, config.hidden_size))
     report = finite_difference_check(
-        lambda: T.sum_all(T.mul(mix, embed(config, bank.params, batch,
-                                           all_rows(batch)))),
+        lambda: probe(mix, embed(config, bank.params, batch, all_rows(batch))),
         tables, h=1e-5, tol=1e-4)
     assert report.passed, report.worst()
 
@@ -284,7 +283,7 @@ def test_layer_forward_matches_naive_numpy_oracle():
     np.testing.assert_allclose(got.data.reshape(want.shape), want, atol=1e-12)
     # packed rows: the oracle's real-token rows
     rows = np.flatnonzero(batch.attention_mask)
-    packed = encoder_layer_forward(config, bank.params, 0, T.constant(x.data[rows]),
+    packed = encoder_layer_forward(config, bank.params, 0, Tensor(x.data[rows]),
                                    batch.attention_mask, rows)
     np.testing.assert_allclose(packed.data,
                                want.reshape(-1, config.hidden_size)[rows], atol=1e-12)
@@ -376,12 +375,12 @@ def test_cls_only_last_layer_matches_full_sequence(stage, num_tasks, num_layers)
     # padded rows: lengths 6, 4 and 2 of 6
     batch = make_batch(config, rng, b=3, l=6,
                        mask_out=[(1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5)])
-    probe = T.constant(rng.uniform(-1, 1, (3, 6)))
+    mix = rng.uniform(-1, 1, (3, 6))
 
     def run(forward):
         bank.params.zero_grad()
         logits = forward()
-        T.backward(T.sum_all(T.mul(logits, probe)))
+        T.backward(probe(mix, logits))
         return logits.data, {n: t.grad for n, t in bank.params.items()}
 
     logits, grads = run(lambda: bank.forward(batch, "t"))
@@ -457,12 +456,11 @@ def test_encode_end_to_end_gradient_check():
     bank = make_bank(config, seed=26, dtype=np.float64)
     batch = make_batch(config, np.random.default_rng(27), b=2, l=4,
                        mask_out=[(0, 3)])
-    mix = T.constant(np.random.default_rng(28).uniform(
-        -1, 1, (2, config.hidden_size)))
+    mix = np.random.default_rng(28).uniform(-1, 1, (2, config.hidden_size))
 
     def loss_fn():
         cls_state = encode(config, bank.params, batch, None)
-        return T.sum_all(T.mul(mix, T.tanh(cls_state)))
+        return probe(mix, T.tanh(cls_state))
 
     params = [(n, t) for n, t in bank.params.items() if not n.startswith("heads.")]
     report = finite_difference_check(loss_fn, params, h=1e-5, tol=1e-4)

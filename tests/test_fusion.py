@@ -13,6 +13,7 @@ from fuseformer.fusion import (STAGES, AdapterBank, FusionSlot,
                                fusion_forward, group_of)
 from fuseformer.losses import PosWeights, weighted_bce
 from fuseformer.tensor import Tensor, finite_difference_check
+from probes import probe
 
 REFERENCE_TOTALS = {"finetune": 108.3e6, "fusion3": 132.8e6, "fusion5": 134.6e6}
 
@@ -66,12 +67,12 @@ def test_adapter_gradient_check_all_four_tensors():
     rng = np.random.default_rng(4)
     bank.params["adapters.t.0.up.weight"].data = rng.normal(0, 0.5, (4, 8))
     h = random_hidden(config, rng)
-    mix = T.constant(rng.uniform(-1, 1, h.shape))
+    mix = rng.uniform(-1, 1, h.shape)
     params = [(n, bank.params[n]) for n in bank.params.names()
               if n.startswith("adapters.t.0.")]
     assert len(params) == 4
     report = finite_difference_check(
-        lambda: T.sum_all(T.mul(mix, adapter_forward(bank.params, "t", 0, h))),
+        lambda: probe(mix, adapter_forward(bank.params, "t", 0, h)),
         params, h=1e-5, tol=1e-4)
     assert report.passed, report.worst()
 
@@ -162,12 +163,12 @@ def test_fusion_bank_records_one_fusion_mix_node_per_layer(num_tasks):
 def test_fusion_gradient_check():
     config, bank, h, _ = fusion_fixture(["a", "b"], seed=7)
     rng = np.random.default_rng(8)
-    mix = T.constant(rng.uniform(-1, 1, h.shape))
+    mix = rng.uniform(-1, 1, h.shape)
     h.requires_grad = True
 
     def loss_fn():
         out, _ = fusion_forward(bank.params, 0, h, ["a", "b"])
-        return T.sum_all(T.mul(mix, out))
+        return probe(mix, out)
 
     params = [(n, bank.params[n]) for n in bank.params.names()
               if n.startswith(("fusion.", "adapters."))] + [("h", h)]
@@ -243,12 +244,12 @@ def test_trimmed_batch_matches_max_len_batch(stage):
     trimmed = Batch(token_ids=full.token_ids[:, :width],
                     attention_mask=full.attention_mask[:, :width],
                     segment_ids=full.segment_ids[:, :width], labels=full.labels)
-    probe = Tensor(rng.uniform(-1, 1, (3, 6)))
+    mix = rng.uniform(-1, 1, (3, 6))
 
     def run(batch):
         bank.params.zero_grad()
         logits = bank.forward(batch, "t")
-        T.backward(T.sum_all(T.mul(logits, probe)))
+        T.backward(probe(mix, logits))
         return logits.data, {n: bank.params[n].grad for n in bank.params.trainable_names()}
 
     (logits_full, grads_full), (logits_trim, grads_trim) = run(full), run(trimmed)
@@ -570,10 +571,10 @@ LINEARS = {
 # In the fusion stage each layer's adapters run inside its adapter_fusion
 # node, so no adapter linear is a matmul node.
 TAPES = {
-    "finetune": (53, LINEARS["encoder"] + LINEARS["head"]),
-    "adapter": (38, ["adapters.t.0.down", "adapters.t.0.up"] + LINEARS["encoder"][6:]
+    "finetune": (45, LINEARS["encoder"] + LINEARS["head"]),
+    "adapter": (30, ["adapters.t.0.down", "adapters.t.0.up"] + LINEARS["encoder"][6:]
                 + ["adapters.t.1.down", "adapters.t.1.up"] + LINEARS["head"]),
-    "fusion": (34, LINEARS["encoder"][6:] + LINEARS["head"]),
+    "fusion": (26, LINEARS["encoder"][6:] + LINEARS["head"]),
 }
 
 

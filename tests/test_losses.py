@@ -6,15 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from fuseformer import tensor as T
 from fuseformer.data import ClassStats
 from fuseformer.encoder import ModelConfig
 from fuseformer.errors import ContractError
 from fuseformer.fusion import AdapterBank
-from fuseformer.losses import (PosWeights, bce, cross_entropy_7,
-                               focal_multilabel, head_forward, multilabel_loss,
-                               pos_weights, weighted_bce)
+from fuseformer.losses import (PosWeights, _log_sigmoid, _sigmoid_stable, bce,
+                               cross_entropy_7, focal_multilabel, head_forward,
+                               multilabel_loss, pos_weights, weighted_bce)
 from fuseformer.tensor import Tensor, backward, finite_difference_check
+from probes import probe
 
 LN2 = math.log(2.0)
 
@@ -66,10 +66,10 @@ def test_head_is_tanh_then_linear():
 def test_head_gradient_check_both_layers():
     bank = head_fixture(seed=5)
     cls_state = Tensor(np.random.default_rng(6).uniform(-1, 1, (2, 8)))
-    mix = T.constant(np.random.default_rng(7).uniform(-1, 1, (2, 6)))
+    mix = np.random.default_rng(7).uniform(-1, 1, (2, 6))
     params = [(n, bank.params[n]) for n in bank.groups["heads.t"]]
     report = finite_difference_check(
-        lambda: T.sum_all(T.mul(mix, head_forward(bank.params, "t", cls_state))),
+        lambda: probe(mix, head_forward(bank.params, "t", cls_state)),
         params, h=1e-5, tol=1e-4)
     assert report.passed, report.worst()
 
@@ -185,8 +185,18 @@ def test_weighted_bce_monotone_in_w():
 def test_stable_form_matches_naive_log_sigmoid():
     xs = np.linspace(-30, 30, 601)
     naive = -np.log(1.0 / (1.0 + np.exp(-xs)))
-    stable = -T.log_sigmoid(T.constant(xs)).data
-    np.testing.assert_allclose(stable, naive, atol=1e-10)
+    np.testing.assert_allclose(-_log_sigmoid(xs), naive, atol=1e-10)
+
+
+def test_sigmoid_symmetry_at_zero():
+    assert _sigmoid_stable(np.array([0.0]))[0] == 0.5
+
+
+def test_sigmoid_extreme_inputs_do_not_overflow():
+    with np.errstate(over="raise"):
+        out = _sigmoid_stable(np.array([-800.0, 800.0]))
+    assert out[0] == pytest.approx(0.0, abs=1e-300)
+    assert out[1] == 1.0
 
 
 def test_weighted_bce_gradient_matches_fd_scalar_probes():
@@ -312,6 +322,74 @@ def test_cross_entropy_gradient_check():
     report = finite_difference_check(lambda: cross_entropy_7(x, ids),
                                      [("x", x)], h=1e-5, tol=1e-5)
     assert report.passed, report.worst()
+
+
+# ---------------------------------------------------------------------------
+# every loss: one closed-form tape node
+# ---------------------------------------------------------------------------
+
+FIVE_WEIGHTS = PosWeights(w=np.array([0.7, 4.0, 1.0, 9.0, 2.5, 11.5]))
+LOSS_CASES = {
+    "bce": lambda x, y, r: bce(x, y, reduction=r),
+    "weighted_bce": lambda x, y, r: weighted_bce(x, y, FIVE_WEIGHTS, reduction=r),
+    "focal": lambda x, y, r: focal_multilabel(x, y, gamma=2.0, reduction=r),
+    "focal_alpha": lambda x, y, r: focal_multilabel(x, y, gamma=1.5, alpha=0.25,
+                                                    reduction=r),
+    "cross_entropy_7": lambda x, y, r: cross_entropy_7(x, y, reduction=r),
+}
+
+
+def loss_inputs(name, seed, dtype=np.float64):
+    """[4, 6] logits and 0/1 targets, or [4, 7] logits and class ids."""
+    rng = np.random.default_rng(seed)
+    classes = 7 if name == "cross_entropy_7" else 6
+    x = Tensor(rng.uniform(-3, 3, (4, classes)).astype(dtype), requires_grad=True)
+    if name == "cross_entropy_7":
+        return x, rng.integers(0, 7, 4)
+    return x, (rng.random((4, 6)) < 0.5).astype(float)
+
+
+@pytest.mark.parametrize("reduction", ["batch-mean", "sum"])
+@pytest.mark.parametrize("name", sorted(LOSS_CASES))
+def test_each_loss_is_one_scalar_loss_node_on_the_logits(name, reduction):
+    x, y = loss_inputs(name, seed=20)
+    loss = LOSS_CASES[name](x, y, reduction)
+    assert loss.shape == ()
+    assert loss.node.op == "scalar_loss"
+    assert len(loss.node.inputs) == 1 and loss.node.inputs[0] is x
+
+
+@pytest.mark.parametrize("reduction", ["batch-mean", "sum"])
+@pytest.mark.parametrize("name", sorted(LOSS_CASES))
+def test_loss_gradients_pass_finite_difference_check(name, reduction):
+    for seed in range(21, 26):
+        x, y = loss_inputs(name, seed)
+        report = finite_difference_check(lambda: LOSS_CASES[name](x, y, reduction),
+                                         [("x", x)], h=1e-5, tol=1e-6)
+        assert report.passed, report.worst()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(LOSS_CASES))
+def test_losses_keep_the_logits_dtype(name, dtype):
+    x, y = loss_inputs(name, seed=26, dtype=dtype)
+    loss = LOSS_CASES[name](x, y, "batch-mean")
+    backward(loss)
+    assert loss.data.dtype == dtype and x.grad.dtype == dtype
+
+
+@pytest.mark.parametrize("dtype,logit", [(np.float32, 120.0), (np.float64, 800.0)])
+def test_focal_gradient_is_finite_when_the_damping_underflows(dtype, logit):
+    # sigma(-t) underflows to 0; with gamma < 1 a gradient that raises it to
+    # gamma - 1 gave 0 * inf = nan
+    x = Tensor(np.array([[logit, -logit]], dtype=dtype), requires_grad=True)
+    y = np.array([[1.0, 0.0]])
+    for gamma in (0.25, 0.5):
+        x.grad = None
+        loss = focal_multilabel(x, y, gamma=gamma)
+        backward(loss)
+        assert scalar(loss) == 0.0
+        assert np.all(np.isfinite(x.grad)) and np.all(x.grad == 0.0), x.grad
 
 
 def test_multilabel_loss_dispatch():
