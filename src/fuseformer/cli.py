@@ -237,9 +237,10 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"corpus {args.corpus} is empty")
     cfg = (config_from_meta(TrainConfig, ckpt.meta, "train_config")
            if "train_config" in ckpt.meta else TrainConfig())
-    threshold = args.threshold if args.threshold is not None else cfg.threshold
+    if args.threshold is not None:
+        cfg = replace(cfg, threshold=args.threshold)
     batches = make_batches(corpus, vocab, cfg.max_len, task.kind, cfg.batch_size)
-    report = evaluate_model(bank, task, batches, threshold, split="eval",
+    report = evaluate_model(bank, task, batches, cfg.threshold, split="eval",
                             seed=cfg.seed)
     print(report.text_table())
     if args.out:

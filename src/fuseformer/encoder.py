@@ -196,23 +196,19 @@ def multi_head_attention(config: ModelConfig, params: ParameterStore,
     ``h`` [n, H] holds the rows at the flat positions ``rows`` of the [B, L]
     batch whose key mask is ``mask``; ``rows`` must cover every position
     the mask marks real. Queries are every row of ``h`` ([n, H] out) or,
-    given ``queries`` [B, H], one row per example ([B, H] out). Keys and
-    values come from every row of ``h``. Only the attention core sees the
-    padded [B, L, H] layout: ``scatter_rows`` builds it, ``gather_rows``
-    reads the query rows back. Masked key positions receive -1e9 before
-    softmax.
+    given ``queries`` [B, H], the [CLS] row of each example ([B, H] out).
+    Keys and values come from every row of ``h``. The q, k and v linears,
+    one ``tensor.attention`` node and the output linear: only that op sees
+    the padded [B, L, H] layout.
     """
     prefix = f"layers.{layer_idx}.attention"
     b, l = mask.shape
-    q_rows, q_lead = (rows, (b, l)) if queries is None else (np.arange(b), (b, 1))
-    q = linear(params, f"{prefix}.query", h if queries is None else queries)
-    k, v = (T.scatter_rows(linear(params, f"{prefix}.{name}", h), rows, (b, l))
-            for name in ("key", "value"))
-    weights = T.attention_weights(T.scatter_rows(q, q_rows, q_lead), k,
-                                  config.num_heads,
-                                  1.0 / math.sqrt(config.head_dim), mask)
+    q_rows = rows if queries is None else np.arange(b) * l
+    q, k, v = (linear(params, f"{prefix}.{name}", x) for name, x in (
+        ("query", h if queries is None else queries), ("key", h), ("value", h)))
     return linear(params, f"{prefix}.output",
-                  T.gather_rows(T.attend(weights, v), q_rows))
+                  T.attention(q, k, v, mask, rows, q_rows, config.num_heads,
+                              1.0 / math.sqrt(config.head_dim)))
 
 
 def encoder_layer_forward(config: ModelConfig, params: ParameterStore,

@@ -9,8 +9,9 @@ Every differentiable operation records a node holding its inputs and a
 backward closure. ``backward`` orders the graph below a scalar root
 topologically and replays it in reverse, accumulating gradients with ``+=``
 across shared subexpressions. Inside ``no_grad`` nothing is recorded.
-``add`` takes equal shapes only; ``matmul``, ``layer_norm``, the attention
-ops and ``adapter_fusion`` act on the last axes and accept any leading dims.
+``add`` takes equal shapes only; ``matmul``, ``layer_norm`` and
+``adapter_fusion`` act on the last axes and accept any leading dims;
+``attention`` takes packed [n, H] rows and alone builds a padded layout.
 A loss is one ``scalar_loss`` node whose value and gradient its caller
 computes in closed form.
 """
@@ -192,7 +193,7 @@ def _softmax_backward(y: Array, g: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# attention (shared by the encoder and the fusion layer)
+# attention over packed rows
 # ---------------------------------------------------------------------------
 
 _MASKED_SCORE = -1e9
@@ -204,53 +205,56 @@ def _split_heads(x: Array, heads: int) -> Array:
     return x.reshape(*lead, length, heads, hidden // heads).swapaxes(-3, -2)
 
 
-def _merge_heads(x: Array) -> Array:
-    """[..., heads, L, dh] -> [..., L, heads * dh]."""
-    *lead, heads, length, dh = x.shape
-    return x.swapaxes(-3, -2).reshape(*lead, length, heads * dh)
-
-
-def attention_weights(q: Tensor, k: Tensor, heads: int, scale: float,
-                      key_mask: Array | None = None) -> Tensor:
-    """softmax(scale * q k^T) per head: [..., Lq, H] x [..., Lk, H] ->
-    [..., heads, Lq, Lk]. ``key_mask`` is [..., Lk] with 0 marking keys
-    that receive a -1e9 score before the softmax; it broadcasts over heads
-    and queries."""
-    if (q.data.ndim < 2 or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]
-            or q.shape[-1] % heads != 0):
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: Array, rows: Array,
+              q_rows: Array, heads: int, scale: float) -> Tensor:
+    """Multi-head softmax(scale * q k^T) v over packed rows, as one node.
+    ``k`` and ``v`` [n, H] sit at the flat positions ``rows`` of a [B, L]
+    batch whose key mask ``mask`` gives the keys it marks 0 a -1e9 score
+    (``rows`` must cover every real one), and ``q`` [m, H] at the flat
+    positions ``q_rows``. Each query attends over its own batch row; returns
+    [m, H]. Inside, keys and values are laid out as [B, L, H] and each batch
+    row's queries, in order, as [B, Lq, H], where Lq is the most queries any
+    batch row has (1 when only the [CLS] rows query)."""
+    mask, rows, q_rows = np.asarray(mask), np.asarray(rows), np.asarray(q_rows)
+    if (mask.ndim != 2 or q.data.ndim != 2 or q.shape[:1] != q_rows.shape
+            or k.shape != rows.shape + q.shape[1:] or v.shape != k.shape
+            or q.shape[1] % heads != 0):
         raise ShapeMismatchError(
-            f"attention_weights: incompatible shapes {q.shape} and {k.shape} "
-            f"for {heads} heads")
-    qh, kh = _split_heads(q.data, heads), _split_heads(k.data, heads)
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    if key_mask is not None:
-        fill = (1.0 - np.asarray(key_mask, dtype=scores.dtype)) * _MASKED_SCORE
-        scores = scores + fill[..., None, None, :]
-    y = _softmax(scores)
+            f"attention: q {q.shape} at {q_rows.shape} positions, k {k.shape} and "
+            f"v {v.shape} at {rows.shape} positions, mask {mask.shape}, "
+            f"{heads} heads")
+    b, length = mask.shape
+    _check_rows("attention", rows, b * length)
+    _check_rows("attention", q_rows, b * length)
+    hidden = q.shape[1]
+    q_batch = q_rows // length
+    q_slot = np.arange(len(q_rows)) - np.searchsorted(q_batch, q_batch)
+    q_len = int(q_slot.max(initial=-1)) + 1
+    q_at, k_at = (q_batch, q_slot), (rows // length, rows % length)
+
+    def padded(x: Array, at: tuple[Array, Array], width: int) -> Array:
+        """Zeros [b, heads, width, dh] holding the rows of ``x`` at the
+        (batch row, slot) pairs ``at``."""
+        out = np.zeros((b, width, hidden), dtype=x.dtype)
+        out[at] = x
+        return _split_heads(out, heads)
+
+    def packed(x: Array, at: tuple[Array, Array]) -> Array:
+        """The rows of ``x`` [b, heads, width, dh] at ``at``, heads merged."""
+        return x[at[0], :, at[1]].reshape(-1, hidden)
+
+    qh = padded(q.data, q_at, q_len)
+    kh, vh = padded(k.data, k_at, length), padded(v.data, k_at, length)
+    fill = (1.0 - mask.astype(q.data.dtype)) * _MASKED_SCORE
+    y = _softmax((qh @ kh.swapaxes(-1, -2)) * scale + fill[:, None, None, :])
 
     def backward(g: Array):
-        ds = _softmax_backward(y, g) * scale
-        return _merge_heads(ds @ kh), _merge_heads(ds.swapaxes(-1, -2) @ qh)
+        gh = padded(g, q_at, q_len)
+        ds = _softmax_backward(y, gh @ vh.swapaxes(-1, -2)) * scale
+        return (packed(ds @ kh, q_at), packed(ds.swapaxes(-1, -2) @ qh, k_at),
+                packed(y.swapaxes(-1, -2) @ gh, k_at))
 
-    return _track("attention_weights", (q, k), y, backward)
-
-
-def attend(weights: Tensor, v: Tensor) -> Tensor:
-    """Per-head weighted sum of values: [..., heads, Lq, Lk] x [..., Lk, H]
-    -> [..., Lq, H]."""
-    if (weights.data.ndim < 3 or v.data.ndim < 2 or weights.shape[:-3] != v.shape[:-2]
-            or v.shape[-2] != weights.shape[-1] or v.shape[-1] % weights.shape[-3] != 0):
-        raise ShapeMismatchError(
-            f"attend: incompatible shapes {weights.shape} and {v.shape}")
-    heads = weights.shape[-3]
-    vh = _split_heads(v.data, heads)
-    out = _merge_heads(weights.data @ vh)
-
-    def backward(g: Array):
-        gh = _split_heads(g, heads)
-        return gh @ vh.swapaxes(-1, -2), _merge_heads(weights.data.swapaxes(-1, -2) @ gh)
-
-    return _track("attend", (weights, v), out, backward)
+    return _track("attention", (q, k, v), packed(y @ vh, q_at), backward)
 
 
 def adapter_fusion(h: Tensor, w_down: Sequence[Tensor], b_down: Sequence[Tensor],
@@ -436,24 +440,6 @@ def gather_rows(x: Tensor, rows: Array) -> Tensor:
         return (dx.reshape(x.shape),)
 
     return _track("gather_rows", (x,), out, backward)
-
-
-def scatter_rows(x: Tensor, rows: Array, lead: tuple[int, ...]) -> Tensor:
-    """Place the rows of ``x`` [n, H] at the flat positions ``rows`` of a
-    zero [*lead, H] array; the inverse of ``gather_rows``."""
-    rows = np.asarray(rows)
-    if x.data.ndim != 2 or rows.shape != x.shape[:1]:
-        raise ShapeMismatchError(
-            f"scatter_rows: {x.shape} rows for {rows.shape} positions")
-    _check_rows("scatter_rows", rows, math.prod(lead))
-    hidden = x.shape[1]
-    out = np.zeros((math.prod(lead), hidden), dtype=x.data.dtype)
-    out[rows] = x.data
-
-    def backward(g: Array):
-        return (g.reshape(-1, hidden).take(rows, axis=0),)
-
-    return _track("scatter_rows", (x,), out.reshape(*lead, hidden), backward)
 
 
 # ---------------------------------------------------------------------------

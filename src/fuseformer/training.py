@@ -507,7 +507,7 @@ def train_fusion(target_task: TaskSpec, adapter_checkpoints: list[Checkpoint],
     if len(set(tasks)) != len(tasks):
         raise CheckpointError(f"duplicate adapter tasks across checkpoints: {tasks}")
     config = config_from_meta(ModelConfig, base, "model_config")
-    vocab = Vocabulary(base.get("vocab", []))
+    vocab = vocab_from_meta(base, config)
     bank = AdapterBank(config, heads={target_task.name: target_task.num_labels},
                        adapter_tasks=tasks, with_fusion=True, seed=cfg.seed)
     encoder_names = bank.groups["encoder"]
@@ -568,6 +568,23 @@ def config_from_meta(cls, meta: dict, key: str):
         raise CheckpointError(f"checkpoint {key}: {exc}") from None
 
 
+def vocab_from_meta(meta: dict, config: ModelConfig) -> Vocabulary:
+    """The vocabulary in checkpoint meta ``vocab``: one token, specials
+    included, per row of the embedding table (``config.vocab_size``). A
+    missing, duplicated or misfit vocabulary raises CheckpointError."""
+    if "vocab" not in meta:
+        raise CheckpointError("checkpoint meta is missing 'vocab'")
+    try:
+        vocab = Vocabulary(meta["vocab"])
+    except ContractError as exc:
+        raise CheckpointError(f"checkpoint vocab: {exc}") from None
+    if len(vocab) != config.vocab_size:
+        raise CheckpointError(
+            f"checkpoint vocabulary has {len(vocab)} tokens with the specials, "
+            f"but the embedding table has {config.vocab_size} rows")
+    return vocab
+
+
 def bank_from_checkpoint(ckpt: Checkpoint) -> tuple[AdapterBank, Vocabulary, TaskSpec]:
     """Rebuild a model from a saved checkpoint, at the stage its meta
     ``stage`` ("<stage>:<task>") names; a stage this library cannot rebuild
@@ -590,7 +607,7 @@ def bank_from_checkpoint(ckpt: Checkpoint) -> tuple[AdapterBank, Vocabulary, Tas
         bank.set_stage(stage, meta["task"])
     except ConfigError as exc:
         raise CheckpointError(f"checkpoint stage {meta['stage']!r}: {exc}") from None
-    vocab = Vocabulary(meta.get("vocab", []))
+    vocab = vocab_from_meta(meta, config)
     task = TaskSpec(name=meta["task"], kind=meta["task_kind"],
                     loss=meta.get("loss", "bce"))
     return bank, vocab, task

@@ -420,9 +420,11 @@ def adapter_checkpoint(tmp_path, meta):
     model = json.loads(model_json(tmp_path).read_text())["model"]
     bank = AdapterBank(ModelConfig(**model), heads={"emotion": 6},
                        adapter_tasks=["emotion"])
+    # one token per row of the embedding table, past the four specials
+    vocab = [f"w{i}" for i in range(bank.config.vocab_size - 4)]
     ckpt = checkpoint_from_bank(
         bank, seed=0, stage="adapter:emotion",
-        extra_meta={"task": "emotion", "task_kind": "multilabel-6",
+        extra_meta={"task": "emotion", "task_kind": "multilabel-6", "vocab": vocab,
                     "loss": "bce", "train_config": TrainConfig().to_dict(),
                     **meta(model)})
     path = tmp_path / "adapter-emotion.ckpt"
@@ -459,6 +461,42 @@ def test_evaluate_stage_it_cannot_rebuild_exits_2_without_traceback(
     assert run_cli("evaluate", "--checkpoint", ckpt, "--corpus", corpus_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint stage") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("vocab", [None, ["a", "b", "c", "d", "e"]],
+                         ids=["missing", "short"])
+@pytest.mark.parametrize("command", ["evaluate", "train-fusion"])
+def test_checkpoint_vocabulary_that_does_not_fit_the_model_exits_2(
+        tmp_path, corpus_path, capsys, command, vocab):
+    path = adapter_checkpoint(tmp_path, lambda m: {})
+    ckpt = load_checkpoint(path)
+    if vocab is None:
+        del ckpt.meta["vocab"]
+    else:
+        ckpt.meta["vocab"] = vocab
+    save_checkpoint(ckpt, path)
+    out = tmp_path / "run"
+    if command == "evaluate":
+        argv = ["evaluate", "--checkpoint", path, "--corpus", corpus_path]
+    else:
+        argv = ["train-fusion", "--task", "emotion", "--corpus", corpus_path,
+                "--runs", 1, "--out", out, "--adapters", path, *TRAIN_FLAGS]
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: checkpoint") and "vocab" in err
+    assert "Traceback" not in err and not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("threshold", ["1.5", "nan", "-0.2"])
+def test_evaluate_threshold_outside_0_1_exits_2_without_traceback(
+        tmp_path, corpus_path, capsys, threshold):
+    ckpt = adapter_checkpoint(tmp_path, lambda m: {})
+    code = run_cli("evaluate", "--checkpoint", ckpt, "--corpus", corpus_path,
+                   "--threshold", threshold)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: threshold") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))

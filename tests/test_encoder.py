@@ -231,6 +231,24 @@ def test_attention_rows_sum_to_one_via_unit_values():
         np.testing.assert_allclose(out.data, 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("cls_only", [False, True], ids=["all_rows", "cls_only"])
+def test_attention_sublayer_is_four_linears_around_one_attention_node(cls_only):
+    config = tiny_config()
+    bank = make_bank(config, seed=13)
+    batch = make_batch(config, np.random.default_rng(14), mask_out=[(0, 4)])
+    rows = np.flatnonzero(batch.attention_mask)
+    x = embed(config, bank.params, batch, rows)
+    queries = T.gather_rows(x, [0, 4]) if cls_only else None
+    out = multi_head_attention(config, bank.params, 0, x, batch.attention_mask,
+                               rows, queries)
+    assert out.shape == (2 if cls_only else len(rows), config.hidden_size)
+    attention = out.node.inputs[0].node
+    assert (out.node.op, attention.op) == ("matmul", "attention")
+    assert [t.node.op for t in attention.inputs] == ["matmul"] * 3
+    assert [t.node.inputs[1].name for t in attention.inputs] == [
+        f"layers.0.attention.{name}.weight" for name in ("query", "key", "value")]
+
+
 # ---------------------------------------------------------------------------
 # layer forward: independent numpy oracle
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_fusion_bank_records_one_fusion_mix_node_per_layer(num_tasks):
     # the adapters run inside the fusion node, so no adapter op is recorded
     assert ops.count("adapter_fusion") == config.num_layers
     assert "relu" not in ops
-    assert "attention_weights" in ops  # the encoder's self-attention
+    assert "attention" in ops  # the encoder's self-attention
     # every real token below the last layer, the [CLS] rows in it
     assert {i: w.shape for i, w in bank.fusion_weights().items()} \
         == {0: (2 * 4, num_tasks), 1: (2, num_tasks)}
@@ -571,10 +571,10 @@ LINEARS = {
 # In the fusion stage each layer's adapters run inside its adapter_fusion
 # node, so no adapter linear is a matmul node.
 TAPES = {
-    "finetune": (45, LINEARS["encoder"] + LINEARS["head"]),
-    "adapter": (30, ["adapters.t.0.down", "adapters.t.0.up"] + LINEARS["encoder"][6:]
+    "finetune": (35, LINEARS["encoder"] + LINEARS["head"]),
+    "adapter": (25, ["adapters.t.0.down", "adapters.t.0.up"] + LINEARS["encoder"][6:]
                 + ["adapters.t.1.down", "adapters.t.1.up"] + LINEARS["head"]),
-    "fusion": (26, LINEARS["encoder"][6:] + LINEARS["head"]),
+    "fusion": (21, LINEARS["encoder"][6:] + LINEARS["head"]),
 }
 
 

@@ -108,7 +108,8 @@ def test_equal_shape_broadcast_only():
     assert np.all(out.data == 6.0)
 
 
-ELEMENTWISE_CASES = [
+# one case per op (two for matmul); every op runs both parametrizations
+OP_CASES = [
     ("add", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
                        Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True)),
      lambda a, b: T.add(a, b)),
@@ -118,9 +119,6 @@ ELEMENTWISE_CASES = [
      lambda a: T.relu(a)),
     ("gelu", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),),
      lambda a: T.gelu(a)),
-    ("attention_weights", lambda r: (Tensor(r.uniform(-2, 2, (3, 5)), requires_grad=True),
-                                     Tensor(r.uniform(-2, 2, (4, 5)), requires_grad=True)),
-     lambda q, k: T.attention_weights(q, k, 1, 0.5)),
     ("matmul_bias", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
                                Tensor(r.uniform(-2, 2, (4, 2)), requires_grad=True),
                                Tensor(r.uniform(-2, 2, 2), requires_grad=True)),
@@ -133,8 +131,6 @@ ELEMENTWISE_CASES = [
     ("gather_rows", lambda r: (Tensor(r.uniform(-2, 2, (2, 3, 4)),
                                       requires_grad=True),),
      lambda a: T.gather_rows(a, np.array([0, 2, 3, 5]))),
-    ("scatter_rows", lambda r: (Tensor(r.uniform(-2, 2, (4, 3)), requires_grad=True),),
-     lambda a: T.scatter_rows(a, np.array([1, 2, 4, 5]), (2, 3))),
     # h, then two adapters' [4, 2], [2], [2, 4] and [4] weights, then W_Q/K/V
     ("adapter_fusion", lambda r: tuple(
         Tensor(r.uniform(-1, 1, s), requires_grad=True)
@@ -144,11 +140,34 @@ ELEMENTWISE_CASES = [
     # a 0-d loss node: sum(sin x), whose gradient cos x its caller supplies
     ("scalar_loss", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),),
      lambda a: T.scalar_loss(a, np.sum(np.sin(a.data)), lambda: np.cos(a.data))),
+    ("layer_norm", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
+                              Tensor(r.uniform(0.5, 1.5, 4), requires_grad=True),
+                              Tensor(r.uniform(-1, 1, 4), requires_grad=True)),
+     lambda x, g, b: T.layer_norm(x, g, b)),
+    ("embedding", lambda r: (Tensor(r.uniform(-2, 2, (5, 4)), requires_grad=True),),
+     lambda t: T.embedding(t, np.array([0, 3, 3, 1]))),
+    # B=2 rows of L=3, 2 heads: every position has a k/v row, position 2 is a
+    # padded key, and positions 0, 1, 3 and 5 query
+    ("attention", lambda r: (Tensor(r.uniform(-2, 2, (4, 4)), requires_grad=True),
+                             Tensor(r.uniform(-2, 2, (6, 4)), requires_grad=True),
+                             Tensor(r.uniform(-2, 2, (6, 4)), requires_grad=True)),
+     lambda q, k, v: T.attention(q, k, v, np.array([[1, 1, 0], [1, 1, 1]]),
+                                 np.arange(6), np.array([0, 1, 3, 5]), 2, 0.5)),
 ]
+# public functions of the tensor module that record no tape node of their own
+NOT_OPS = {"backward", "finite_difference_check", "relative_error"}
 
 
-@pytest.mark.parametrize("name,make,apply", ELEMENTWISE_CASES,
-                         ids=[c[0] for c in ELEMENTWISE_CASES])
+def test_every_public_op_has_a_case():
+    ops = {name for name, fn in vars(T).items()
+           if not name.startswith("_") and callable(fn) and not isinstance(fn, type)
+           and getattr(fn, "__module__", None) == T.__name__} - NOT_OPS
+    rng = np.random.default_rng(0)
+    covered = {apply(*make(rng)).node.op for _, make, apply in OP_CASES}
+    assert covered == ops
+
+
+@pytest.mark.parametrize("name,make,apply", OP_CASES, ids=[c[0] for c in OP_CASES])
 def test_op_gradients_match_finite_differences(name, make, apply):
     # >= 20 seeded trials per op, inputs in [-2, 2]
     for trial in range(20):
@@ -158,23 +177,8 @@ def test_op_gradients_match_finite_differences(name, make, apply):
         assert_grad_matches(lambda: probe(mix, apply(*leaves)), leaves)
 
 
-MORE_OP_CASES = [
-    ("layer_norm", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
-                              Tensor(r.uniform(0.5, 1.5, 4), requires_grad=True),
-                              Tensor(r.uniform(-1, 1, 4), requires_grad=True)),
-     lambda x, g, b: T.layer_norm(x, g, b)),
-    ("embedding", lambda r: (Tensor(r.uniform(-2, 2, (5, 4)), requires_grad=True),),
-     lambda t: T.embedding(t, np.array([0, 3, 3, 1]))),
-    ("attention", lambda r: tuple(Tensor(r.uniform(-2, 2, (2, 3, 4)), requires_grad=True)
-                                  for _ in range(3)),
-     lambda q, k, v: T.attend(T.attention_weights(q, k, 2, 0.5,
-                                                  np.array([[1, 1, 0], [1, 1, 1]])), v)),
-]
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("name,make,apply", ELEMENTWISE_CASES + MORE_OP_CASES,
-                         ids=[c[0] for c in ELEMENTWISE_CASES + MORE_OP_CASES])
+@pytest.mark.parametrize("name,make,apply", OP_CASES, ids=[c[0] for c in OP_CASES])
 def test_ops_and_their_backwards_keep_the_input_dtype(name, make, apply, dtype):
     rng = np.random.default_rng(3)
     leaves = [Tensor(t.data.astype(dtype), requires_grad=True) for t in make(rng)]
@@ -245,28 +249,24 @@ def test_embedding_id_out_of_range():
 PACKED = np.array([0, 1, 2, 4, 5, 8, 9, 10, 11])
 
 
-def test_scatter_then_gather_rows_round_trips_and_zero_fills():
+def test_gather_rows_picks_the_cls_rows_and_zero_fills_its_backward():
     rng = np.random.default_rng(60)
-    x = Tensor(rng.uniform(-2, 2, (len(PACKED), 5)))
-    padded = T.scatter_rows(x, PACKED, (3, 4))
-    assert padded.shape == (3, 4, 5)
-    np.testing.assert_array_equal(padded.data[0, 3], 0.0)
-    np.testing.assert_array_equal(padded.data[1, 2:], 0.0)
-    np.testing.assert_array_equal(padded.data[2, 1], x.data[6])
-    np.testing.assert_array_equal(T.gather_rows(padded, PACKED).data, x.data)
+    x = Tensor(rng.uniform(-2, 2, (len(PACKED), 5)), requires_grad=True)
     # the [CLS] rows of the packed array: each row's first real token
     cls = T.gather_rows(x, np.flatnonzero(PACKED % 4 == 0))
-    np.testing.assert_array_equal(cls.data, padded.data[:, 0])
+    np.testing.assert_array_equal(cls.data, x.data[[0, 3, 5]])
+    backward(probe(np.ones((3, 5)), cls))
+    np.testing.assert_array_equal(x.grad.sum(axis=1), [5, 0, 0, 5, 0, 5, 0, 0, 0])
 
 
 def test_row_ops_pass_finite_difference_check():
     rng = np.random.default_rng(61)
-    x = Tensor(rng.uniform(-2, 2, (len(PACKED), 5)), requires_grad=True)
+    x = Tensor(rng.uniform(-2, 2, (3, 4, 5)), requires_grad=True)
     mix = rng.uniform(-1, 1, (3, 5))
 
-    def loss_fn():  # scatter into [B, L, H], then pick position 1 of each row
-        padded = T.scatter_rows(T.tanh(x), PACKED, (3, 4))
-        return probe(mix, T.gather_rows(T.tanh(padded), [1, 5, 9]))
+    def loss_fn():  # pack the real rows of [B, L, H], then pick the [CLS] rows
+        packed = T.gather_rows(T.tanh(x), PACKED)
+        return probe(mix, T.gather_rows(T.tanh(packed), [0, 3, 5]))
 
     report = finite_difference_check(loss_fn, [("x", x)], h=1e-5, tol=1e-4)
     assert report.passed and report.worst().max_rel_err < 1e-4, report.worst()
@@ -277,96 +277,120 @@ def test_row_ops_pass_finite_difference_check():
                          ids=["repeated", "unsorted", "negative", "past_end",
                               "float", "2d"])
 def test_row_ops_reject_rows_that_are_not_strictly_increasing_positions(rows):
-    x = Tensor(np.zeros((3, 4, 2)))
     with pytest.raises(ContractError):
-        T.gather_rows(x, np.array(rows))
-    with pytest.raises((ContractError, ShapeMismatchError)):
-        T.scatter_rows(Tensor(np.zeros((3, 2))), np.array(rows), (3, 4))
+        T.gather_rows(Tensor(np.zeros((3, 4, 2))), np.array(rows))
+    bad, good, mask = np.array(rows), np.arange(3), np.ones((3, 4))
+    at = lambda r: Tensor(np.zeros((len(r), 2)))  # noqa: E731
+    with pytest.raises((ContractError, ShapeMismatchError)):  # k/v rows
+        T.attention(at(good), at(bad), at(bad), mask, bad, good, 1, 1.0)
+    with pytest.raises((ContractError, ShapeMismatchError)):  # query rows
+        T.attention(at(bad), at(good), at(good), mask, good, bad, 1, 1.0)
 
 
-def test_scatter_rows_needs_one_position_per_row():
+def test_attention_needs_one_key_and_value_row_per_position():
+    q, kv = Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2)))
     with pytest.raises(ShapeMismatchError, match=r"\(3, 2\).*\(2,\)"):
-        T.scatter_rows(Tensor(np.zeros((3, 2))), np.array([0, 1]), (2, 2))
+        T.attention(q, kv, kv, np.ones((2, 2)), np.array([0, 1]), np.array([0, 1]),
+                    1, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # attention
 # ---------------------------------------------------------------------------
 
-def naive_attention(q, k, v, heads, scale, key_mask=None):
-    """Per-head loops over the leading index; independent of the op."""
-    *lead, lq, hidden = q.shape
-    dh = hidden // heads
-    q2, k2, v2 = (x.reshape(-1, x.shape[-2], hidden) for x in (q, k, v))
-    mask2 = None if key_mask is None else np.asarray(key_mask).reshape(len(q2), -1)
-    out = np.zeros_like(q2)
-    for n in range(len(q2)):
+def naive_attention(q, k, v, mask, rows, q_rows, heads, scale):
+    """Per-query, per-head loops over the packed rows; independent of the op.
+    Each query attends over the k/v rows of its own batch row."""
+    length = mask.shape[1]
+    dh = q.shape[1] // heads
+    out = np.zeros_like(q)
+    for i, pos in enumerate(q_rows):
+        keys = rows // length == pos // length
+        real = mask.reshape(-1)[rows[keys]] > 0
         for h in range(heads):
             cols = slice(h * dh, (h + 1) * dh)
-            s = scale * q2[n][:, cols] @ k2[n][:, cols].T
-            if mask2 is not None:
-                s = np.where(mask2[n][None, :] > 0, s, -1e9)
-            w = np.exp(s - s.max(axis=1, keepdims=True))
-            w /= w.sum(axis=1, keepdims=True)
-            out[n][:, cols] = w @ v2[n][:, cols]
-    return out.reshape(*lead, lq, hidden)
+            s = np.where(real, scale * k[keys][:, cols] @ q[i, cols], -1e9)
+            w = np.exp(s - s.max())
+            out[i, cols] = (w / w.sum()) @ v[keys][:, cols]
+    return out
 
 
+# B=2 rows of L=4. Batch row 0's real tokens are positions 0, 1 and 3 and
+# row 1's are 4, 6 and 7, so neither is a prefix; position 2 is a padded key
+# that still has a k/v row (row 2 of k and v).
+ROW_MASK = np.array([[1, 1, 0, 1], [1, 0, 1, 1]])
+ROWS = np.array([0, 1, 2, 3, 4, 6, 7])
 ATTENTION_SHAPES = {
-    # encoder: B=2, L=4, H=8 over 2 heads, last key of row 0 padded
-    "encoder": dict(q=(2, 4, 8), kv=(2, 4, 8), heads=2, scale=0.5,
-                    mask=np.array([[1, 1, 1, 0], [1, 1, 1, 1]])),
-    # one query per row over 5 keys, single head, unscaled, no mask
-    # (adapter_fusion is checked against this shape below)
-    "fusion": dict(q=(2, 3, 1, 4), kv=(2, 3, 5, 4), heads=1, scale=1.0,
-                   mask=None),
+    # encoder: H=8 over 2 heads, every k/v row queries
+    "encoder": dict(q_rows=ROWS, rows=ROWS, mask=ROW_MASK, hidden=8, heads=2,
+                    scale=0.5),
+    # the last encoder layer: only each batch row's [CLS] row queries
+    "cls": dict(q_rows=np.array([0, 4]), rows=ROWS, mask=ROW_MASK, hidden=8,
+                heads=2, scale=0.5),
+    # fusion: B=6 tokens, L=5 adapters, one query per token, single head,
+    # unscaled, no padding (adapter_fusion is checked against this below)
+    "fusion": dict(q_rows=np.arange(6) * 5, rows=np.arange(30),
+                   mask=np.ones((6, 5)), hidden=4, heads=1, scale=1.0),
 }
+
+
+def attention_leaves(cfg, seed):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.uniform(-2, 2, (len(r), cfg["hidden"])), requires_grad=True)
+            for r in (cfg["q_rows"], cfg["rows"], cfg["rows"])]
+
+
+def attention_args(cfg):
+    return cfg["mask"], cfg["rows"], cfg["q_rows"], cfg["heads"], cfg["scale"]
 
 
 @pytest.mark.parametrize("shape", sorted(ATTENTION_SHAPES))
 def test_attention_matches_naive_per_head_oracle(shape):
     cfg = ATTENTION_SHAPES[shape]
-    rng = np.random.default_rng(5)
-    q, k, v = (rng.uniform(-2, 2, s) for s in (cfg["q"], cfg["kv"], cfg["kv"]))
-    weights = T.attention_weights(Tensor(q), Tensor(k), cfg["heads"],
-                                  cfg["scale"], cfg["mask"])
-    assert weights.shape == cfg["q"][:-2] + (cfg["heads"], cfg["q"][-2], cfg["kv"][-2])
-    np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-12)
-    out = T.attend(weights, Tensor(v))
+    q, k, v = attention_leaves(cfg, seed=5)
+    out = T.attention(q, k, v, *attention_args(cfg))
+    assert out.shape == q.shape
     np.testing.assert_allclose(
-        out.data, naive_attention(q, k, v, cfg["heads"], cfg["scale"], cfg["mask"]),
-        atol=1e-12)
-    if cfg["mask"] is not None:
-        assert np.all(weights.data[0, :, :, 3] == 0.0)
+        out.data, naive_attention(q.data, k.data, v.data, *attention_args(cfg)),
+        rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", sorted(ATTENTION_SHAPES))
 def test_attention_ops_pass_finite_difference_check(shape):
     cfg = ATTENTION_SHAPES[shape]
-    rng = np.random.default_rng(6)
-    q, k, v = (Tensor(rng.uniform(-2, 2, s), requires_grad=True)
-               for s in (cfg["q"], cfg["kv"], cfg["kv"]))
-    mix = rng.uniform(-1, 1, cfg["q"])
-
-    def loss():
-        w = T.attention_weights(q, k, cfg["heads"], cfg["scale"], cfg["mask"])
-        return probe(mix, T.attend(w, v))
-
-    report = finite_difference_check(loss, [("q", q), ("k", k), ("v", v)], tol=1e-4)
+    q, k, v = attention_leaves(cfg, seed=6)
+    mix = np.random.default_rng(7).uniform(-1, 1, q.shape)
+    report = finite_difference_check(
+        lambda: probe(mix, T.attention(q, k, v, *attention_args(cfg))),
+        [("q", q), ("k", k), ("v", v)], tol=1e-4)
     assert report.passed, report.worst()
-    if cfg["mask"] is not None:
+    if not cfg["mask"].all():
         # a padded key gets no weight, so neither it nor its value has a gradient
-        assert np.all(k.grad[0, 3] == 0.0) and np.all(v.grad[0, 3] == 0.0)
+        assert np.all(k.grad[2] == 0.0) and np.all(v.grad[2] == 0.0)
+        assert np.all(k.grad[3] != 0.0) and np.all(v.grad[3] != 0.0)
+
+
+def test_attention_under_no_grad_records_no_node():
+    cfg = ATTENTION_SHAPES["encoder"]
+    q, k, v = attention_leaves(cfg, seed=8)
+    taped = T.attention(q, k, v, *attention_args(cfg))
+    assert taped.node.op == "attention" and taped.node.inputs == (q, k, v)
+    with T.no_grad():
+        out = T.attention(q, k, v, *attention_args(cfg))
+    assert out.node is None
+    np.testing.assert_array_equal(out.data, taped.data)
 
 
 def test_attention_shape_errors():
-    x = Tensor(np.ones((2, 4, 8)))
-    with pytest.raises(ShapeMismatchError):
-        T.attention_weights(x, Tensor(np.ones((3, 4, 8))), 2, 1.0)
-    with pytest.raises(ShapeMismatchError):
-        T.attention_weights(x, x, 3, 1.0)
-    with pytest.raises(ShapeMismatchError):
-        T.attend(T.attention_weights(x, x, 2, 1.0), Tensor(np.ones((2, 5, 8))))
+    x, mask, rows = Tensor(np.ones((4, 8))), np.ones((2, 2)), np.arange(4)
+    with pytest.raises(ShapeMismatchError):  # 3 heads do not divide H = 8
+        T.attention(x, x, x, mask, rows, rows, 3, 1.0)
+    with pytest.raises(ShapeMismatchError):  # values of another width
+        T.attention(x, x, Tensor(np.ones((4, 4))), mask, rows, rows, 2, 1.0)
+    with pytest.raises(ShapeMismatchError):  # a mask that is not [B, L]
+        T.attention(x, x, x, np.ones(4), rows, rows, 2, 1.0)
+    with pytest.raises(ShapeMismatchError):  # queries with leading dims
+        T.attention(Tensor(np.ones((2, 2, 8))), x, x, mask, rows, rows[:2], 2, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -394,21 +418,29 @@ def adapter_fusion_leaves(num_adapters, seed, shape=(2, 3, 4), width=2):
 
 def attention_reference(h, zs, ws, mix):
     """The unreassociated layer: project every z_t through W_K and W_V, then
-    one single-head, unscaled, unmasked attention per token, with one query
-    row per token ([b, l, 1, H] leaves). The stacked z is its own leaf, so
-    its gradient slices are the z_t gradients. Returns the output [b, l, H],
-    the weights [b, l, T] and the gradients of sum(mix * output) for h, each
-    z_t and the three weights."""
-    stacked = Tensor(np.stack([z.data for z in zs], axis=-2), requires_grad=True)
+    one single-head, unscaled ``attention`` over them, with the N tokens as
+    batch rows, the T adapters as their positions and one query per batch
+    row. The stacked z is its own leaf, so its gradient slices are the z_t
+    gradients. Returns the output [..., H], the weights [..., T] (computed
+    here in numpy) and the gradients of sum(mix * output) for h, each z_t
+    and the three weights."""
+    hidden, tasks = h.shape[-1], len(zs)
+    stacked = Tensor(np.stack([z.data for z in zs], axis=-2).reshape(-1, hidden),
+                     requires_grad=True)                              # [N T, H]
     w_q, w_k, w_v = (Tensor(w.data.copy(), requires_grad=True) for w in ws)
-    h_ref = Tensor(h.data[..., None, :].copy(), requires_grad=True)
-    zero = Tensor(np.zeros(h.shape[-1]))  # adding +0.0 is exact
-    alpha = T.attention_weights(T.matmul(h_ref, w_q, zero),
-                                T.matmul(stacked, w_k, zero), 1, 1.0)
-    out = T.attend(alpha, T.matmul(stacked, w_v, zero))
-    backward(probe(mix[..., None, :], out))
-    return (out.data[..., 0, :], alpha.data[..., 0, 0, :], h_ref.grad[..., 0, :],
-            [stacked.grad[..., t, :] for t in range(len(zs))],
+    h_ref = Tensor(h.data.reshape(-1, hidden).copy(), requires_grad=True)
+    n = h_ref.shape[0]
+    zero = Tensor(np.zeros(hidden))  # adding +0.0 is exact
+    q, k = T.matmul(h_ref, w_q, zero), T.matmul(stacked, w_k, zero)
+    out = T.attention(q, k, T.matmul(stacked, w_v, zero), np.ones((n, tasks)),
+                      np.arange(n * tasks), np.arange(n) * tasks, 1, 1.0)
+    scores = np.einsum("nh,nth->nt", q.data, k.data.reshape(n, tasks, hidden))
+    alpha = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    backward(probe(mix.reshape(-1, hidden), out))
+    dz = stacked.grad.reshape(h.shape[:-1] + (tasks, hidden))
+    return (out.data.reshape(h.shape), alpha.reshape(h.shape[:-1] + (tasks,)),
+            h_ref.grad.reshape(h.shape), [dz[..., t, :] for t in range(tasks)],
             [w.grad for w in (w_q, w_k, w_v)])
 
 
@@ -514,7 +546,7 @@ def test_fusion_mix_shape_errors_name_both_shapes():
 
 
 # ---------------------------------------------------------------------------
-# softmax properties (of the kernel that attention_weights and adapter_fusion run)
+# softmax properties (of the kernel that attention and adapter_fusion run)
 # ---------------------------------------------------------------------------
 
 def test_softmax_symmetry():

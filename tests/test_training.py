@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuseformer import runtime, training
-from fuseformer.data import Splits, build_vocab, make_batches, synth_corpus
+from fuseformer.data import (SPECIAL_TOKENS, Splits, Vocabulary, build_vocab,
+                             make_batches, synth_corpus)
 from fuseformer.encoder import ModelConfig
 from fuseformer.errors import (CheckpointError, ConfigError, ContractError,
                                NumericalDivergenceError)
@@ -184,6 +185,11 @@ def test_lr_schedule_contracts():
 def small_bank(seed=0):
     return AdapterBank(desk_config(), heads={"emotion": 6},
                        adapter_tasks=["emotion"], seed=seed)
+
+
+def table_vocab(config):
+    """A vocabulary with one token per row of the embedding table."""
+    return Vocabulary([f"w{i}" for i in range(config.vocab_size - len(SPECIAL_TOKENS))])
 
 
 def test_checkpoint_round_trip_exact_at_f32(tmp_path):
@@ -567,6 +573,7 @@ def test_bank_from_checkpoint_restores_each_stage(stage):
                        adapter_tasks=["emotion", "sent2"], with_fusion=True, seed=3)
     bank.set_stage(stage, "emotion")
     ckpt = checkpoint_from_bank(bank, seed=3, stage=f"{stage}:emotion",
+                                vocab=table_vocab(bank.config),
                                 extra_meta={"task": "emotion",
                                             "task_kind": "multilabel-6"})
     got, _, _ = bank_from_checkpoint(ckpt)
@@ -583,6 +590,7 @@ def test_bank_from_checkpoint_restores_each_stage(stage):
 ], ids=["unknown_prefix", "other_task", "no_task", "missing_group"])
 def test_bank_from_checkpoint_rejects_a_stage_it_cannot_rebuild(stage, match):
     ckpt = checkpoint_from_bank(small_bank(), seed=0, stage=stage,
+                                vocab=table_vocab(desk_config()),
                                 extra_meta={"task": "emotion",
                                             "task_kind": "multilabel-6"})
     with pytest.raises(CheckpointError, match=match):
@@ -691,12 +699,34 @@ def test_train_config_from_dict_accepts_json_spellings():
 ], ids=["unknown_key", "zero_layers", "string"])
 def test_malformed_checkpoint_model_config_is_checkpoint_error(value):
     ckpt = checkpoint_from_bank(small_bank(), seed=0, stage="adapter:emotion",
+                                vocab=table_vocab(desk_config()),
                                 extra_meta={"task": "emotion",
                                             "task_kind": "multilabel-6"})
     ckpt.meta["model_config"] = value
     with pytest.raises(CheckpointError, match="model_config"):
         bank_from_checkpoint(ckpt)
     with pytest.raises(CheckpointError, match="model_config"):
+        train_fusion(EMOTION, [ckpt], tiny_splits(), fast_cfg())
+
+
+@pytest.mark.parametrize("vocab,match", [
+    (None, "missing 'vocab'"),
+    (["a", "b"], "6 tokens .* 64 rows"),
+    (["a"] * 60, "duplicate"),
+], ids=["missing", "short", "duplicate"])
+def test_checkpoint_vocabulary_must_fill_the_embedding_table(vocab, match):
+    ckpt = checkpoint_from_bank(small_bank(), seed=0, stage="adapter:emotion",
+                                vocab=table_vocab(desk_config()),
+                                extra_meta={"task": "emotion",
+                                            "task_kind": "multilabel-6"})
+    bank_from_checkpoint(ckpt)
+    if vocab is None:
+        del ckpt.meta["vocab"]
+    else:
+        ckpt.meta["vocab"] = vocab
+    with pytest.raises(CheckpointError, match=match):
+        bank_from_checkpoint(ckpt)
+    with pytest.raises(CheckpointError, match=match):
         train_fusion(EMOTION, [ckpt], tiny_splits(), fast_cfg())
 
 
