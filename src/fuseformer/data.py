@@ -261,9 +261,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self.index.get(token, UNK)
 
-    def token_of(self, idx: int) -> str:
-        return self.tokens[idx]
-
     def save(self, path) -> None:
         # one non-special token per line; 0-based line number = id - 4
         Path(path).write_text("\n".join(self.tokens[len(SPECIAL_TOKENS):]) + "\n",

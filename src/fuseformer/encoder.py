@@ -140,14 +140,16 @@ def encoder_param_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, 
 
 def init_parameter(store: ParameterStore, name: str, shape: tuple[int, ...],
                    rng: np.random.Generator, std: float = INIT_STD) -> Tensor:
-    """normal(0, std) weights, zero biases/betas, unit gammas."""
+    """Write normal(0, std) weights, zero biases/betas or unit gammas into
+    the store's parameter ``name`` of ``shape``."""
     if name.endswith(".gamma"):
         data = np.ones(shape)
     elif name.endswith(".bias") or name.endswith(".beta"):
         data = np.zeros(shape)
     else:
         data = rng.normal(0.0, std, size=shape)
-    return store.add(name, data)
+    store.assign(name, data)
+    return store[name]
 
 
 def init_encoder_params(config: ModelConfig, store: ParameterStore,

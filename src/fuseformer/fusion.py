@@ -164,7 +164,14 @@ class AdapterBank:
         self.head_labels = dict(heads)
         self.adapter_tasks = list(adapter_tasks)
         self.with_fusion = with_fusion
-        self.params = ParameterStore(dtype)
+        # the whole buffer is laid out before any weight is drawn
+        self.params = ParameterStore([
+            *encoder_param_shapes(config),
+            *(s for task in self.adapter_tasks
+              for s in adapter_param_shapes(config, task)),
+            *(fusion_param_shapes(config) if with_fusion else ()),
+            *(s for task, num_labels in self.head_labels.items()
+              for s in head_param_shapes(config, task, num_labels))], dtype)
         rng = np.random.default_rng(seed)
         init_encoder_params(config, self.params, rng)
         for task in self.adapter_tasks:

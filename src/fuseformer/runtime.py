@@ -67,12 +67,6 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     return None
 
 
-def blas_threads() -> int | None:
-    """Threads OpenBLAS uses per call, or None if it cannot be asked."""
-    calls = _openblas()
-    return None if calls is None else calls[0]()
-
-
 def steady_process(environ: Mapping[str, str] = os.environ) -> dict[str, bool]:
     """Use one BLAS thread and keep freed heap memory for reuse, unless
     ``environ`` already sets either; returns which of the two were applied."""

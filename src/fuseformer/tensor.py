@@ -19,6 +19,7 @@ computes in closed form.
 from __future__ import annotations
 
 import math
+import mmap
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -49,7 +50,8 @@ class Tensor:
     """Row-major float32 or float64 array plus gradient bookkeeping. Data
     of either dtype is kept as it is; any other input becomes float64.
 
-    ``grad`` stays ``None`` until a backward pass deposits something; a
+    ``grad`` stays ``None`` until a backward pass deposits something (a
+    ``ParameterStore`` parameter's is a view of zeros from the start); a
     tensor with ``requires_grad=False`` is never written to by backward.
     """
 
@@ -132,17 +134,34 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU used in the encoder feed-forward block."""
+    """tanh-approximation GELU used in the encoder feed-forward block:
+    ``y = h x`` with ``h = (1 + t) / 2`` and ``t = tanh(c (x + 0.044715 x^3))``.
+    Each step runs in place; the backward reuses x^2, t and h."""
     x = a.data
-    u = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(u)
-    y = 0.5 * x * (1.0 + t)
+    x2 = x * x
+    t = x2 * x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    h = t + 1.0
+    h *= 0.5
 
     def backward(g: Array):
-        du = _GELU_C * (1.0 + 3.0 * 0.044715 * (x * x))
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
+        # dy/dx = h + (1 - t^2) x / 2 * c (1 + 3 * 0.044715 x^2)
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        d *= x
+        d *= 0.5
+        du = x2 * (3.0 * 0.044715)
+        du += 1.0
+        du *= _GELU_C
+        d *= du
+        d += h
+        d *= g
+        return (d,)
 
-    return _track("gelu", (a,), y, backward)
+    return _track("gelu", (a,), h * x, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +182,15 @@ def matmul(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: Array):
         g2 = g.reshape(-1, w.shape[1])
-        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
+        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, _column_sum(g2)
 
     return _track("matmul", (x, w, b), out, backward)
+
+
+def _column_sum(x: Array) -> Array:
+    """Sum of the rows of a 2-D array: one GEMV against ones, several times
+    faster than ``x.sum(axis=0)`` (a different summation order)."""
+    return np.ones(x.shape[0], x.dtype) @ x
 
 
 def _row_sum(x: Array) -> Array:
@@ -369,22 +394,36 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeMismatchError(
             f"layer_norm: gamma/beta {gamma.shape}/{beta.shape} vs last axis {d}")
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = gamma.data * xhat + beta.data
+
+    def row_mean(y: Array) -> Array:
+        # a reduce, as np.mean does; a GEMV would make the sum of a row
+        # depend on where the row sits in the batch
+        m = np.add.reduce(y, axis=-1, keepdims=True)
+        m *= 1.0 / d
+        return m
+
+    xhat = x.data - row_mean(x.data)
+    inv = row_mean(xhat * xhat)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
 
     def backward(g: Array):
-        lead = tuple(range(g.ndim - 1))
-        dgamma = np.sum(g * xhat, axis=lead)
-        dbeta = np.sum(g, axis=lead)
+        # dx = inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat))
         dxhat = g * gamma.data
-        m1 = np.mean(dxhat, axis=-1, keepdims=True)
-        m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        return dx, dgamma, dbeta
+        gx = g * xhat
+        dgamma = _column_sum(gx.reshape(-1, d))
+        dbeta = _column_sum(g.reshape(-1, d))
+        np.multiply(dxhat, xhat, out=gx)
+        m2 = row_mean(gx)
+        dxhat -= row_mean(dxhat)
+        np.multiply(xhat, m2, out=gx)
+        dxhat -= gx
+        dxhat *= inv
+        return dxhat, dgamma, dbeta
 
     return _track("layer_norm", (x, gamma, beta), out, backward)
 
@@ -464,7 +503,8 @@ def scalar_loss(x: Tensor, value, grad: Callable[[], Array]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` for every requires_grad leaf reachable from ``loss``.
+    """Accumulate into ``grad`` of every requires_grad leaf reachable from
+    ``loss``.
 
     The nodes below ``loss`` are put in topological order (inputs before
     consumers) and their backward closures run once each, in reverse.
@@ -474,7 +514,7 @@ def backward(loss: Tensor) -> None:
     seed = np.ones_like(loss.data)
     if loss.node is None:
         if loss.requires_grad:
-            loss.grad = seed if loss.grad is None else loss.grad + seed
+            _accumulate(loss, seed)
         return
     order: list[TapeNode] = []
     seen: set[TapeNode] = set()
@@ -504,7 +544,19 @@ def backward(loss: Tensor) -> None:
             if t.node is not None:
                 pending[t.node] = pending[t.node] + gi if t.node in pending else gi
             elif t.requires_grad:
-                t.grad = gi.copy() if t.grad is None else t.grad + gi
+                _accumulate(t, gi)
+
+
+def _accumulate(leaf: Tensor, g: Array) -> None:
+    """Add ``g`` to ``leaf.grad`` in place, so a parameter's gradient stays
+    its view into the store's gradient buffer; a leaf with no gradient yet
+    gets a copy of ``g``."""
+    if g.shape != leaf.shape:
+        raise ContractError(f"gradient of shape {g.shape} for {leaf!r}")
+    if leaf.grad is None:
+        leaf.grad = g.copy()
+    else:
+        leaf.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -512,33 +564,52 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 class ParameterStore:
-    """Named trainable tensors in a fixed insertion order, all held in the
-    store's ``dtype`` (float32 or float64)."""
+    """Named parameters in the order of ``shapes`` ((name, shape) pairs),
+    all held in the store's ``dtype`` (float32 or float64) and all trainable
+    until ``set_requires_grad`` says otherwise.
 
-    def __init__(self, dtype=np.float64):
+    The whole layout is fixed when the store is built: every parameter's
+    ``data`` is a view into the one flat buffer ``data``, and its ``grad`` a
+    view at the same place in the flat buffer ``grad``, zeros until
+    ``backward`` accumulates into it. A parameter no op reached keeps a
+    zero gradient, never ``None``. Write values with ``assign`` (or in
+    place); rebinding a parameter's ``data`` or ``grad`` detaches it from
+    the buffers, which ``runs`` reports as an error."""
+
+    def __init__(self, shapes: Iterable[tuple[str, tuple[int, ...]]],
+                 dtype=np.float64):
         self.dtype = np.dtype(dtype)
         if self.dtype not in FLOAT_DTYPES:
             raise ContractError(
                 f"parameter dtype must be float32 or float64, got {self.dtype}")
+        shapes = [(name, tuple(shape)) for name, shape in shapes]
+        size = sum(math.prod(shape) for _, shape in shapes)
+        self.data = np.zeros(size, self.dtype)
+        # zero pages from the kernel, resident only once written, so the
+        # gradients of a bank that never trains, or of its frozen part, take
+        # no memory
+        self.grad = np.frombuffer(mmap.mmap(-1, max(size, 1) * self.dtype.itemsize),
+                                  self.dtype, count=size)
         self._tensors: dict[str, Tensor] = {}
-
-    def add(self, name: str, data, requires_grad: bool = True) -> Tensor:
-        if name in self._tensors:
-            raise ContractError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(data, dtype=self.dtype), requires_grad=requires_grad,
-                   name=name)
-        self._tensors[name] = t
-        return t
+        at = slice(0, 0)
+        for name, shape in shapes:
+            if name in self._tensors:
+                raise ContractError(f"duplicate parameter name {name!r}")
+            at = slice(at.stop, at.stop + math.prod(shape))
+            t = Tensor(self.data[at].reshape(shape), requires_grad=True, name=name)
+            t.grad = self.grad[at].reshape(shape)
+            self._tensors[name] = t
+        self._trainable_runs: list[slice] | None = None
 
     def assign(self, name: str, data) -> None:
-        """Replace the values of parameter ``name`` with a copy of ``data``
-        in the store's dtype; the shape must match."""
+        """Overwrite the values of parameter ``name`` with ``data``, cast to
+        the store's dtype; the shape must match."""
         t = self._tensors[name]
         data = np.asarray(data)
         if data.shape != t.shape:
             raise ShapeMismatchError(f"cannot assign shape {data.shape} to parameter "
                                      f"{name!r} of shape {t.shape}")
-        t.data = data.astype(self.dtype)
+        t.data[...] = data
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -556,25 +627,69 @@ class ParameterStore:
         return self._tensors.items()
 
     def zero_grad(self) -> None:
-        for t in self._tensors.values():
-            t.grad = None
+        """Zero the gradients of the trainable parameters, one fill per run
+        of them. Backward never writes a frozen parameter's gradient."""
+        if self._trainable_runs is None:
+            self._trainable_runs = self.runs(
+                (n, self._tensors[n]) for n in self.trainable_names())[2]
+        for run in self._trainable_runs:
+            self.grad[run] = 0.0
 
     def set_requires_grad(self, names: Iterable[str], flag: bool) -> None:
         for name in names:
             self._tensors[name].requires_grad = flag
+        self._trainable_runs = None
 
     def trainable_names(self) -> list[str]:
         return [n for n, t in self._tensors.items() if t.requires_grad]
 
-    def num_parameters(self, names: Iterable[str] | None = None) -> int:
-        names = self.names() if names is None else list(names)
-        return sum(self._tensors[n].size for n in names)
+    @staticmethod
+    def runs(pairs: Iterable[tuple[str, Tensor]]
+             ) -> tuple[Array | None, Array | None, list[slice]]:
+        """The flat ``data`` and ``grad`` buffers of the store whose
+        parameters the (name, parameter) ``pairs`` are, and the runs of
+        those buffers the pairs cover, in buffer order; parameters adjacent
+        in the buffers share one run. No pairs give ``(None, None, [])``.
+        ContractError names the first pair whose ``data`` or ``grad`` is not
+        a view into the buffers of the first pair at one place, or that
+        overlaps another pair."""
+        data = grad = None
+        spans = []
+        for name, p in pairs:
+            if data is None:
+                data, grad = p.data.base, getattr(p.grad, "base", None)
+            start = _view_start(p.data, data)
+            if (start is None or start != _view_start(p.grad, grad) or data is grad
+                    or p.grad.shape != p.shape):
+                raise ContractError(
+                    f"parameter {name!r} is not a view into a parameter store's "
+                    f"buffers: its data or grad was rebound, not written in place")
+            spans.append((start, start + p.size, name))
+        runs: list[slice] = []
+        for start, stop, name in sorted(spans):
+            if runs and start < runs[-1].stop:
+                raise ContractError(f"parameter {name!r} overlaps another one")
+            if runs and start == runs[-1].stop:
+                runs[-1] = slice(runs[-1].start, stop)
+            else:
+                runs.append(slice(start, stop))
+        return data, grad, runs
 
     def state_bytes(self, names: Iterable[str] | None = None) -> bytes:
         """Little-endian float32 serialization in sorted name order."""
         names = sorted(self.names() if names is None else names)
         chunks = [self._tensors[n].data.astype("<f4").tobytes() for n in names]
         return b"".join(chunks)
+
+
+def _view_start(view: Array | None, buffer: Array | None) -> int | None:
+    """Where the contiguous ``view`` starts in the flat ``buffer`` it
+    views, in elements, or None if it is not such a view."""
+    if (not isinstance(view, np.ndarray) or not isinstance(buffer, np.ndarray)
+            or view.base is not buffer or buffer.ndim != 1
+            or not view.flags.c_contiguous):
+        return None
+    return (view.ctypes.data - buffer.ctypes.data) // buffer.itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +751,8 @@ def finite_difference_check(loss_fn: Callable[[], Tensor],
             raise ContractError(
                 f"finite_difference_check: block {name!r} is {t.data.dtype}; a "
                 f"step of {h:g} is only resolved in float64")
-        t.grad = None
+        if t.grad is not None:
+            t.grad[...] = 0.0
     loss = loss_fn()
     backward(loss)
     analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())

@@ -42,7 +42,8 @@ from .metrics import (OVERALL_METRICS, MetricsReport, aggregate_reports,
                       binary_report, early_stop_metric, emotion_report,
                       multiclass_report)
 from .runtime import steady_process
-from .tensor import FDReport, Tensor, backward, finite_difference_check, no_grad
+from .tensor import (FDReport, ParameterStore, Tensor, backward,
+                     finite_difference_check, no_grad)
 
 CHECKPOINT_MAGIC = b"AFCKPT01"
 META_KEY = "__meta__"
@@ -128,35 +129,79 @@ class TrainConfig:
 # optimizer
 # ---------------------------------------------------------------------------
 
-AdamState = dict[str, tuple[np.ndarray, np.ndarray]]
+class AdamState:
+    """AdamW's state over parameters of one ``ParameterStore``: flat first
+    and second moments ``m`` and ``v`` and the weight-decay mask ``decay``
+    (1 where decay applies, 0 for biases and layer-norm gains and shifts),
+    laid out over ``runs``, the runs of the store's buffers that the
+    parameters cover. The first ``adamw_step`` call lays it out from its
+    parameters; later calls must pass the same ones."""
+
+    def __init__(self):
+        self.runs: list[slice] = []
+        self.m = self.v = self.decay = None
+        # per run: parameters, gradients, m, v, decay and two scratch vectors
+        self.views: list[tuple[np.ndarray, ...]] = []
+
+    def lay_out(self, params: list[tuple[str, Tensor]]) -> None:
+        data, grad, self.runs = ParameterStore.runs(params)
+        if not self.runs:
+            raise ContractError("adamw_step needs at least one parameter")
+        _, _, decaying = ParameterStore.runs(
+            [(n, p) for n, p in params if not n.endswith(NO_DECAY_SUFFIXES)])
+        size = sum(run.stop - run.start for run in self.runs)
+        self.m, self.v, self.decay = (np.zeros(size, data.dtype) for _ in range(3))
+        scratch = np.empty((2, size), data.dtype)
+        at = slice(0, 0)
+        for run in self.runs:
+            at = slice(at.stop, at.stop + run.stop - run.start)
+            decay = self.decay[at]
+            for part in decaying:  # each lies inside one run
+                if run.start <= part.start < run.stop:
+                    decay[part.start - run.start:part.stop - run.start] = 1.0
+            self.views.append((data[run], grad[run], self.m[at], self.v[at], decay,
+                               scratch[0, at], scratch[1, at]))
 
 
 def adamw_step(params: list[tuple[str, Tensor]], state: AdamState, t: int,
                lr_t: float, config: TrainConfig) -> None:
-    """One decoupled-weight-decay Adam update over the given parameters.
+    """One decoupled-weight-decay Adam update of ``params``, parameters of
+    one ``ParameterStore``, as about fifteen in-place vector ops over each
+    run of the store's buffers they cover.
 
-    Decay is skipped for biases and layer-norm gains/shifts. Parameters with
-    no gradient this step are left untouched.
+    Decay is skipped for biases and layer-norm gains/shifts. Every parameter
+    is updated: one that no op reached has a zero gradient, so its moments
+    still decay and weight decay still applies. The arithmetic is the
+    per-parameter update ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g
+    g``, ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``, then ``p -= lr wd p``,
+    with each expression evaluated in that order, so the flat update
+    matches it bit for bit.
     """
     if t < 1:
         raise ContractError(f"step index must be >= 1, got {t}")
+    if state.m is None:
+        state.lay_out(params)
     b1, b2 = config.betas
-    for name, p in params:
-        if p.grad is None:
-            continue
-        if p.grad.shape != p.data.shape:
-            raise ContractError(
-                f"gradient shape {p.grad.shape} does not match parameter "
-                f"{name} of shape {p.data.shape}")
-        m, v = state.get(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
-        m = b1 * m + (1.0 - b1) * p.grad
-        v = b2 * v + (1.0 - b2) * p.grad * p.grad
-        state[name] = (m, v)
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p.data -= lr_t * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-        if config.weight_decay and not name.endswith(NO_DECAY_SUFFIXES):
-            p.data -= lr_t * config.weight_decay * p.data
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for p, g, m, v, decay, a, b in state.views:
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=a)
+        m += a
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=a)
+        a *= g
+        v += a
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += config.adam_eps
+        np.divide(m, c1, out=a)
+        a *= lr_t
+        a /= b
+        p -= a
+        if config.weight_decay:
+            np.multiply(p, decay, out=a)
+            a *= lr_t * config.weight_decay
+            p -= a
 
 
 def lr_schedule(step: int, total_steps: int, base_lr: float,
@@ -408,14 +453,16 @@ def fit(bank: AdapterBank, task: TaskSpec, splits: Splits, vocab: Vocabulary,
     val_batches = make_batches(splits.val, vocab, cfg.max_len, task.kind,
                                cfg.batch_size)
     rng = np.random.default_rng(cfg.seed)
-    state: AdamState = {}
+    state = AdamState()
     steps_per_epoch = math.ceil(len(splits.train) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     trainable = [(n, bank.params[n]) for n in bank.params.trainable_names()]
+    # raises on a parameter detached from the store's buffers
+    data, _, runs = bank.params.runs(trainable)
     t = 0
     best_metric = -math.inf
     best_epoch = 0
-    best_snapshot: dict[str, np.ndarray] = {}
+    best_snapshot: list[np.ndarray] = []
     best_report: MetricsReport | None = None
     history: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
@@ -448,12 +495,12 @@ def fit(bank: AdapterBank, task: TaskSpec, splits: Splits, vocab: Vocabulary,
         if metric > best_metric:
             best_metric = metric
             best_epoch = epoch
-            best_snapshot = {n: p.data.copy() for n, p in trainable}
+            best_snapshot = [data[run].copy() for run in runs]
             best_report = val_report
         elif epoch - best_epoch >= cfg.patience:
             break
-    for n, _ in trainable:
-        bank.params.assign(n, best_snapshot[n])
+    for run, saved in zip(runs, best_snapshot):
+        data[run] = saved
     return history, best_epoch, best_report
 
 

@@ -254,7 +254,7 @@ def test_tokenize_is_length_safe(text, max_len):
 def test_vocab_round_trip_ids():
     vocab = D.build_vocab([ex("a b c a")], max_size=10)
     for tok in ("a", "b", "c"):
-        assert vocab.token_of(vocab.id_of(tok)) == tok
+        assert vocab.tokens[vocab.id_of(tok)] == tok
 
 
 def test_vocab_file_round_trip(tmp_path):

@@ -65,7 +65,7 @@ def test_adapter_gradient_check_all_four_tensors():
                        dtype=np.float64)
     # non-degenerate up projection so every tensor sees signal
     rng = np.random.default_rng(4)
-    bank.params["adapters.t.0.up.weight"].data = rng.normal(0, 0.5, (4, 8))
+    bank.params.assign("adapters.t.0.up.weight", rng.normal(0, 0.5, (4, 8)))
     h = random_hidden(config, rng)
     mix = rng.uniform(-1, 1, h.shape)
     params = [(n, bank.params[n]) for n in bank.params.names()
@@ -250,7 +250,8 @@ def test_trimmed_batch_matches_max_len_batch(stage):
         bank.params.zero_grad()
         logits = bank.forward(batch, "t")
         T.backward(probe(mix, logits))
-        return logits.data, {n: bank.params[n].grad for n in bank.params.trainable_names()}
+        return logits.data, {n: bank.params[n].grad.copy()
+                             for n in bank.params.trainable_names()}
 
     (logits_full, grads_full), (logits_trim, grads_trim) = run(full), run(trimmed)
     np.testing.assert_allclose(logits_trim, logits_full, rtol=0, atol=1e-12)
@@ -343,7 +344,7 @@ def test_stage_errors():
 
 def test_frozen_encoder_bit_identical_after_optimizer_steps():
     from fuseformer.losses import bce
-    from fuseformer.training import TrainConfig, adamw_step
+    from fuseformer.training import AdamState, TrainConfig, adamw_step
 
     bank = full_bank(seed=41)
     bank.set_stage("adapter", "emo")
@@ -353,7 +354,7 @@ def test_frozen_encoder_bit_identical_after_optimizer_steps():
     encoder_bytes = bank.params.state_bytes(bank.groups["encoder"])
     adapter_bytes = bank.params.state_bytes(bank.groups["adapters.emo"])
     cfg = TrainConfig(lr=0.05, epochs=1, patience=1, batch_size=2, runs=1)
-    state = {}
+    state = AdamState()
     trainable = [(n, bank.params[n]) for n in bank.params.trainable_names()]
     for t in range(1, 11):
         bank.params.zero_grad()
@@ -369,7 +370,7 @@ def test_frozen_encoder_bit_identical_after_optimizer_steps():
 def test_fusion_params_change_with_nonzero_gradient():
     from fuseformer.losses import bce
     from fuseformer.tensor import backward
-    from fuseformer.training import TrainConfig, adamw_step
+    from fuseformer.training import AdamState, TrainConfig, adamw_step
 
     bank = full_bank(seed=44)
     bank.set_stage("fusion", "emo")
@@ -383,7 +384,7 @@ def test_fusion_params_change_with_nonzero_gradient():
     backward(loss)
     trainable = [(n, bank.params[n]) for n in bank.params.trainable_names()]
     assert any(p.grad is not None and np.any(p.grad != 0) for _, p in trainable)
-    adamw_step(trainable, {}, 1, 0.05, TrainConfig(lr=0.05))
+    adamw_step(trainable, AdamState(), 1, 0.05, TrainConfig(lr=0.05))
     assert bank.params.state_bytes(bank.groups["fusion"]) != fusion_before
     assert bank.params.state_bytes(
         bank.groups["adapters.emo"] + bank.groups["adapters.s2"]) \
@@ -438,9 +439,9 @@ def test_count_matches_allocated_bank():
                            with_fusion=stage == "fusion", seed=50)
         expected = count_parameters(config, stage, num_tasks=max(len(tasks), 1),
                                     num_labels=6)
-        assert bank.params.num_parameters() == expected["total"], stage
+        assert sum(t.size for _, t in bank.params.items()) == expected["total"], stage
         bank.set_stage(stage, "t")
-        assert bank.params.num_parameters(bank.params.trainable_names()) \
+        assert sum(bank.params[n].size for n in bank.params.trainable_names()) \
             == expected["trainable"], stage
 
 
@@ -496,7 +497,7 @@ FUSION5_WEIGHTS = PosWeights(w=[0.92, 3.0, 3.76, 9.0, 4.88, 11.5])
 
 
 def test_float32_fusion_training_step_has_no_float64_on_its_tape():
-    from fuseformer.training import TrainConfig, adamw_step
+    from fuseformer.training import AdamState, TrainConfig, adamw_step
 
     bank = fusion5_bank(np.float32)
     batch = padded_batch(np.random.default_rng(9))
@@ -525,11 +526,11 @@ def test_float32_fusion_training_step_has_no_float64_on_its_tape():
         node.backward_fn = recording(node.backward_fn)
     T.backward(loss)
     trainable = [(n, bank.params[n]) for n in bank.params.trainable_names()]
-    state = {}
+    state = AdamState()
     adamw_step(trainable, state, 1, 1e-3, TrainConfig())
     dtypes.update(("param", p.data.dtype) for _, p in bank.params.items())
     dtypes.update(("param grad", p.grad.dtype) for _, p in trainable)
-    dtypes.update(("adam moment", a.dtype) for m, v in state.values() for a in (m, v))
+    dtypes.update(("adam moment", a.dtype) for a in (state.m, state.v))
     assert {kind for kind, _ in dtypes} == {"output", "grad", "param", "param grad",
                                             "adam moment"}
     assert {dtype for _, dtype in dtypes} == {np.dtype(np.float32)}, dtypes

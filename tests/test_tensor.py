@@ -450,10 +450,12 @@ def adapter_fusion_reference(h, adapters, ws, mix):
     back through the adapters (a vector-Jacobian product) plus, for h, its
     gradient as the query. Returns the output, the weights and the gradients
     of h, of each adapter weight (in ``adapters`` order) and of W_Q/K/V."""
-    store = T.ParameterStore(np.float64)
-    for part, tensors in zip(ADAPTER_PARTS, adapters):
-        for t, leaf in enumerate(tensors):
-            store.add(f"adapters.{t}.0.{part}", leaf.data)
+    leaves = {f"adapters.{t}.0.{part}": leaf.data
+              for part, tensors in zip(ADAPTER_PARTS, adapters)
+              for t, leaf in enumerate(tensors)}
+    store = T.ParameterStore([(name, x.shape) for name, x in leaves.items()])
+    for name, x in leaves.items():
+        store.assign(name, x)
     h_in = Tensor(h.data.copy(), requires_grad=True)
     zs = [adapter_forward(store, str(t), 0, h_in) for t in range(len(adapters[0]))]
     out, alpha, dh, dzs, dws = attention_reference(h, zs, ws, mix)
@@ -835,31 +837,46 @@ def test_fd_check_rejects_float32_parameters():
 
 
 def test_parameter_store_holds_its_dtype():
-    store = T.ParameterStore(np.float32)
-    w = store.add("w", np.array([1.0, 2.0]))
-    assert w.data.dtype == np.float32
+    store = T.ParameterStore([("w", (2,))], np.float32)
+    w = store["w"]
+    assert w.data.dtype == np.float32 and w.grad.dtype == np.float32
     store.assign("w", np.array([3.0, 4.0]))
     assert w.data.dtype == np.float32 and w.data.tolist() == [3.0, 4.0]
     with pytest.raises(ShapeMismatchError, match="'w'"):
         store.assign("w", np.zeros(3))
     with pytest.raises(ContractError):
-        T.ParameterStore(np.int64)
+        T.ParameterStore([], np.int64)
 
 
 def test_parameter_store_rejects_duplicates_and_freezes():
-    store = T.ParameterStore()
-    store.add("w", [1.0, 2.0])
     with pytest.raises(ContractError):
-        store.add("w", [3.0])
+        T.ParameterStore([("w", (2,)), ("w", (1,))])
+    store = T.ParameterStore([("w", (2,))])
     store.set_requires_grad(["w"], False)
     assert store.trainable_names() == []
-    assert store.num_parameters() == 2
+    assert sum(t.size for _, t in store.items()) == 2
+
+
+def test_parameter_store_views_two_flat_buffers_and_backward_writes_in_place():
+    store = T.ParameterStore([("a", (2, 2)), ("b", (3,))], np.float32)
+    a, b = store["a"], store["b"]
+    assert store.data.shape == store.grad.shape == (7,)
+    a.data[0, 1] = 5.0
+    assert store.data[1] == 5.0
+    grad = a.grad
+    backward(probe(np.ones((2, 2)), square(a)))
+    assert a.grad is grad and store.grad[:4].tolist() == a.grad.ravel().tolist()
+    assert b.grad.tolist() == [0.0, 0.0, 0.0]  # no op reached b
+    store.set_requires_grad(["b"], False)
+    store.grad[4:] = 7.0
+    store.zero_grad()  # fills the trainable runs only
+    assert store.grad.tolist() == [0.0] * 4 + [7.0] * 3
 
 
 def test_state_bytes_is_f32_little_endian_sorted():
-    store = T.ParameterStore()
-    store.add("b", [2.0])
-    store.add("a", [1.0])
+    store = T.ParameterStore([("b", (1,)), ("a", (1,))])
+    store.assign("b", [2.0])
+    store.assign("a", [1.0])
     raw = store.state_bytes()
     assert raw == np.array([1.0], "<f4").tobytes() + np.array([2.0], "<f4").tobytes()
 

@@ -13,15 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuseformer import runtime, training
-from fuseformer.data import (SPECIAL_TOKENS, Splits, Vocabulary, build_vocab,
+from fuseformer.data import (SPECIAL_TOKENS, Batch, Splits, Vocabulary, build_vocab,
                              make_batches, synth_corpus)
 from fuseformer.encoder import ModelConfig
 from fuseformer.errors import (CheckpointError, ConfigError, ContractError,
                                NumericalDivergenceError)
-from fuseformer.fusion import AdapterBank
-from fuseformer.tensor import Tensor
-from fuseformer.training import (CHECKPOINT_MAGIC, GRAD_CHECK_BLOCKS, TaskSpec,
-                                 TrainConfig, adamw_step, bank_from_checkpoint,
+from fuseformer.fusion import STAGES, AdapterBank
+from fuseformer.losses import bce
+from fuseformer.tensor import ParameterStore, Tensor, backward, scalar_loss
+from fuseformer.training import (CHECKPOINT_MAGIC, GRAD_CHECK_BLOCKS, AdamState,
+                                 TaskSpec, TrainConfig, adamw_step, bank_from_checkpoint,
                                  checkpoint_from_bank, evaluate_model, grad_check,
                                  group_hashes,
                                  load_checkpoint, load_into_bank, lr_schedule,
@@ -73,37 +74,50 @@ def reference_adamw(p, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.0,
 
 
 def one_param(value, name="w"):
-    t = Tensor(np.asarray([value]), requires_grad=True, name=name)
-    return name, t
+    """The parameter of a one-entry float64 ``ParameterStore``, set to
+    ``value``; write its gradient in place."""
+    store = ParameterStore([(name, (1,))])
+    store.assign(name, [value])
+    return name, store[name]
 
 
 def test_adamw_first_step_example():
     name, p = one_param(1.0)
-    p.grad = np.asarray([1.0])
-    adamw_step([(name, p)], {}, 1, 0.1, TrainConfig(weight_decay=0.0))
+    p.grad[...] = 1.0
+    adamw_step([(name, p)], AdamState(), 1, 0.1, TrainConfig(weight_decay=0.0))
     assert p.data[0] == pytest.approx(0.9, abs=1e-8)
 
 
 def test_adamw_zero_gradient_no_decay():
     name, p = one_param(1.0)
-    p.grad = np.asarray([0.0])
-    adamw_step([(name, p)], {}, 1, 0.1, TrainConfig(weight_decay=0.0))
+    p.grad[...] = 0.0
+    adamw_step([(name, p)], AdamState(), 1, 0.1, TrainConfig(weight_decay=0.0))
     assert p.data[0] == 1.0
 
 
 def test_adamw_pure_decoupled_decay():
     name, p = one_param(2.0)
-    p.grad = np.asarray([0.0])
+    p.grad[...] = 0.0
     cfg = TrainConfig(weight_decay=0.5)
-    adamw_step([(name, p)], {}, 1, 0.1, cfg)
+    adamw_step([(name, p)], AdamState(), 1, 0.1, cfg)
     assert p.data[0] == pytest.approx(1.9, abs=1e-15)
 
 
-def test_adamw_skips_missing_gradients():
-    name, p = one_param(2.0)
-    p.grad = None
-    adamw_step([(name, p)], {}, 1, 0.1, TrainConfig(weight_decay=0.5))
-    assert p.data[0] == 2.0
+def test_adamw_updates_a_parameter_no_op_reached():
+    # its gradient is the store's zeros, not None: decay and momentum apply
+    store = ParameterStore([("w", (1,)), ("unused", (1,))])
+    store.assign("w", [2.0])
+    store.assign("unused", [2.0])
+    w, unused = store["w"], store["unused"]
+    backward(scalar_loss(w, w.data[0], lambda: np.ones(1)))
+    assert w.grad.tolist() == [1.0] and unused.grad.tolist() == [0.0]
+    params, state = list(store.items()), AdamState()
+    adamw_step(params, state, 1, 0.1, TrainConfig(weight_decay=0.5))
+    assert unused.data[0] == pytest.approx(1.9, abs=1e-15)
+    before = w.data[0]
+    store.zero_grad()  # no op reaches w in this step
+    adamw_step(params, state, 2, 0.1, TrainConfig(weight_decay=0.0))
+    assert w.data[0] < before
 
 
 def test_adamw_exempts_bias_and_norm_parameters_from_decay():
@@ -111,12 +125,12 @@ def test_adamw_exempts_bias_and_norm_parameters_from_decay():
     for name in ("layers.0.ff.in.bias", "embeddings.norm.gamma",
                  "layers.0.attention.norm.beta"):
         _, p = one_param(2.0, name)
-        p.grad = np.asarray([0.0])
-        adamw_step([(name, p)], {}, 1, 0.1, cfg)
+        p.grad[...] = 0.0
+        adamw_step([(name, p)], AdamState(), 1, 0.1, cfg)
         assert p.data[0] == 2.0, name
     _, p = one_param(2.0, "layers.0.ff.in.weight")
-    p.grad = np.asarray([0.0])
-    adamw_step([("layers.0.ff.in.weight", p)], {}, 1, 0.1, cfg)
+    p.grad[...] = 0.0
+    adamw_step([("layers.0.ff.in.weight", p)], AdamState(), 1, 0.1, cfg)
     assert p.data[0] == pytest.approx(1.9)
 
 
@@ -130,9 +144,9 @@ def test_adamw_matches_scalar_reference_on_100_problems():
         grads = rng.uniform(-2, 2, steps)
         name, p = one_param(p0, "weights")
         cfg = TrainConfig(lr=lr, weight_decay=wd)
-        state = {}
+        state = AdamState()
         for t, g in enumerate(grads, start=1):
-            p.grad = np.asarray([g])
+            p.grad[...] = g
             adamw_step([(name, p)], state, t, lr, cfg)
         want = reference_adamw(p0, [float(g) for g in grads], lr, wd=wd)
         assert abs(p.data[0] - want) <= 1e-12
@@ -142,14 +156,109 @@ def test_adamw_shape_contract():
     name, p = one_param(1.0)
     p.grad = np.zeros(2)
     with pytest.raises(ContractError):
-        adamw_step([(name, p)], {}, 1, 0.1, TrainConfig())
+        adamw_step([(name, p)], AdamState(), 1, 0.1, TrainConfig())
 
 
 def test_adamw_step_index_contract():
     name, p = one_param(1.0)
-    p.grad = np.asarray([1.0])
+    p.grad[...] = 1.0
     with pytest.raises(ContractError):
-        adamw_step([(name, p)], {}, 0, 0.1, TrainConfig())
+        adamw_step([(name, p)], AdamState(), 0, 0.1, TrainConfig())
+
+
+def test_adamw_rejects_parameters_that_are_not_store_views():
+    plain = Tensor(np.ones(2), requires_grad=True, name="w")
+    plain.grad = np.ones(2)
+    with pytest.raises(ContractError, match="'w'"):
+        adamw_step([("w", plain)], AdamState(), 1, 0.1, TrainConfig())
+
+
+def per_parameter_adamw(params, state, t, lr_t, config):
+    """AdamW as one update per parameter, with its own moment arrays: the
+    reference the flat update must match bit for bit."""
+    b1, b2 = config.betas
+    for name, p in params:
+        m, v = state.get(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
+        m = b1 * m + (1.0 - b1) * p.grad
+        v = b2 * v + (1.0 - b2) * p.grad * p.grad
+        state[name] = (m, v)
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        p.data -= lr_t * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        if config.weight_decay and not name.endswith(training.NO_DECAY_SUFFIXES):
+            p.data -= lr_t * config.weight_decay * p.data
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+# training head "a" of a bank with heads a and b, adapters a and b and a
+# fusion layer: finetune and adapter train two runs of the buffer, fusion
+# (fusion.*, then heads.a) one
+@pytest.mark.parametrize("stage, runs", [("finetune", 2), ("adapter", 2), ("fusion", 1)])
+def test_flat_adamw_matches_the_per_parameter_loop_bit_for_bit(stage, runs, dtype,
+                                                               weight_decay):
+    config = desk_config()
+    banks = [AdapterBank(config, heads={"a": 6, "b": 6}, adapter_tasks=["a", "b"],
+                         with_fusion=True, seed=5, dtype=dtype) for _ in range(2)]
+    for bank in banks:
+        bank.set_stage(stage, "a")
+    cfg = TrainConfig(lr=1e-2, weight_decay=weight_decay)
+    reference, flat = {}, AdamState()
+    rng = np.random.default_rng(6)
+    for t in range(1, 21):
+        ids = rng.integers(4, config.vocab_size, size=(4, 6))
+        ids[:, 0] = 2
+        batch = Batch(token_ids=ids, attention_mask=np.ones_like(ids),
+                      segment_ids=np.zeros_like(ids),
+                      labels=(rng.random((4, 6)) < 0.5).astype(np.float64))
+        for bank in banks:
+            bank.params.zero_grad()
+            backward(bce(bank.forward(batch, "a"), batch.labels))
+        trainable = [[(n, bank.params[n]) for n in bank.params.trainable_names()]
+                     for bank in banks]
+        lr_t = lr_schedule(t - 1, 20, cfg.lr)
+        per_parameter_adamw(trainable[0], reference, t, lr_t, cfg)
+        adamw_step(trainable[1], flat, t, lr_t, cfg)
+        assert banks[0].params.data.tobytes() == banks[1].params.data.tobytes(), t
+    assert len(flat.runs) == runs
+    assert flat.m.dtype == dtype and flat.m.size == sum(p.size for _, p in trainable[1])
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_every_trainable_parameter_receives_a_gradient_in_the_first_step(
+        stage, monkeypatch):
+    # so the zero-gradient rule of adamw_step never fires in the pipeline
+    checked, unreached = [], []
+    adamw = training.adamw_step
+
+    def checking_adamw(params, state, t, *args):
+        if t == 1:
+            checked.append(len(params))
+            unreached.extend(n for n, p in params if not np.any(p.grad))
+        adamw(params, state, t, *args)
+
+    monkeypatch.setattr(training, "adamw_step", checking_adamw)
+    splits, cfg = tiny_splits(), fast_cfg(epochs=1, patience=1)
+    if stage == "finetune":
+        train_full(EMOTION, splits, desk_config(), cfg)
+    elif stage == "adapter":
+        train_adapter(EMOTION, splits, desk_config(), cfg)
+    else:  # the two stage-1 fits are checked too
+        r1, r2 = two_adapter_checkpoints(splits, cfg)
+        train_fusion(EMOTION, [r1.checkpoint, r2.checkpoint], splits, cfg)
+    assert checked and all(checked) and unreached == []
+
+
+@pytest.mark.parametrize("field", ["data", "grad"])
+def test_fit_rejects_a_parameter_detached_from_the_store(field):
+    splits, cfg = tiny_splits(), fast_cfg(epochs=1, patience=1)
+    vocab = build_vocab(splits.train, cfg.vocab_size)
+    bank = AdapterBank(desk_config(vocab_size=len(vocab)), heads={"emotion": 6})
+    bank.set_stage("finetune", "emotion")
+    p = bank.params["layers.0.ff.in.weight"]
+    setattr(p, field, getattr(p, field).copy())  # rebound, not written in place
+    with pytest.raises(ContractError, match="'layers.0.ff.in.weight'"):
+        training.fit(bank, EMOTION, splits, vocab, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +551,7 @@ def test_model_loops_run_with_one_blas_thread(monkeypatch):
                 lambda: train_adapter(EMOTION, splits, desk_config(), fast_cfg())):
         calls[1](2)
         run()
-        assert runtime.blas_threads() == 1
+        assert calls[0]() == 1
 
 
 def test_fit_requires_nonempty_splits():
