@@ -304,16 +304,24 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np
 def make_batches(examples: list[RawExample], vocab: Vocabulary, max_len: int,
                  task_kind: str, batch_size: int) -> list[Batch]:
     """Tokenize and chunk in the given example order. Each batch is cut to
-    its longest row, so it is at most ``max_len`` wide."""
+    its longest row, so it is at most ``max_len`` wide. The rows are those of
+    ``tokenize``; a chunk's ids and mask are built at once."""
     if batch_size < 1:
         raise ContractError(f"batch_size must be positive, got {batch_size}")
+    if examples and max_len < 2:
+        raise ContractError(f"max_len must be at least 2, got {max_len}")
+    lookup, keep = vocab.index.get, max_len - 2
     batches = []
     for start in range(0, len(examples), batch_size):
         chunk = examples[start:start + batch_size]
-        rows = [tokenize(ex.text, vocab, max_len) for ex in chunk]
-        width = max(int(row_mask.sum()) for _, row_mask in rows)
-        ids = np.stack([row_ids[:width] for row_ids, _ in rows])
-        mask = np.stack([row_mask[:width] for _, row_mask in rows])
+        body = [[lookup(tok, UNK) for tok in ex.text.split()[:keep]] for ex in chunk]
+        ends = np.array([len(ids) + 1 for ids in body])  # where each [SEP] goes
+        cols = np.arange(int(ends.max()) + 1)
+        mask = (cols <= ends[:, None]).astype(np.int64)
+        ids = np.full(mask.shape, PAD, dtype=np.int64)
+        ids[:, 0] = CLS
+        ids[(cols > 0) & (cols < ends[:, None])] = [i for row in body for i in row]
+        ids[np.arange(len(chunk)), ends] = SEP
         labels = _stack_labels(chunk, task_kind)
         if task_kind == "binary":
             labels = labels[:, None]

@@ -1,11 +1,10 @@
 """Miniature BERT-style encoder: embeddings, multi-head self-attention,
-feed-forward blocks with post-layer-norm residuals, and a post-FF slot where
-task adapters or a fusion layer attach.
+feed-forward blocks with post-layer-norm residuals (one tape node per
+sublayer), and a post-FF slot where task adapters or a fusion layer attach.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Protocol, get_args, get_origin, get_type_hints
 
@@ -185,56 +184,52 @@ def embed(config: ModelConfig, params: ParameterStore, batch: Batch,
 
 def linear(params: ParameterStore, prefix: str, x: Tensor) -> Tensor:
     """``x @ {prefix}.weight + {prefix}.bias``: one ``matmul`` node. Every
-    linear layer of the model (attention, FF, adapters, heads) is this."""
+    linear layer outside the encoder's sublayer ops (stage-1 adapters,
+    heads) is this."""
     return T.matmul(x, params[f"{prefix}.weight"], params[f"{prefix}.bias"])
 
 
 def multi_head_attention(config: ModelConfig, params: ParameterStore,
                          layer_idx: int, h: Tensor, mask: np.ndarray,
-                         rows: np.ndarray, queries: Tensor | None = None) -> Tensor:
-    """Scaled dot-product attention over heads; returns the pre-residual
-    output projection, one row per query row.
+                         rows: np.ndarray, q_rows: np.ndarray | None = None) -> Tensor:
+    """The attention sublayer, residual and post-norm included:
+    ``LN(x + MHA(h) W_o + b_o)`` as one ``tensor.self_attention`` node.
 
     ``h`` [n, H] holds the rows at the flat positions ``rows`` of the [B, L]
     batch whose key mask is ``mask``; ``rows`` must cover every position
-    the mask marks real. Queries are every row of ``h`` ([n, H] out) or,
-    given ``queries`` [B, H], the [CLS] row of each example ([B, H] out).
-    Keys and values come from every row of ``h``. The q, k and v linears,
-    one ``tensor.attention`` node and the output linear: only that op sees
-    the padded [B, L, H] layout.
+    the mask marks real. Queries (and x) are every row of ``h`` ([n, H] out)
+    or, given ``q_rows``, the rows of ``h`` at those indices (one row out
+    per index). Keys and values come from every row of ``h``; only the op
+    sees the padded [B, L, H] layout.
     """
-    prefix = f"layers.{layer_idx}.attention"
-    b, l = mask.shape
-    q_rows = rows if queries is None else np.arange(b) * l
-    q, k, v = (linear(params, f"{prefix}.{name}", x) for name, x in (
-        ("query", h if queries is None else queries), ("key", h), ("value", h)))
-    return linear(params, f"{prefix}.output",
-                  T.attention(q, k, v, mask, rows, q_rows, config.num_heads,
-                              1.0 / math.sqrt(config.head_dim)))
+    p = f"layers.{layer_idx}.attention"
+    weights = [params[f"{p}.{proj}.{part}"]
+               for proj in ("query", "key", "value", "output")
+               for part in ("weight", "bias")]
+    weights += [params[f"{p}.norm.gamma"], params[f"{p}.norm.beta"]]
+    return T.self_attention(h, weights, mask, rows, q_rows, config.num_heads,
+                            config.eps)
 
 
 def encoder_layer_forward(config: ModelConfig, params: ParameterStore,
                           layer_idx: int, h: Tensor, mask: np.ndarray,
                           rows: np.ndarray,
                           adapter_slot: AdapterSlot | None = None,
-                          queries: Tensor | None = None) -> Tensor:
-    """Attention sublayer, FF sublayer (both residual + post-norm), then the
-    adapter slot applied to the FF-sublayer output.
+                          q_rows: np.ndarray | None = None) -> Tensor:
+    """Attention sublayer, FF sublayer (both residual + post-norm, one node
+    each), then the adapter slot applied to the FF-sublayer output.
 
-    ``h``, ``mask`` and ``rows`` are as in ``multi_head_attention``. The
-    layer computes every row of ``h``, or with ``queries`` [B, H] those
-    rows only; they attend over every row of ``h``, and the residuals,
-    layer norms, FF block and adapter slot act on them alone, so the output
-    is [n, H] or [B, H].
+    ``h``, ``mask``, ``rows`` and ``q_rows`` are as in
+    ``multi_head_attention``. The layer computes every row of ``h``, or with
+    ``q_rows`` those rows only; they attend over every row of ``h``, and the
+    residuals, layer norms, FF block and adapter slot act on them alone, so
+    the output is [n, H] or [len(q_rows), H].
     """
-    p = f"layers.{layer_idx}"
-    x = h if queries is None else queries
-    attn = multi_head_attention(config, params, layer_idx, h, mask, rows, queries)
-    h1 = T.layer_norm(T.add(x, attn), params[f"{p}.attention.norm.gamma"],
-                      params[f"{p}.attention.norm.beta"], config.eps)
-    ff = linear(params, f"{p}.ff.out", T.gelu(linear(params, f"{p}.ff.in", h1)))
-    h2 = T.layer_norm(T.add(h1, ff), params[f"{p}.ff.norm.gamma"],
-                      params[f"{p}.ff.norm.beta"], config.eps)
+    p = f"layers.{layer_idx}.ff"
+    h1 = multi_head_attention(config, params, layer_idx, h, mask, rows, q_rows)
+    h2 = T.feed_forward(h1, [params[f"{p}.{name}"] for name in (
+        "in.weight", "in.bias", "out.weight", "out.bias", "norm.gamma",
+        "norm.beta")], config.eps)
     if adapter_slot is None:
         return h2
     return adapter_slot.apply(h2, layer_idx)
@@ -262,6 +257,5 @@ def encode(config: ModelConfig, params: ParameterStore, batch: Batch,
     last = config.num_layers - 1
     for i in range(last):
         h = encoder_layer_forward(config, params, i, h, mask, rows, adapter_slot)
-    cls_rows = T.gather_rows(h, np.flatnonzero(rows % mask.shape[1] == 0))
-    return encoder_layer_forward(config, params, last, h, mask, rows,
-                                 adapter_slot, cls_rows)
+    return encoder_layer_forward(config, params, last, h, mask, rows, adapter_slot,
+                                 np.flatnonzero(rows % mask.shape[1] == 0))

@@ -10,10 +10,11 @@ backward closure. ``backward`` orders the graph below a scalar root
 topologically and replays it in reverse, accumulating gradients with ``+=``
 across shared subexpressions. Inside ``no_grad`` nothing is recorded.
 ``add`` takes equal shapes only; ``matmul``, ``layer_norm`` and
-``adapter_fusion`` act on the last axes and accept any leading dims;
-``attention`` takes packed [n, H] rows and alone builds a padded layout.
-A loss is one ``scalar_loss`` node whose value and gradient its caller
-computes in closed form.
+``adapter_fusion`` act on the last axes and accept any leading dims. An
+encoder layer is two nodes: ``self_attention`` takes packed [n, H] rows and
+alone builds a padded layout, and ``feed_forward`` is position-wise. A loss
+is one ``scalar_loss`` node whose value and gradient its caller computes in
+closed form.
 """
 
 from __future__ import annotations
@@ -98,10 +99,23 @@ def _needs_grad(t: Tensor) -> bool:
     return t.requires_grad or t.node is not None
 
 
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on ``inputs`` records a node: outside ``no_grad``, when
+    a gradient can reach one of them. An op that keeps extra state for its
+    backward asks this before its forward."""
+    return not getattr(_THREAD, "no_grad", False) and any(map(_needs_grad, inputs))
+
+
+def _only_needed(grads: Sequence[Array | None], need: Sequence[bool]
+                 ) -> tuple[Array | None, ...]:
+    """A backward's gradients, ``None`` for each input that needs none."""
+    return tuple(g if ok else None for g, ok in zip(grads, need))
+
+
 def _track(op: str, inputs: Sequence[Tensor], out_data: Array,
            backward_fn: Callable[[Array], tuple[Array | None, ...]]) -> Tensor:
     out = Tensor(out_data)
-    if not getattr(_THREAD, "no_grad", False) and any(map(_needs_grad, inputs)):
+    if _recording(inputs):
         out.node = TapeNode(op, tuple(inputs), backward_fn)
     return out
 
@@ -130,40 +144,6 @@ def relu(a: Tensor) -> Tensor:
     return _track("relu", (a,), y, backward)
 
 
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
-def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU used in the encoder feed-forward block:
-    ``y = h x`` with ``h = (1 + t) / 2`` and ``t = tanh(c (x + 0.044715 x^3))``.
-    Each step runs in place; the backward reuses x^2, t and h."""
-    x = a.data
-    x2 = x * x
-    t = x2 * x
-    t *= 0.044715
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    h = t + 1.0
-    h *= 0.5
-
-    def backward(g: Array):
-        # dy/dx = h + (1 - t^2) x / 2 * c (1 + 3 * 0.044715 x^2)
-        d = t * t
-        np.subtract(1.0, d, out=d)
-        d *= x
-        d *= 0.5
-        du = x2 * (3.0 * 0.044715)
-        du += 1.0
-        du *= _GELU_C
-        d *= du
-        d += h
-        d *= g
-        return (d,)
-
-    return _track("gelu", (a,), h * x, backward)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
@@ -182,9 +162,15 @@ def matmul(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: Array):
         g2 = g.reshape(-1, w.shape[1])
-        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, _column_sum(g2)
+        return (g2 @ w.data.T).reshape(x.shape), *_affine_grads(x2, g2)
 
     return _track("matmul", (x, w, b), out, backward)
+
+
+def _affine_grads(x: Array, g: Array) -> tuple[Array, Array]:
+    """dL/dW and dL/db of the affine map ``x W + b`` from the gradient ``g``
+    of its output, both 2-D: one GEMM and one column sum."""
+    return x.T @ g, _column_sum(g)
 
 
 def _column_sum(x: Array) -> Array:
@@ -218,69 +204,330 @@ def _softmax_backward(y: Array, g: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# attention over packed rows
+# layer norm and the encoder sublayers
 # ---------------------------------------------------------------------------
 
 _MASKED_SCORE = -1e9
 
 
-def _split_heads(x: Array, heads: int) -> Array:
-    """[..., L, H] -> [..., heads, L, H / heads] (a view)."""
-    *lead, length, hidden = x.shape
-    return x.reshape(*lead, length, heads, hidden // heads).swapaxes(-3, -2)
+def _row_mean(x: Array, y: Array | None = None) -> Array:
+    """Mean of each row of the 2-D ``x``, or of ``x * y``, as [n, 1].
+    einsum's per-row sum is several times faster than ``np.add.reduce`` at
+    these widths, and each row's sum depends on the row alone (a GEMV would
+    make it depend on where the row sits in the batch)."""
+    m = (np.einsum("ij->i", x) if y is None else np.einsum("ij,ij->i", x, y))[:, None]
+    m *= 1.0 / x.shape[1]
+    return m
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: Array, rows: Array,
-              q_rows: Array, heads: int, scale: float) -> Tensor:
-    """Multi-head softmax(scale * q k^T) v over packed rows, as one node.
-    ``k`` and ``v`` [n, H] sit at the flat positions ``rows`` of a [B, L]
-    batch whose key mask ``mask`` gives the keys it marks 0 a -1e9 score
-    (``rows`` must cover every real one), and ``q`` [m, H] at the flat
-    positions ``q_rows``. Each query attends over its own batch row; returns
-    [m, H]. Inside, keys and values are laid out as [B, L, H] and each batch
-    row's queries, in order, as [B, Lq, H], where Lq is the most queries any
-    batch row has (1 when only the [CLS] rows query)."""
-    mask, rows, q_rows = np.asarray(mask), np.asarray(rows), np.asarray(q_rows)
-    if (mask.ndim != 2 or q.data.ndim != 2 or q.shape[:1] != q_rows.shape
-            or k.shape != rows.shape + q.shape[1:] or v.shape != k.shape
-            or q.shape[1] % heads != 0):
+def _post_norm(z: Array, gamma: Array, beta: Array, eps: float,
+               keep: bool) -> tuple[Array, Array, Array]:
+    """Layer norm of the rows of the 2-D ``z``, standardizing ``z`` in place;
+    returns the output, the standardized rows xhat (``z`` itself) and the
+    inverse standard deviations [n, 1]. Without ``keep`` (no backward will
+    read xhat) the output is written over ``z`` too."""
+    z -= _row_mean(z)
+    inv = _row_mean(z, z)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    z *= inv
+    out = z * gamma if keep else np.multiply(z, gamma, out=z)
+    out += beta
+    return out, z, inv
+
+
+def _post_norm_backward(g: Array, xhat: Array, inv: Array, gamma: Array,
+                        affine: bool) -> tuple[Array, Array | None, Array | None]:
+    """dL/dz of ``_post_norm`` from the output gradient ``g`` [n, H], and,
+    when ``affine``, dL/dgamma and dL/dbeta."""
+    # dz = inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat))
+    dxhat = g * gamma
+    dgamma = dbeta = None
+    if affine:
+        dgamma, dbeta = _column_sum(g * xhat), _column_sum(g)
+    m2 = _row_mean(dxhat, xhat)
+    dxhat -= _row_mean(dxhat)
+    dxhat -= xhat * m2
+    dxhat *= inv
+    return dxhat, dgamma, dbeta
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
+    """Standardize over the last axis, then scale by gamma and shift by beta."""
+    if eps <= 0:
+        raise ContractError(f"layer_norm: eps must be positive, got {eps}")
+    d = x.shape[-1]
+    if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeMismatchError(
-            f"attention: q {q.shape} at {q_rows.shape} positions, k {k.shape} and "
-            f"v {v.shape} at {rows.shape} positions, mask {mask.shape}, "
-            f"{heads} heads")
-    b, length = mask.shape
-    _check_rows("attention", rows, b * length)
-    _check_rows("attention", q_rows, b * length)
-    hidden = q.shape[1]
-    q_batch = q_rows // length
-    q_slot = np.arange(len(q_rows)) - np.searchsorted(q_batch, q_batch)
-    q_len = int(q_slot.max(initial=-1)) + 1
-    q_at, k_at = (q_batch, q_slot), (rows // length, rows % length)
-
-    def padded(x: Array, at: tuple[Array, Array], width: int) -> Array:
-        """Zeros [b, heads, width, dh] holding the rows of ``x`` at the
-        (batch row, slot) pairs ``at``."""
-        out = np.zeros((b, width, hidden), dtype=x.dtype)
-        out[at] = x
-        return _split_heads(out, heads)
-
-    def packed(x: Array, at: tuple[Array, Array]) -> Array:
-        """The rows of ``x`` [b, heads, width, dh] at ``at``, heads merged."""
-        return x[at[0], :, at[1]].reshape(-1, hidden)
-
-    qh = padded(q.data, q_at, q_len)
-    kh, vh = padded(k.data, k_at, length), padded(v.data, k_at, length)
-    fill = (1.0 - mask.astype(q.data.dtype)) * _MASKED_SCORE
-    y = _softmax((qh @ kh.swapaxes(-1, -2)) * scale + fill[:, None, None, :])
+            f"layer_norm: gamma/beta {gamma.shape}/{beta.shape} vs last axis {d}")
+    out, xhat, inv = _post_norm(x.data.reshape(-1, d).copy(), gamma.data, beta.data,
+                                eps, _recording((x, gamma, beta)))
 
     def backward(g: Array):
-        gh = padded(g, q_at, q_len)
-        ds = _softmax_backward(y, gh @ vh.swapaxes(-1, -2)) * scale
-        return (packed(ds @ kh, q_at), packed(ds.swapaxes(-1, -2) @ qh, k_at),
-                packed(y.swapaxes(-1, -2) @ gh, k_at))
+        dx, dgamma, dbeta = _post_norm_backward(g.reshape(-1, d), xhat, inv,
+                                                gamma.data, True)
+        return dx.reshape(x.shape), dgamma, dbeta
 
-    return _track("attention", (q, k, v), packed(y @ vh, q_at), backward)
+    return _track("layer_norm", (x, gamma, beta), out.reshape(x.shape), backward)
 
+
+def _by_query(s: Array) -> Array:
+    """The [B, h, Lq, L] view of scores held keys-first as [L, B, h, Lq]."""
+    return s.transpose(1, 2, 3, 0)
+
+
+def _softmax_over_keys(s: Array) -> None:
+    """Softmax over the first axis of ``s``, in place. Each step runs over
+    whole slices s[k], so it broadcasts along a long contiguous axis."""
+    s -= np.maximum.reduce(s, axis=0)
+    np.exp(s, out=s)
+    s /= np.add.reduce(s, axis=0)
+
+
+def _softmax_over_keys_backward(y: Array, g: Array) -> None:
+    """Overwrite ``g``, the gradient of ``_softmax_over_keys``'s output ``y``,
+    with the gradient of its input: y (g - sum_k g y)."""
+    g -= np.add.reduce(g * y, axis=0)
+    g *= y
+
+
+def _check_weights(op: str, weights: Sequence[Tensor], shapes: Sequence[tuple]) -> None:
+    if len(weights) != len(shapes) or any(
+            w.shape != s for w, s in zip(weights, shapes)):
+        raise ShapeMismatchError(
+            f"{op}: weight shapes {[w.shape for w in weights]}, expected {list(shapes)}")
+
+
+def self_attention(h: Tensor, weights: Sequence[Tensor], mask: Array, rows: Array,
+                   q_rows: Array | None, heads: int, eps: float) -> Tensor:
+    """The post-norm attention sublayer of an encoder layer as one node:
+    ``LN(x + MHA(h) W_o + b_o)``, where x holds the query rows of ``h``.
+
+    ``weights`` are the [H, H] weights and [H] biases of the query, key,
+    value and output projections, then the norm's gamma and beta, in that
+    order. ``h`` [n, H] holds the rows at the flat positions ``rows`` of a
+    [B, L] batch whose key mask ``mask`` gives the keys it marks 0 a -1e9
+    score (``rows`` must cover every real one). The queries are the rows of
+    ``h`` at the indices ``q_rows``, or every row when it is None; both must
+    be strictly increasing. Each query attends, over ``heads`` heads scaled by
+    1/sqrt(H / heads), to the keys of its own batch row. Returns one row per
+    query.
+
+    Q|K|V is one GEMM over the concatenated weights (with ``q_rows``, K|V is
+    one and Q another over the query rows alone). One row scatter lays them
+    out as [B, L] by position; given ``q_rows``, each batch row's queries
+    are laid out, in order, as [B, Lq], where Lq is the most queries any
+    batch row has. The scores are held keys-first, so the softmax runs over
+    whole contiguous slices. The residual and the norm run in place. The
+    backward returns ``None`` for every input that needs no gradient and
+    skips that work.
+    """
+    mask, rows = np.asarray(mask), np.asarray(rows)
+    if (mask.ndim != 2 or h.data.ndim != 2 or h.shape[:1] != rows.shape
+            or h.shape[1] % heads != 0):
+        raise ShapeMismatchError(
+            f"self_attention: h {h.shape} at {rows.shape} positions, mask "
+            f"{mask.shape}, {heads} heads")
+    n, hidden = h.shape
+    _check_weights("self_attention", weights, [(hidden, hidden), (hidden,)] * 4
+                   + [(hidden,)] * 2)
+    if eps <= 0:
+        raise ContractError(f"self_attention: eps must be positive, got {eps}")
+    b, length = mask.shape
+    _check_rows("self_attention", rows, b * length)
+    w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, gamma, beta = weights
+    inputs = (h, *weights)
+    keep = _recording(inputs)
+    dh = hidden // heads
+    scale = 1.0 / math.sqrt(dh)
+    x = h.data
+    every = q_rows is None
+    if every:
+        w_in = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)
+        b_in = np.concatenate([b_q.data, b_k.data, b_v.data])
+        xq, q_flat, q_len = x, rows, length
+    else:
+        q_rows = np.asarray(q_rows)
+        _check_rows("self_attention", q_rows, n)
+        w_in = np.concatenate([w_k.data, w_v.data], axis=1)
+        b_in = np.concatenate([b_k.data, b_v.data])
+        xq = x[q_rows]
+        q_batch = rows[q_rows] // length
+        q_slot = np.arange(len(q_rows)) - np.searchsorted(q_batch, q_batch)
+        q_len = int(q_slot.max(initial=-1)) + 1
+        q_flat = q_batch * q_len + q_slot
+
+    def by_head(buf: Array, width: int, part: int = 0) -> Array:
+        """The [B, h, width, dh] view of the ``part``-th H columns of the
+        [B * width, parts * H] rows ``buf``."""
+        return buf.reshape(b, width, -1, heads, dh)[:, :, part].transpose(0, 2, 1, 3)
+
+    proj = x @ w_in
+    proj += b_in
+    parts = proj.shape[1] // hidden
+    # q|k|v (or k|v) at every position of the batch, zeros where no row is
+    padded = np.zeros((b * length, parts * hidden), x.dtype)
+    padded[rows] = proj
+    # a contiguous K^T makes the score GEMMs several times faster
+    kt = np.ascontiguousarray(by_head(padded, length, -2).swapaxes(-1, -2))
+    vh = by_head(padded, length, -1)
+    if every:
+        qh = by_head(padded, length)
+    else:
+        q = xq @ w_q.data
+        q += b_q.data
+        qh = np.zeros((b * q_len, hidden), x.dtype)
+        qh[q_flat] = q
+        qh = by_head(qh, q_len)
+    # scores held keys-first, [L, B, h, Lq]: the softmax then runs over
+    # whole contiguous slices rather than along a short inner axis
+    p = np.empty((length, b, heads, q_len), x.dtype)
+    np.matmul(qh, kt, out=_by_query(p))
+    p *= scale
+    p += ((1.0 - mask.T.astype(x.dtype)) * _MASKED_SCORE)[:, :, None, None]
+    _softmax_over_keys(p)
+    ctx = np.empty((b * q_len, hidden), x.dtype)
+    np.matmul(_by_query(p), vh, out=by_head(ctx, q_len))
+    ctx = ctx.take(q_flat, axis=0)                                     # [m, H]
+    z = ctx @ w_o.data
+    z += b_o.data
+    z += xq
+    out, xhat, inv = _post_norm(z, gamma.data, beta.data, eps, keep)
+
+    def backward(g: Array):
+        need = [_needs_grad(t) for t in inputs]
+        need_h, need_in = need[0], any(need[1:7])
+        grads: list[Array | None] = [None] * len(inputs)
+        dz, grads[9], grads[10] = _post_norm_backward(g, xhat, inv, gamma.data,
+                                                      need[9] or need[10])
+        if need[7] or need[8]:
+            grads[7], grads[8] = _affine_grads(ctx, dz)
+        if not (need_h or need_in):
+            return _only_needed(grads, need)
+        gh = np.zeros((b * q_len, hidden), x.dtype)
+        gh[q_flat] = dz @ w_o.data.T
+        gh = by_head(gh, q_len)
+        ds = np.empty_like(p)
+        np.matmul(gh, vh.swapaxes(-1, -2), out=_by_query(ds))
+        _softmax_over_keys_backward(p, ds)
+        ds *= scale
+        ds = _by_query(ds)
+        # d(q|k|v) laid out as padded is, then taken at the rows of proj
+        dpad = np.empty_like(padded)
+        np.matmul(ds.swapaxes(-1, -2), qh, out=by_head(dpad, length, -2))
+        np.matmul(_by_query(p).swapaxes(-1, -2), gh, out=by_head(dpad, length, -1))
+        if every:
+            np.matmul(ds, kt.swapaxes(-1, -2), out=by_head(dpad, length))
+        else:
+            dq = np.empty((b * q_len, hidden), x.dtype)
+            np.matmul(ds, kt.swapaxes(-1, -2), out=by_head(dq, q_len))
+            dq = dq.take(q_flat, axis=0)
+        dproj = dpad.take(rows, axis=0)
+        if need_in:
+            dw, db = _affine_grads(x, dproj)
+            if not every:
+                grads[1], grads[2] = _affine_grads(xq, dq)
+            first = 7 - 2 * parts  # the grads index of the first projected weight
+            for part in range(parts):
+                cols = slice(part * hidden, (part + 1) * hidden)
+                grads[first + 2 * part], grads[first + 2 * part + 1] = dw[:, cols], db[cols]
+        if need_h:
+            dx = dproj @ w_in.T
+            if every:
+                dx += dz
+            else:
+                dx[q_rows] += dz + dq @ w_q.data.T
+            grads[0] = dx
+        return _only_needed(grads, need)
+
+    return _track("self_attention", inputs, out, backward)
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_K = 0.044715
+
+
+def _gelu_(a: Array, keep: bool) -> Array | None:
+    """tanh-approximation GELU in place: ``a`` becomes ``y = a (1 + t) / 2``
+    with ``t = tanh(c (a + 0.044715 a^3))``. With ``keep``, returns dy/da at
+    the old values for a backward to multiply by."""
+    a2 = a * a
+    t = a2 * (_GELU_C * _GELU_K)
+    t += _GELU_C
+    t *= a
+    np.tanh(t, out=t)
+    d = None
+    if keep:
+        # dy/da = (1 + t) / 2 + (1 - t^2) a / 2 * c (1 + 3 * 0.044715 a^2)
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        d *= a
+        d *= 0.5
+        a2 *= 3.0 * _GELU_C * _GELU_K
+        a2 += _GELU_C
+        d *= a2
+    t += 1.0
+    t *= 0.5
+    if keep:
+        d += t
+    a *= t
+    return d
+
+
+def feed_forward(h: Tensor, weights: Sequence[Tensor], eps: float) -> Tensor:
+    """The post-norm feed-forward sublayer of an encoder layer as one node:
+    ``LN(h + gelu(h W_in + b_in) W_out + b_out)`` on the rows of ``h`` [n, H].
+
+    ``weights`` are W_in [H, F], b_in [F], W_out [F, H], b_out [H], then the
+    norm's gamma and beta. The GELU (tanh approximation) runs in place on the
+    first GEMM's output, and the residual and the norm on the second's. The
+    backward returns ``None`` for every input that needs no gradient and
+    skips that work.
+    """
+    if h.data.ndim != 2:
+        raise ShapeMismatchError(f"feed_forward: h must be [n, H], got {h.shape}")
+    hidden = h.shape[1]
+    width = weights[0].shape[-1] if weights and weights[0].data.ndim == 2 else -1
+    _check_weights("feed_forward", weights, [(hidden, width), (width,),
+                                             (width, hidden)] + [(hidden,)] * 3)
+    if eps <= 0:
+        raise ContractError(f"feed_forward: eps must be positive, got {eps}")
+    w_in, b_in, w_out, b_out, gamma, beta = weights
+    inputs = (h, *weights)
+    keep = _recording(inputs)
+    x = h.data
+    act = x @ w_in.data
+    act += b_in.data
+    dgelu = _gelu_(act, keep)
+    z = act @ w_out.data
+    z += b_out.data
+    z += x
+    out, xhat, inv = _post_norm(z, gamma.data, beta.data, eps, keep)
+
+    def backward(g: Array):
+        need = [_needs_grad(t) for t in inputs]
+        grads: list[Array | None] = [None] * len(inputs)
+        dz, grads[5], grads[6] = _post_norm_backward(g, xhat, inv, gamma.data,
+                                                     need[5] or need[6])
+        if need[3] or need[4]:
+            grads[3], grads[4] = _affine_grads(act, dz)
+        if need[0] or need[1] or need[2]:
+            da = dz @ w_out.data.T
+            da *= dgelu
+            if need[1] or need[2]:
+                grads[1], grads[2] = _affine_grads(x, da)
+            if need[0]:
+                grads[0] = da @ w_in.data.T
+                grads[0] += dz
+        return _only_needed(grads, need)
+
+    return _track("feed_forward", inputs, out, backward)
+
+
+# ---------------------------------------------------------------------------
+# the fusion mix
+# ---------------------------------------------------------------------------
 
 def adapter_fusion(h: Tensor, w_down: Sequence[Tensor], b_down: Sequence[Tensor],
                    w_up: Sequence[Tensor], b_up: Sequence[Tensor], w_q: Tensor,
@@ -380,52 +627,10 @@ def adapter_fusion(h: Tensor, w_down: Sequence[Tensor], b_down: Sequence[Tensor]
                     grads[1 + t], grads[1 + tasks + t] = dwd[:, cols], dbd[cols]
             if need_h:
                 grads[0] = (dm + dr @ wqk.T + da @ wd.T).reshape(h.shape)
-        return tuple(gi if ok else None for gi, ok in zip(grads, need))
+        return _only_needed(grads, need)
 
     out_t = _track("adapter_fusion", inputs, out, backward)
     return out_t, alpha.reshape(h.shape[:-1] + (tasks,))
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
-    """Standardize over the last axis, then scale by gamma and shift by beta."""
-    if eps <= 0:
-        raise ContractError(f"layer_norm: eps must be positive, got {eps}")
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeMismatchError(
-            f"layer_norm: gamma/beta {gamma.shape}/{beta.shape} vs last axis {d}")
-
-    def row_mean(y: Array) -> Array:
-        # a reduce, as np.mean does; a GEMV would make the sum of a row
-        # depend on where the row sits in the batch
-        m = np.add.reduce(y, axis=-1, keepdims=True)
-        m *= 1.0 / d
-        return m
-
-    xhat = x.data - row_mean(x.data)
-    inv = row_mean(xhat * xhat)
-    inv += eps
-    np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    xhat *= inv
-    out = xhat * gamma.data
-    out += beta.data
-
-    def backward(g: Array):
-        # dx = inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat))
-        dxhat = g * gamma.data
-        gx = g * xhat
-        dgamma = _column_sum(gx.reshape(-1, d))
-        dbeta = _column_sum(g.reshape(-1, d))
-        np.multiply(dxhat, xhat, out=gx)
-        m2 = row_mean(gx)
-        dxhat -= row_mean(dxhat)
-        np.multiply(xhat, m2, out=gx)
-        dxhat -= gx
-        dxhat *= inv
-        return dxhat, dgamma, dbeta
-
-    return _track("layer_norm", (x, gamma, beta), out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -461,24 +666,6 @@ def _check_rows(op: str, rows: Array, limit: int) -> None:
         raise ContractError(
             f"{op}: rows must be strictly increasing integer positions in "
             f"[0, {limit})")
-
-
-def gather_rows(x: Tensor, rows: Array) -> Tensor:
-    """Rows of ``x`` [..., H] at the flat positions ``rows`` of its leading
-    dims -> [len(rows), H]. ``rows`` must be strictly increasing, so the
-    backward scatters ``g`` back with one assignment."""
-    hidden = x.shape[-1]
-    flat = x.data.reshape(-1, hidden)
-    rows = np.asarray(rows)
-    _check_rows("gather_rows", rows, flat.shape[0])
-    out = flat.take(rows, axis=0)
-
-    def backward(g: Array):
-        dx = np.zeros_like(flat)
-        dx[rows] = g
-        return (dx.reshape(x.shape),)
-
-    return _track("gather_rows", (x,), out, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -371,19 +371,14 @@ def test_synth_sentiment_tracks_joy_vs_negative_emotions():
 # batches and splits
 # ---------------------------------------------------------------------------
 
-def test_make_batches_layout(monkeypatch):
+def test_make_batches_layout():
     corpus = D.synth_corpus(seed=2, n=10)
     vocab = D.build_vocab(corpus, max_size=500)
     # one row far longer than max_len, in the middle batch
     corpus[5] = D.RawExample(id="long", text=" ".join(["w"] * 40),
                              emotions=(0.0,) * 6)
-    calls = []
-    tokenize = D.tokenize
-    monkeypatch.setattr(D, "tokenize",
-                        lambda *args: calls.append(args[0]) or tokenize(*args))
     batches = D.make_batches(corpus, vocab, max_len=16, task_kind="multilabel-6",
                              batch_size=4)
-    assert calls == [ex.text for ex in corpus]  # tokenized once per example
     assert [b.size for b in batches] == [4, 4, 2]
     rows = iter(corpus)
     for b in batches:
@@ -396,12 +391,54 @@ def test_make_batches_layout(monkeypatch):
         assert np.all(b.token_ids[b.attention_mask == 0] == D.PAD)
         assert b.labels.shape == (b.size, 6)
         for ids, mask in zip(b.token_ids, b.attention_mask):
-            full_ids, full_mask = tokenize(next(rows).text, vocab, 16)
+            full_ids, full_mask = D.tokenize(next(rows).text, vocab, 16)
             np.testing.assert_array_equal(ids, full_ids[:width])
             np.testing.assert_array_equal(mask, full_mask[:width])
     # the long row is still truncated to max_len; the others set their own width
     assert [b.token_ids.shape[1] for b in batches] == [13, 16, 10]
     assert batches[1].attention_mask[1].sum() == 16
+
+
+def tokenized_batches(examples, vocab, max_len, batch_size):
+    """The ids and mask of each batch, built row by row with ``tokenize``
+    and cut to the chunk's longest row."""
+    out = []
+    for start in range(0, len(examples), batch_size):
+        rows = [D.tokenize(ex.text, vocab, max_len)
+                for ex in examples[start:start + batch_size]]
+        width = max(int(mask.sum()) for _, mask in rows)
+        out.append(tuple(np.stack([row[k][:width] for row in rows]) for k in (0, 1)))
+    return out
+
+
+# known, unknown and special-token words; blank texts
+TEXTS = (st.lists(st.sampled_from(["a", "b", "c", "zz", "unknown", "[CLS]", "[PAD]"]),
+                  max_size=14).map(" ".join)
+         | st.sampled_from(["", "   ", "\t a \n b  "]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(TEXTS, min_size=1, max_size=9), max_len=st.integers(2, 10),
+       batch_size=st.integers(1, 4))
+def test_make_batches_is_byte_identical_to_tokenize_row_by_row(texts, max_len,
+                                                               batch_size):
+    vocab = D.Vocabulary(["a", "b", "c"])
+    examples = [D.RawExample(id=str(i), text=t, emotions=(0.0,) * 6)
+                for i, t in enumerate(texts)]
+    batches = D.make_batches(examples, vocab, max_len, "multilabel-6", batch_size)
+    expected = tokenized_batches(examples, vocab, max_len, batch_size)
+    assert len(batches) == len(expected)
+    for batch, (ids, mask) in zip(batches, expected):
+        for got, want in ((batch.token_ids, ids), (batch.attention_mask, mask),
+                          (batch.segment_ids, np.zeros_like(ids))):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_make_batches_rejects_a_max_len_below_two():
+    example = D.RawExample(id="0", text="a", emotions=(0.0,) * 6)
+    with pytest.raises(ContractError, match="max_len"):
+        D.make_batches([example], D.Vocabulary(["a"]), 1, "multilabel-6", 4)
 
 
 @pytest.mark.parametrize("kind", ["multilabel-6", "binary", "multiclass-7"])

@@ -176,6 +176,16 @@ def set_attention(bank, layer, key_w=None, key_b=None, value_w=None,
             bank.params.assign(f"{p}.{suffix}", value)
 
 
+def attention_norm(config, bank, z):
+    """Layer 0's attention post-norm of the pre-norm rows ``z``, in numpy:
+    the sublayer's output when its attention part adds up to ``z - x``."""
+    gamma, beta = (bank.params[f"layers.0.attention.norm.{n}"].data
+                   for n in ("gamma", "beta"))
+    mu = z.mean(-1, keepdims=True)
+    var = ((z - mu) ** 2).mean(-1, keepdims=True)
+    return gamma * (z - mu) / np.sqrt(var + config.eps) + beta
+
+
 def test_equal_keys_attend_uniformly_over_unmasked():
     config = tiny_config()
     bank = make_bank(config, seed=7, dtype=np.float64)
@@ -194,7 +204,8 @@ def test_equal_keys_attend_uniformly_over_unmasked():
         + bank.params["layers.0.attention.value.bias"].data
     expected = v[:3, :].mean(axis=0, keepdims=True)
     assert out.shape == (3, h)
-    np.testing.assert_allclose(out.data, np.repeat(expected, 3, axis=0), atol=1e-9)
+    np.testing.assert_allclose(out.data, attention_norm(config, bank, flat + expected),
+                               atol=1e-9)
 
 
 def test_mask_all_but_one_position():
@@ -211,16 +222,19 @@ def test_mask_all_but_one_position():
     v0 = (x.data.reshape(-1, h) @ bank.params["layers.0.attention.value.weight"].data
           + bank.params["layers.0.attention.value.bias"].data)[0]
     # every query position attends only to position 0 (weight 1 +- 1e-6)
-    for pos in range(4):
-        np.testing.assert_allclose(out.data[pos], v0, atol=1e-6)
+    np.testing.assert_allclose(out.data, attention_norm(config, bank, x.data + v0),
+                               atol=1e-6)
 
 
 def test_attention_rows_sum_to_one_via_unit_values():
     config = tiny_config()
     bank = make_bank(config, seed=11, dtype=np.float64)
     h = config.hidden_size
-    # constant unit values: output == row-sum of attention weights
-    set_attention(bank, 0, value_w=np.zeros((h, h)), value_b=np.ones(h),
+    # constant values: the attention part is the row sum of the attention
+    # weights times the value bias (varied across columns, since the norm
+    # removes a constant shift)
+    value_b = np.arange(1.0, h + 1)
+    set_attention(bank, 0, value_w=np.zeros((h, h)), value_b=value_b,
                   out_w=np.eye(h), out_b=np.zeros(h))
     batch = make_batch(config, np.random.default_rng(12), b=2, l=6,
                        mask_out=[(0, 5)])
@@ -228,7 +242,8 @@ def test_attention_rows_sum_to_one_via_unit_values():
         x = embed(config, bank.params, batch, rows)
         out = multi_head_attention(config, bank.params, 0, x,
                                    batch.attention_mask, rows)
-        np.testing.assert_allclose(out.data, 1.0, atol=1e-9)
+        np.testing.assert_allclose(
+            out.data, attention_norm(config, bank, x.data + value_b), atol=1e-9)
 
 
 @pytest.mark.parametrize("cls_only", [False, True], ids=["all_rows", "cls_only"])
@@ -238,15 +253,16 @@ def test_attention_sublayer_is_four_linears_around_one_attention_node(cls_only):
     batch = make_batch(config, np.random.default_rng(14), mask_out=[(0, 4)])
     rows = np.flatnonzero(batch.attention_mask)
     x = embed(config, bank.params, batch, rows)
-    queries = T.gather_rows(x, [0, 4]) if cls_only else None
+    q_rows = np.array([0, 4]) if cls_only else None  # the two [CLS] rows
     out = multi_head_attention(config, bank.params, 0, x, batch.attention_mask,
-                               rows, queries)
+                               rows, q_rows)
     assert out.shape == (2 if cls_only else len(rows), config.hidden_size)
-    attention = out.node.inputs[0].node
-    assert (out.node.op, attention.op) == ("matmul", "attention")
-    assert [t.node.op for t in attention.inputs] == ["matmul"] * 3
-    assert [t.node.inputs[1].name for t in attention.inputs] == [
-        f"layers.0.attention.{name}.weight" for name in ("query", "key", "value")]
+    # the four linears, the attention, the residual and the norm: one node
+    assert out.node.op == "self_attention" and out.node.inputs[0] is x
+    assert [t.name for t in out.node.inputs[1:]] == [
+        f"layers.0.attention.{name}" for name in (
+            "query.weight", "query.bias", "key.weight", "key.bias", "value.weight",
+            "value.bias", "output.weight", "output.bias", "norm.gamma", "norm.beta")]
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +370,7 @@ def test_encode_single_layer_is_one_layer_forward():
                                rtol=0, atol=1e-12)
     cls_only = encoder_layer_forward(config, bank.params, 0, x,
                                      batch.attention_mask, all_rows(batch), None,
-                                     T.gather_rows(x, np.arange(2) * 5))
+                                     np.arange(2) * 5)
     np.testing.assert_array_equal(cls_state.data, cls_only.data)
 
 
@@ -369,7 +385,8 @@ def full_sequence_logits(bank, batch, task):
         h = encoder_layer_forward(config, bank.params, i, h,
                                   batch.attention_mask, rows, bank.slot)
     b, l = batch.token_ids.shape
-    return head_forward(bank.params, task, T.gather_rows(h, np.arange(b) * l))
+    # each row's position 0, picked by a lookup with h as the table
+    return head_forward(bank.params, task, T.embedding(h, np.arange(b) * l))
 
 
 @pytest.mark.parametrize("num_layers", [1, 2])

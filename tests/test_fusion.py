@@ -154,7 +154,7 @@ def test_fusion_bank_records_one_fusion_mix_node_per_layer(num_tasks):
     # the adapters run inside the fusion node, so no adapter op is recorded
     assert ops.count("adapter_fusion") == config.num_layers
     assert "relu" not in ops
-    assert "attention" in ops  # the encoder's self-attention
+    assert "self_attention" in ops  # the encoder's attention sublayer
     # every real token below the last layer, the [CLS] rows in it
     assert {i: w.shape for i, w in bank.fusion_weights().items()} \
         == {0: (2 * 4, num_tasks), 1: (2, num_tasks)}
@@ -560,22 +560,19 @@ def test_float32_fusion_bank_matches_float64_on_the_same_weights():
 # the tape of one training step
 # ---------------------------------------------------------------------------
 
-LINEARS = {
-    "encoder": [f"layers.{i}.{name}" for i in range(2) for name in (
-        "attention.query", "attention.key", "attention.value", "attention.output",
-        "ff.in", "ff.out")],
-    "head": ["heads.t.dense", "heads.t.out"],
-}
-# stage: (tape nodes reachable from the loss, the linear layers on them). The
+HEAD = ["heads.t.dense", "heads.t.out"]
+# stage: (tape nodes reachable from the loss, the linear layers that are
+# matmul nodes on it, the encoder layers on it). Each encoder layer is one
+# self_attention and one feed_forward node, which hold its six linears. The
 # frozen embeddings and layer 0 record no node in the adapter and fusion
 # stages, so only the trained adapters, fusion and layer 1 reach the tape.
 # In the fusion stage each layer's adapters run inside its adapter_fusion
 # node, so no adapter linear is a matmul node.
 TAPES = {
-    "finetune": (35, LINEARS["encoder"] + LINEARS["head"]),
-    "adapter": (25, ["adapters.t.0.down", "adapters.t.0.up"] + LINEARS["encoder"][6:]
-                + ["adapters.t.1.down", "adapters.t.1.up"] + LINEARS["head"]),
-    "fusion": (21, LINEARS["encoder"][6:] + LINEARS["head"]),
+    "finetune": (14, HEAD, [0, 1]),
+    "adapter": (14, ["adapters.t.0.down", "adapters.t.0.up", "adapters.t.1.down",
+                     "adapters.t.1.up"] + HEAD, [1]),
+    "fusion": (10, HEAD, [1]),
 }
 
 
@@ -592,11 +589,19 @@ def test_training_step_tape_has_one_matmul_node_per_linear_layer(stage):
         if id(node) not in nodes:
             nodes[id(node)] = node
             todo.extend(t.node for t in node.inputs if t.node is not None)
-    count, linears = TAPES[stage]
+    count, linears, layers = TAPES[stage]
     assert len(nodes) == count
-    # each linear layer is one matmul(x, weight, bias) node
+    # each linear layer outside the encoder sublayers is one
+    # matmul(x, weight, bias) node
     matmuls = [n for n in nodes.values() if n.op == "matmul"]
     assert sorted(n.inputs[1].name for n in matmuls) \
         == sorted(f"{p}.weight" for p in linears)
     assert all(n.inputs[2].name == n.inputs[1].name.replace(".weight", ".bias")
                for n in matmuls)
+    # the encoder's linears sit inside its sublayer nodes
+    sublayers = sorted((n.op, n.inputs[1].name) for n in nodes.values()
+                       if n.op in ("self_attention", "feed_forward"))
+    assert sublayers == sorted(
+        pair for i in layers for pair in (
+            ("self_attention", f"layers.{i}.attention.query.weight"),
+            ("feed_forward", f"layers.{i}.ff.in.weight")))

@@ -12,6 +12,7 @@ from fuseformer.errors import ContractError, ShapeMismatchError
 from fuseformer.fusion import adapter_forward
 from fuseformer.tensor import (Tensor, backward, finite_difference_check,
                                relative_error)
+import chain
 from probes import probe
 
 H = 1e-5
@@ -108,7 +109,27 @@ def test_equal_shape_broadcast_only():
     assert np.all(out.data == 6.0)
 
 
-# one case per op (two for matmul); every op runs both parametrizations
+def attention_weights(hidden):
+    """Shapes of ``self_attention``'s weights: the query, key, value and
+    output projections, then the norm's gamma and beta."""
+    return [(hidden, hidden), (hidden,)] * 4 + [(hidden,)] * 2
+
+
+def ff_weights(hidden, width):
+    """Shapes of ``feed_forward``'s weights."""
+    return [(hidden, width), (width,), (width, hidden)] + [(hidden,)] * 3
+
+
+def leaves_of(r, shapes, scale=1.0):
+    return tuple(Tensor(r.uniform(-scale, scale, s), requires_grad=True)
+                 for s in shapes)
+
+
+# B=2 rows of L=3: every position has a row of h, and position 2 is a padded key
+SUBLAYER_MASK = np.array([[1, 1, 0], [1, 1, 1]])
+
+# one case per op (two for matmul and self_attention); every op runs both
+# parametrizations
 OP_CASES = [
     ("add", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
                        Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True)),
@@ -117,8 +138,6 @@ OP_CASES = [
      lambda a: T.tanh(a)),
     ("relu", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),),
      lambda a: T.relu(a)),
-    ("gelu", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),),
-     lambda a: T.gelu(a)),
     ("matmul_bias", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
                                Tensor(r.uniform(-2, 2, (4, 2)), requires_grad=True),
                                Tensor(r.uniform(-2, 2, 2), requires_grad=True)),
@@ -128,9 +147,6 @@ OP_CASES = [
                 Tensor(r.uniform(-2, 2, (4, 2)), requires_grad=True),
                 Tensor(r.uniform(-2, 2, 2), requires_grad=True)),
      lambda a, w, b: T.matmul(a, w, b)),
-    ("gather_rows", lambda r: (Tensor(r.uniform(-2, 2, (2, 3, 4)),
-                                      requires_grad=True),),
-     lambda a: T.gather_rows(a, np.array([0, 2, 3, 5]))),
     # h, then two adapters' [4, 2], [2], [2, 4] and [4] weights, then W_Q/K/V
     ("adapter_fusion", lambda r: tuple(
         Tensor(r.uniform(-1, 1, s), requires_grad=True)
@@ -146,13 +162,14 @@ OP_CASES = [
      lambda x, g, b: T.layer_norm(x, g, b)),
     ("embedding", lambda r: (Tensor(r.uniform(-2, 2, (5, 4)), requires_grad=True),),
      lambda t: T.embedding(t, np.array([0, 3, 3, 1]))),
-    # B=2 rows of L=3, 2 heads: every position has a k/v row, position 2 is a
-    # padded key, and positions 0, 1, 3 and 5 query
-    ("attention", lambda r: (Tensor(r.uniform(-2, 2, (4, 4)), requires_grad=True),
-                             Tensor(r.uniform(-2, 2, (6, 4)), requires_grad=True),
-                             Tensor(r.uniform(-2, 2, (6, 4)), requires_grad=True)),
-     lambda q, k, v: T.attention(q, k, v, np.array([[1, 1, 0], [1, 1, 1]]),
-                                 np.arange(6), np.array([0, 1, 3, 5]), 2, 0.5)),
+    # H=4 over 2 heads: every row queries, or rows 0 and 3 (the [CLS] rows)
+    ("attention", lambda r: leaves_of(r, [(6, 4)] + attention_weights(4), 2.0),
+     lambda h, *w: T.self_attention(h, w, SUBLAYER_MASK, np.arange(6), None, 2, 1e-12)),
+    ("attention_cls", lambda r: leaves_of(r, [(6, 4)] + attention_weights(4), 2.0),
+     lambda h, *w: T.self_attention(h, w, SUBLAYER_MASK, np.arange(6), np.array([0, 3]),
+                                    2, 1e-12)),
+    ("feed_forward", lambda r: leaves_of(r, [(3, 4)] + ff_weights(4, 5), 2.0),
+     lambda h, *w: T.feed_forward(h, w, 1e-12)),
 ]
 # public functions of the tensor module that record no tape node of their own
 NOT_OPS = {"backward", "finite_difference_check", "relative_error"}
@@ -247,28 +264,21 @@ def test_embedding_id_out_of_range():
 
 # packed rows: B = 3 rows of L = 4 with 3, 2 and 4 real tokens
 PACKED = np.array([0, 1, 2, 4, 5, 8, 9, 10, 11])
-
-
-def test_gather_rows_picks_the_cls_rows_and_zero_fills_its_backward():
-    rng = np.random.default_rng(60)
-    x = Tensor(rng.uniform(-2, 2, (len(PACKED), 5)), requires_grad=True)
-    # the [CLS] rows of the packed array: each row's first real token
-    cls = T.gather_rows(x, np.flatnonzero(PACKED % 4 == 0))
-    np.testing.assert_array_equal(cls.data, x.data[[0, 3, 5]])
-    backward(probe(np.ones((3, 5)), cls))
-    np.testing.assert_array_equal(x.grad.sum(axis=1), [5, 0, 0, 5, 0, 5, 0, 0, 0])
+PACKED_MASK = np.isin(np.arange(12), PACKED).astype(np.int64).reshape(3, 4)
 
 
 def test_row_ops_pass_finite_difference_check():
     rng = np.random.default_rng(61)
-    x = Tensor(rng.uniform(-2, 2, (3, 4, 5)), requires_grad=True)
-    mix = rng.uniform(-1, 1, (3, 5))
+    h, *weights = leaves_of(rng, [(len(PACKED), 4)] + attention_weights(4), 2.0)
+    mix = rng.uniform(-1, 1, (3, 4))
 
-    def loss_fn():  # pack the real rows of [B, L, H], then pick the [CLS] rows
-        packed = T.gather_rows(T.tanh(x), PACKED)
-        return probe(mix, T.gather_rows(T.tanh(packed), [0, 3, 5]))
+    def loss_fn():  # the packed real rows of [B, L, H]; the [CLS] rows query
+        return probe(mix, T.self_attention(T.tanh(h), weights, PACKED_MASK, PACKED,
+                                           [0, 3, 5], 2, 1e-12))
 
-    report = finite_difference_check(loss_fn, [("x", x)], h=1e-5, tol=1e-4)
+    report = finite_difference_check(
+        loss_fn, [("h", h)] + [(f"w{i}", w) for i, w in enumerate(weights)],
+        h=1e-5, tol=1e-4)
     assert report.passed and report.worst().max_rel_err < 1e-4, report.worst()
 
 
@@ -277,25 +287,24 @@ def test_row_ops_pass_finite_difference_check():
                          ids=["repeated", "unsorted", "negative", "past_end",
                               "float", "2d"])
 def test_row_ops_reject_rows_that_are_not_strictly_increasing_positions(rows):
-    with pytest.raises(ContractError):
-        T.gather_rows(Tensor(np.zeros((3, 4, 2))), np.array(rows))
     bad, good, mask = np.array(rows), np.arange(3), np.ones((3, 4))
+    weights = [Tensor(np.zeros(s)) for s in attention_weights(2)]
     at = lambda r: Tensor(np.zeros((len(r), 2)))  # noqa: E731
-    with pytest.raises((ContractError, ShapeMismatchError)):  # k/v rows
-        T.attention(at(good), at(bad), at(bad), mask, bad, good, 1, 1.0)
+    with pytest.raises((ContractError, ShapeMismatchError)):  # key rows
+        T.self_attention(at(bad), weights, mask, bad, None, 1, 1e-12)
     with pytest.raises((ContractError, ShapeMismatchError)):  # query rows
-        T.attention(at(bad), at(good), at(good), mask, good, bad, 1, 1.0)
+        T.self_attention(at(good), weights, mask, good, bad, 1, 1e-12)
 
 
 def test_attention_needs_one_key_and_value_row_per_position():
-    q, kv = Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2)))
+    weights = [Tensor(np.zeros(s)) for s in attention_weights(2)]
     with pytest.raises(ShapeMismatchError, match=r"\(3, 2\).*\(2,\)"):
-        T.attention(q, kv, kv, np.ones((2, 2)), np.array([0, 1]), np.array([0, 1]),
-                    1, 1.0)
+        T.self_attention(Tensor(np.zeros((3, 2))), weights, np.ones((2, 2)),
+                         np.array([0, 1]), None, 1, 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# attention
+# the encoder sublayers
 # ---------------------------------------------------------------------------
 
 def naive_attention(q, k, v, mask, rows, q_rows, heads, scale):
@@ -315,82 +324,186 @@ def naive_attention(q, k, v, mask, rows, q_rows, heads, scale):
     return out
 
 
+def naive_attention_sublayer(h, weights, mask, rows, q_idx, heads, eps):
+    """``LN(x + MHA(h) W_o + b_o)`` in numpy, with ``naive_attention``."""
+    w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, gamma, beta = (t.data for t in weights)
+    x = h if q_idx is None else h[q_idx]
+    q_pos = rows if q_idx is None else rows[q_idx]
+    ctx = naive_attention(x @ w_q + b_q, h @ w_k + b_k, h @ w_v + b_v, mask, rows,
+                          q_pos, heads, 1.0 / np.sqrt(h.shape[1] // heads))
+    z = x + (ctx @ w_o + b_o)
+    mu = z.mean(-1, keepdims=True)
+    var = ((z - mu) ** 2).mean(-1, keepdims=True)
+    return gamma * (z - mu) / np.sqrt(var + eps) + beta
+
+
 # B=2 rows of L=4. Batch row 0's real tokens are positions 0, 1 and 3 and
 # row 1's are 4, 6 and 7, so neither is a prefix; position 2 is a padded key
-# that still has a k/v row (row 2 of k and v).
+# that still has a row of h (row 2).
 ROW_MASK = np.array([[1, 1, 0, 1], [1, 0, 1, 1]])
 ROWS = np.array([0, 1, 2, 3, 4, 6, 7])
 ATTENTION_SHAPES = {
-    # encoder: H=8 over 2 heads, every k/v row queries
-    "encoder": dict(q_rows=ROWS, rows=ROWS, mask=ROW_MASK, hidden=8, heads=2,
-                    scale=0.5),
+    # encoder: H=8 over 2 heads, every row queries
+    "encoder": dict(q_idx=None, rows=ROWS, mask=ROW_MASK, hidden=8, heads=2),
     # the last encoder layer: only each batch row's [CLS] row queries
-    "cls": dict(q_rows=np.array([0, 4]), rows=ROWS, mask=ROW_MASK, hidden=8,
-                heads=2, scale=0.5),
-    # fusion: B=6 tokens, L=5 adapters, one query per token, single head,
-    # unscaled, no padding (adapter_fusion is checked against this below)
-    "fusion": dict(q_rows=np.arange(6) * 5, rows=np.arange(30),
-                   mask=np.ones((6, 5)), hidden=4, heads=1, scale=1.0),
+    "cls": dict(q_idx=np.array([0, 4]), rows=ROWS, mask=ROW_MASK, hidden=8, heads=2),
+    # B=6 batch rows of L=5, one query per batch row, single head, no padding
+    "fusion": dict(q_idx=np.arange(6) * 5, rows=np.arange(30), mask=np.ones((6, 5)),
+                   hidden=4, heads=1),
 }
 
 
 def attention_leaves(cfg, seed):
+    """h, then the ten weights of ``self_attention``."""
     rng = np.random.default_rng(seed)
-    return [Tensor(rng.uniform(-2, 2, (len(r), cfg["hidden"])), requires_grad=True)
-            for r in (cfg["q_rows"], cfg["rows"], cfg["rows"])]
+    h, *weights = leaves_of(rng, [(len(cfg["rows"]), cfg["hidden"])]
+                            + attention_weights(cfg["hidden"]), 2.0)
+    for t, name in zip([h, *weights], ["h"] + [f"w{i}" for i in range(10)]):
+        t.name = name
+    return h, weights
 
 
 def attention_args(cfg):
-    return cfg["mask"], cfg["rows"], cfg["q_rows"], cfg["heads"], cfg["scale"]
+    return cfg["mask"], cfg["rows"], cfg["q_idx"], cfg["heads"], 1e-12
 
 
 @pytest.mark.parametrize("shape", sorted(ATTENTION_SHAPES))
 def test_attention_matches_naive_per_head_oracle(shape):
     cfg = ATTENTION_SHAPES[shape]
-    q, k, v = attention_leaves(cfg, seed=5)
-    out = T.attention(q, k, v, *attention_args(cfg))
-    assert out.shape == q.shape
+    h, weights = attention_leaves(cfg, seed=5)
+    out = T.self_attention(h, weights, *attention_args(cfg))
+    queries = len(cfg["rows"]) if cfg["q_idx"] is None else len(cfg["q_idx"])
+    assert out.shape == (queries, cfg["hidden"])
     np.testing.assert_allclose(
-        out.data, naive_attention(q.data, k.data, v.data, *attention_args(cfg)),
+        out.data, naive_attention_sublayer(h.data, weights, *attention_args(cfg)),
         rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", sorted(ATTENTION_SHAPES))
 def test_attention_ops_pass_finite_difference_check(shape):
     cfg = ATTENTION_SHAPES[shape]
-    q, k, v = attention_leaves(cfg, seed=6)
-    mix = np.random.default_rng(7).uniform(-1, 1, q.shape)
+    h, weights = attention_leaves(cfg, seed=6)
+    out = T.self_attention(h, weights, *attention_args(cfg))
+    mix = np.random.default_rng(7).uniform(-1, 1, out.shape)
     report = finite_difference_check(
-        lambda: probe(mix, T.attention(q, k, v, *attention_args(cfg))),
-        [("q", q), ("k", k), ("v", v)], tol=1e-4)
+        lambda: probe(mix, T.self_attention(h, weights, *attention_args(cfg))),
+        [(t.name, t) for t in (h, *weights)], tol=1e-4)
     assert report.passed, report.worst()
-    if not cfg["mask"].all():
-        # a padded key gets no weight, so neither it nor its value has a gradient
-        assert np.all(k.grad[2] == 0.0) and np.all(v.grad[2] == 0.0)
-        assert np.all(k.grad[3] != 0.0) and np.all(v.grad[3] != 0.0)
+    if shape == "cls":
+        # a padded key gets no weight, and this one is no query, so its row
+        # of h has no gradient
+        assert np.all(h.grad[2] == 0.0) and np.all(h.grad[3] != 0.0)
 
 
 def test_attention_under_no_grad_records_no_node():
     cfg = ATTENTION_SHAPES["encoder"]
-    q, k, v = attention_leaves(cfg, seed=8)
-    taped = T.attention(q, k, v, *attention_args(cfg))
-    assert taped.node.op == "attention" and taped.node.inputs == (q, k, v)
+    h, weights = attention_leaves(cfg, seed=8)
+    taped = T.self_attention(h, weights, *attention_args(cfg))
+    assert taped.node.op == "self_attention" and taped.node.inputs == (h, *weights)
     with T.no_grad():
-        out = T.attention(q, k, v, *attention_args(cfg))
+        out = T.self_attention(h, weights, *attention_args(cfg))
     assert out.node is None
     np.testing.assert_array_equal(out.data, taped.data)
 
 
 def test_attention_shape_errors():
     x, mask, rows = Tensor(np.ones((4, 8))), np.ones((2, 2)), np.arange(4)
+    weights = [Tensor(np.ones(s)) for s in attention_weights(8)]
     with pytest.raises(ShapeMismatchError):  # 3 heads do not divide H = 8
-        T.attention(x, x, x, mask, rows, rows, 3, 1.0)
-    with pytest.raises(ShapeMismatchError):  # values of another width
-        T.attention(x, x, Tensor(np.ones((4, 4))), mask, rows, rows, 2, 1.0)
+        T.self_attention(x, weights, mask, rows, None, 3, 1e-12)
+    with pytest.raises(ShapeMismatchError):  # a value projection of another width
+        T.self_attention(x, weights[:4] + [Tensor(np.ones((8, 4)))] + weights[5:],
+                         mask, rows, None, 2, 1e-12)
+    with pytest.raises(ShapeMismatchError):  # no norm beta
+        T.self_attention(x, weights[:9], mask, rows, None, 2, 1e-12)
     with pytest.raises(ShapeMismatchError):  # a mask that is not [B, L]
-        T.attention(x, x, x, np.ones(4), rows, rows, 2, 1.0)
-    with pytest.raises(ShapeMismatchError):  # queries with leading dims
-        T.attention(Tensor(np.ones((2, 2, 8))), x, x, mask, rows, rows[:2], 2, 1.0)
+        T.self_attention(x, weights, np.ones(4), rows, None, 2, 1e-12)
+    with pytest.raises(ShapeMismatchError):  # h with leading dims
+        T.self_attention(Tensor(np.ones((2, 2, 8))), weights, mask, rows[:2], None,
+                         2, 1e-12)
+    with pytest.raises(ContractError):
+        T.self_attention(x, weights, mask, rows, None, 2, 0.0)
+
+
+def test_feed_forward_shape_errors():
+    x = Tensor(np.ones((3, 4)))
+    weights = [Tensor(np.ones(s)) for s in ff_weights(4, 6)]
+    T.feed_forward(x, weights, 1e-12)
+    with pytest.raises(ShapeMismatchError):  # an output weight of another width
+        T.feed_forward(x, weights[:2] + [Tensor(np.ones((5, 4)))] + weights[3:], 1e-12)
+    with pytest.raises(ShapeMismatchError):  # no norm beta
+        T.feed_forward(x, weights[:5], 1e-12)
+    with pytest.raises(ShapeMismatchError):  # h with leading dims
+        T.feed_forward(Tensor(np.ones((2, 3, 4))), weights, 1e-12)
+    with pytest.raises(ContractError):
+        T.feed_forward(x, weights, 0.0)
+
+
+# (op, make the leaves h and weights, the fused op, the composed chain)
+SUBLAYERS = {
+    "attention": (lambda r: leaves_of(r, [(len(ROWS), 8)] + attention_weights(8)),
+                  lambda h, w: T.self_attention(h, w, ROW_MASK, ROWS, None, 2, 1e-12),
+                  lambda h, w: chain.attention_sublayer(h, w, ROW_MASK, ROWS, None,
+                                                        2, 1e-12)),
+    "attention_cls": (lambda r: leaves_of(r, [(len(ROWS), 8)] + attention_weights(8)),
+                      lambda h, w: T.self_attention(h, w, ROW_MASK, ROWS, [0, 4], 2,
+                                                    1e-12),
+                      lambda h, w: chain.attention_sublayer(h, w, ROW_MASK, ROWS,
+                                                            np.array([0, 4]), 2, 1e-12)),
+    "feed_forward": (lambda r: leaves_of(r, [(7, 8)] + ff_weights(8, 16)),
+                     lambda h, w: T.feed_forward(h, w, 1e-12),
+                     lambda h, w: chain.feed_forward_sublayer(h, w, 1e-12)),
+}
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 2e-6)],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("name", sorted(SUBLAYERS))
+def test_sublayers_match_the_composed_chain(name, dtype, tol):
+    """The fused op against linears, the packed-row attention, add,
+    layer_norm and a numpy GELU: the output and every input's gradient,
+    within ``tol`` relative to the largest entry, or absolute below 1 (the
+    key bias's gradient is zero up to rounding)."""
+    make, fused, composed = SUBLAYERS[name]
+    rng = np.random.default_rng(64)
+    h, *weights = [Tensor(t.data.astype(dtype), requires_grad=True)
+                   for t in make(rng)]
+    ref_h, *ref_weights = chain.copies([h, *weights])
+    out, ref = fused(h, weights), composed(ref_h, ref_weights)
+    mix = rng.uniform(-1, 1, out.shape)
+    backward(probe(mix, out))
+    backward(probe(mix, ref))
+
+    def close(got, want):
+        assert got.dtype == want.dtype == dtype
+        assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
+
+    close(out.data, ref.data)
+    for leaf, ref_leaf in zip([h, *weights], [ref_h, *ref_weights]):
+        close(leaf.grad, ref_leaf.grad)
+
+
+@pytest.mark.parametrize("name", sorted(SUBLAYERS))
+def test_sublayer_backward_skips_inputs_that_need_no_gradient(name, monkeypatch):
+    """A frozen layer under a trained one (stage 1) needs dL/dh alone: the
+    backward returns None for every weight and runs no weight-gradient GEMM
+    and no column sum. A frozen h (the embeddings) gets None in turn."""
+    make, fused, _ = SUBLAYERS[name]
+    h, *weights = make(np.random.default_rng(65))
+    g = np.random.default_rng(66).uniform(-1, 1, fused(h, weights).shape)
+    full = fused(h, weights).node.backward_fn(g)
+    calls = []
+    for helper in ("_affine_grads", "_column_sum"):
+        monkeypatch.setattr(T, helper, lambda *a, f=getattr(T, helper), n=helper:
+                            calls.append(n) or f(*a))
+    frozen = [Tensor(w.data) for w in weights]
+    grads = fused(h, frozen).node.backward_fn(g)
+    assert grads[1:] == (None,) * len(weights) and calls == []
+    np.testing.assert_array_equal(grads[0], full[0])
+    grads = fused(Tensor(h.data), weights).node.backward_fn(g)
+    assert grads[0] is None
+    for got, want in zip(grads[1:], full[1:]):
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +531,7 @@ def adapter_fusion_leaves(num_adapters, seed, shape=(2, 3, 4), width=2):
 
 def attention_reference(h, zs, ws, mix):
     """The unreassociated layer: project every z_t through W_K and W_V, then
-    one single-head, unscaled ``attention`` over them, with the N tokens as
+    one single-head, unscaled ``chain.attention`` over them, with the N tokens as
     batch rows, the T adapters as their positions and one query per batch
     row. The stacked z is its own leaf, so its gradient slices are the z_t
     gradients. Returns the output [..., H], the weights [..., T] (computed
@@ -432,8 +545,8 @@ def attention_reference(h, zs, ws, mix):
     n = h_ref.shape[0]
     zero = Tensor(np.zeros(hidden))  # adding +0.0 is exact
     q, k = T.matmul(h_ref, w_q, zero), T.matmul(stacked, w_k, zero)
-    out = T.attention(q, k, T.matmul(stacked, w_v, zero), np.ones((n, tasks)),
-                      np.arange(n * tasks), np.arange(n) * tasks, 1, 1.0)
+    out = chain.attention(q, k, T.matmul(stacked, w_v, zero), np.ones((n, tasks)),
+                          np.arange(n * tasks), np.arange(n) * tasks, 1, 1.0)
     scores = np.einsum("nh,nth->nt", q.data, k.data.reshape(n, tasks, hidden))
     alpha = np.exp(scores - scores.max(axis=1, keepdims=True))
     alpha /= alpha.sum(axis=1, keepdims=True)
