@@ -126,7 +126,8 @@ def encoder_param_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, 
         p = f"layers.{i}"
         for proj in ("query", "key", "value", "output"):
             yield f"{p}.attention.{proj}.weight", (h, h)
-            yield f"{p}.attention.{proj}.bias", (h,)
+            if proj != "key":  # a bias shared by every key cancels in the softmax
+                yield f"{p}.attention.{proj}.bias", (h,)
         yield f"{p}.attention.norm.gamma", (h,)
         yield f"{p}.attention.norm.beta", (h,)
         yield f"{p}.ff.in.weight", (h, ff)
@@ -164,28 +165,22 @@ def init_encoder_params(config: ModelConfig, store: ParameterStore,
 def embed(config: ModelConfig, params: ParameterStore, batch: Batch,
           rows: np.ndarray) -> Tensor:
     """Sum of token, position, and segment embeddings, then layer-norm, for
-    the flat positions ``rows`` of the [B, L] batch: [len(rows), H]."""
-    ids = batch.token_ids
-    b, l = ids.shape
+    the flat positions ``rows`` of the [B, L] batch: [len(rows), H], as one
+    ``tensor.embeddings`` op, which rejects an id out of its table's range."""
+    l = batch.token_ids.shape[1]
     if l > config.max_positions:
         raise ContractError(
             f"sequence length {l} exceeds max_positions {config.max_positions}")
-    if np.any(ids >= config.vocab_size) or np.any(ids < 0):
-        raise ContractError(f"token id out of range for vocab {config.vocab_size}")
-    if np.any(batch.segment_ids >= config.num_segments):
-        raise ContractError("segment id out of range")
-    x = T.add(T.embedding(params["embeddings.token"], ids.reshape(-1)[rows]),
-              T.embedding(params["embeddings.position"], rows % l))
-    x = T.add(x, T.embedding(params["embeddings.segment"],
-                             batch.segment_ids.reshape(-1)[rows]))
-    return T.layer_norm(x, params["embeddings.norm.gamma"],
-                        params["embeddings.norm.beta"], config.eps)
+    return T.embeddings(
+        [params[f"embeddings.{name}"] for name in ("token", "position", "segment")],
+        [batch.token_ids.reshape(-1)[rows], rows % l,
+         batch.segment_ids.reshape(-1)[rows]],
+        params["embeddings.norm.gamma"], params["embeddings.norm.beta"], config.eps)
 
 
 def linear(params: ParameterStore, prefix: str, x: Tensor) -> Tensor:
     """``x @ {prefix}.weight + {prefix}.bias``: one ``matmul`` node. Every
-    linear layer outside the encoder's sublayer ops (stage-1 adapters,
-    heads) is this."""
+    linear layer outside the model's block ops (the heads) is this."""
     return T.matmul(x, params[f"{prefix}.weight"], params[f"{prefix}.bias"])
 
 
@@ -203,10 +198,9 @@ def multi_head_attention(config: ModelConfig, params: ParameterStore,
     sees the padded [B, L, H] layout.
     """
     p = f"layers.{layer_idx}.attention"
-    weights = [params[f"{p}.{proj}.{part}"]
-               for proj in ("query", "key", "value", "output")
-               for part in ("weight", "bias")]
-    weights += [params[f"{p}.norm.gamma"], params[f"{p}.norm.beta"]]
+    weights = [params[f"{p}.{name}"] for name in (
+        "query.weight", "query.bias", "key.weight", "value.weight", "value.bias",
+        "output.weight", "output.bias", "norm.gamma", "norm.beta")]
     return T.self_attention(h, weights, mask, rows, q_rows, config.num_heads,
                             config.eps)
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .data import Batch
 from .encoder import (ModelConfig, encode, encoder_param_shapes,
-                      init_encoder_params, init_parameter, linear)
+                      init_encoder_params, init_parameter)
 from .errors import ConfigError, ContractError
 from .losses import head_forward, head_param_shapes, init_head_params
 from .tensor import ParameterStore, Tensor
@@ -66,12 +66,18 @@ def init_fusion_params(config: ModelConfig, store: ParameterStore,
 # forward
 # ---------------------------------------------------------------------------
 
+def _adapters(params: ParameterStore, tasks: Sequence[str], layer_idx: int
+              ) -> list[list[Tensor]]:
+    """``tensor.adapter_fusion``'s four weight lists for ``tasks`` in a layer."""
+    return [[params[f"adapters.{task}.{layer_idx}.{name}"] for task in tasks]
+            for name in ("down.weight", "down.bias", "up.weight", "up.bias")]
+
+
 def adapter_forward(params: ParameterStore, task: str, layer_idx: int,
                     h_ff: Tensor) -> Tensor:
-    """relu bottleneck with a residual connection around it."""
-    p = f"adapters.{task}.{layer_idx}"
-    u = T.relu(linear(params, f"{p}.down", h_ff))
-    return T.add(h_ff, linear(params, f"{p}.up", u))
+    """relu bottleneck with a residual connection around it, as one
+    ``tensor.adapter_fusion`` op over this one adapter."""
+    return T.adapter_fusion(h_ff, *_adapters(params, [task], layer_idx))[0]
 
 
 def fusion_forward(params: ParameterStore, layer_idx: int, h_ff: Tensor,
@@ -88,12 +94,9 @@ def fusion_forward(params: ParameterStore, layer_idx: int, h_ff: Tensor,
     ``h_ff``) for inspection.
     """
     p = f"fusion.{layer_idx}"
-    adapters = [f"adapters.{task}.{layer_idx}" for task in tasks]
-    mixed, alpha = T.adapter_fusion(
-        h_ff, *([params[f"{a}.{name}"] for a in adapters]
-                for name in ("down.weight", "down.bias", "up.weight", "up.bias")),
-        params[f"{p}.query"], params[f"{p}.key"], params[f"{p}.value"])
-    return T.add(h_ff, mixed), alpha
+    return T.adapter_fusion(h_ff, *_adapters(params, tasks, layer_idx),
+                            params[f"{p}.query"], params[f"{p}.key"],
+                            params[f"{p}.value"])
 
 
 # ---------------------------------------------------------------------------

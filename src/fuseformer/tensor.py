@@ -8,13 +8,12 @@ parameters stays float32 through its backward.
 Every differentiable operation records a node holding its inputs and a
 backward closure. ``backward`` orders the graph below a scalar root
 topologically and replays it in reverse, accumulating gradients with ``+=``
-across shared subexpressions. Inside ``no_grad`` nothing is recorded.
-``add`` takes equal shapes only; ``matmul``, ``layer_norm`` and
-``adapter_fusion`` act on the last axes and accept any leading dims. An
-encoder layer is two nodes: ``self_attention`` takes packed [n, H] rows and
-alone builds a padded layout, and ``feed_forward`` is position-wise. A loss
-is one ``scalar_loss`` node whose value and gradient its caller computes in
-closed form.
+across shared subexpressions. Inside ``no_grad`` nothing is recorded. Each
+model block is one op: ``embeddings``, ``self_attention`` and
+``feed_forward`` on packed [n, H] rows (only ``self_attention`` builds a
+padded layout), then ``adapter_fusion`` and ``matmul`` on the last axis of
+any leading dims. A loss is one ``scalar_loss`` node whose value and
+gradient its caller computes in closed form.
 """
 
 from __future__ import annotations
@@ -124,24 +123,9 @@ def _track(op: str, inputs: Sequence[Tensor], out_data: Array,
 # elementwise ops
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    return _track("add", (a, b), a.data + b.data, lambda g: (g, g))
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     return _track("tanh", (a,), y, lambda g: (g * (1.0 - y * y),))
-
-
-def relu(a: Tensor) -> Tensor:
-    y = np.maximum(a.data, 0.0)
-
-    def backward(g: Array):
-        return (g * (a.data > 0.0),)
-
-    return _track("relu", (a,), y, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +163,13 @@ def _column_sum(x: Array) -> Array:
     return np.ones(x.shape[0], x.dtype) @ x
 
 
-def _row_sum(x: Array) -> Array:
-    """Sum over the last axis, keeping it: one GEMV against ones, several
-    times faster than ``np.sum`` over the short axes softmax runs on."""
-    n = x.shape[-1]
-    return (x.reshape(-1, n) @ np.ones(n, x.dtype)).reshape(x.shape[:-1] + (1,))
+def _row_sum(x: Array, y: Array | None = None) -> Array:
+    """Sum over the last axis of ``x``, or of ``x * y``, keeping it with
+    length 1. einsum's per-row sum is several times faster than
+    ``np.add.reduce`` at these widths, and each row's sum depends on the row
+    alone (a GEMV would make it depend on where the row sits in the batch)."""
+    s = np.einsum("...i->...", x) if y is None else np.einsum("...i,...i->...", x, y)
+    return s[..., None]
 
 
 def _softmax(x: Array) -> Array:
@@ -200,23 +186,20 @@ def _softmax(x: Array) -> Array:
 
 
 def _softmax_backward(y: Array, g: Array) -> Array:
-    return y * (g - _row_sum(g * y))
+    return y * (g - _row_sum(g, y))
 
 
 # ---------------------------------------------------------------------------
-# layer norm and the encoder sublayers
+# post-norm and the encoder sublayers
 # ---------------------------------------------------------------------------
 
 _MASKED_SCORE = -1e9
 
 
 def _row_mean(x: Array, y: Array | None = None) -> Array:
-    """Mean of each row of the 2-D ``x``, or of ``x * y``, as [n, 1].
-    einsum's per-row sum is several times faster than ``np.add.reduce`` at
-    these widths, and each row's sum depends on the row alone (a GEMV would
-    make it depend on where the row sits in the batch)."""
-    m = (np.einsum("ij->i", x) if y is None else np.einsum("ij,ij->i", x, y))[:, None]
-    m *= 1.0 / x.shape[1]
+    """Mean of each row of ``x``, or of ``x * y``, as [..., 1]."""
+    m = _row_sum(x, y)
+    m *= 1.0 / x.shape[-1]
     return m
 
 
@@ -226,6 +209,8 @@ def _post_norm(z: Array, gamma: Array, beta: Array, eps: float,
     returns the output, the standardized rows xhat (``z`` itself) and the
     inverse standard deviations [n, 1]. Without ``keep`` (no backward will
     read xhat) the output is written over ``z`` too."""
+    if eps <= 0:
+        raise ContractError(f"layer norm eps must be positive, got {eps}")
     z -= _row_mean(z)
     inv = _row_mean(z, z)
     inv += eps
@@ -251,25 +236,6 @@ def _post_norm_backward(g: Array, xhat: Array, inv: Array, gamma: Array,
     dxhat -= xhat * m2
     dxhat *= inv
     return dxhat, dgamma, dbeta
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
-    """Standardize over the last axis, then scale by gamma and shift by beta."""
-    if eps <= 0:
-        raise ContractError(f"layer_norm: eps must be positive, got {eps}")
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeMismatchError(
-            f"layer_norm: gamma/beta {gamma.shape}/{beta.shape} vs last axis {d}")
-    out, xhat, inv = _post_norm(x.data.reshape(-1, d).copy(), gamma.data, beta.data,
-                                eps, _recording((x, gamma, beta)))
-
-    def backward(g: Array):
-        dx, dgamma, dbeta = _post_norm_backward(g.reshape(-1, d), xhat, inv,
-                                                gamma.data, True)
-        return dx.reshape(x.shape), dgamma, dbeta
-
-    return _track("layer_norm", (x, gamma, beta), out.reshape(x.shape), backward)
 
 
 def _by_query(s: Array) -> Array:
@@ -299,16 +265,27 @@ def _check_weights(op: str, weights: Sequence[Tensor], shapes: Sequence[tuple]) 
             f"{op}: weight shapes {[w.shape for w in weights]}, expected {list(shapes)}")
 
 
+def _check_rows(op: str, rows: Array, limit: int) -> None:
+    if (rows.ndim != 1 or rows.dtype.kind not in "iu"
+            or (rows.size and (rows[0] < 0 or rows[-1] >= limit
+                               or np.any(rows[1:] <= rows[:-1])))):
+        raise ContractError(
+            f"{op}: rows must be strictly increasing integer positions in "
+            f"[0, {limit})")
+
+
 def self_attention(h: Tensor, weights: Sequence[Tensor], mask: Array, rows: Array,
                    q_rows: Array | None, heads: int, eps: float) -> Tensor:
     """The post-norm attention sublayer of an encoder layer as one node:
     ``LN(x + MHA(h) W_o + b_o)``, where x holds the query rows of ``h``.
 
-    ``weights`` are the [H, H] weights and [H] biases of the query, key,
-    value and output projections, then the norm's gamma and beta, in that
-    order. ``h`` [n, H] holds the rows at the flat positions ``rows`` of a
-    [B, L] batch whose key mask ``mask`` gives the keys it marks 0 a -1e9
-    score (``rows`` must cover every real one). The queries are the rows of
+    ``weights`` are the query projection's [H, H] weight and [H] bias, the
+    key projection's weight, the value and output projections' weights and
+    biases, then the norm's gamma and beta, in that order. Keys take no bias:
+    a shift shared by every key of a query cancels in the softmax. ``h``
+    [n, H] holds the rows at the flat positions ``rows`` of a [B, L] batch
+    whose key mask ``mask`` gives the keys it marks 0 a -1e9 score (``rows``
+    must cover every real one). The queries are the rows of
     ``h`` at the indices ``q_rows``, or every row when it is None; both must
     be strictly increasing. Each query attends, over ``heads`` heads scaled by
     1/sqrt(H / heads), to the keys of its own batch row. Returns one row per
@@ -330,13 +307,11 @@ def self_attention(h: Tensor, weights: Sequence[Tensor], mask: Array, rows: Arra
             f"self_attention: h {h.shape} at {rows.shape} positions, mask "
             f"{mask.shape}, {heads} heads")
     n, hidden = h.shape
-    _check_weights("self_attention", weights, [(hidden, hidden), (hidden,)] * 4
-                   + [(hidden,)] * 2)
-    if eps <= 0:
-        raise ContractError(f"self_attention: eps must be positive, got {eps}")
+    sq, vec = (hidden, hidden), (hidden,)
+    _check_weights("self_attention", weights, [sq, vec, sq, sq, vec, sq, vec, vec, vec])
     b, length = mask.shape
     _check_rows("self_attention", rows, b * length)
-    w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, gamma, beta = weights
+    w_q, b_q, w_k, w_v, b_v, w_o, b_o, gamma, beta = weights
     inputs = (h, *weights)
     keep = _recording(inputs)
     dh = hidden // heads
@@ -345,13 +320,11 @@ def self_attention(h: Tensor, weights: Sequence[Tensor], mask: Array, rows: Arra
     every = q_rows is None
     if every:
         w_in = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)
-        b_in = np.concatenate([b_q.data, b_k.data, b_v.data])
         xq, q_flat, q_len = x, rows, length
     else:
         q_rows = np.asarray(q_rows)
         _check_rows("self_attention", q_rows, n)
         w_in = np.concatenate([w_k.data, w_v.data], axis=1)
-        b_in = np.concatenate([b_k.data, b_v.data])
         xq = x[q_rows]
         q_batch = rows[q_rows] // length
         q_slot = np.arange(len(q_rows)) - np.searchsorted(q_batch, q_batch)
@@ -364,7 +337,9 @@ def self_attention(h: Tensor, weights: Sequence[Tensor], mask: Array, rows: Arra
         return buf.reshape(b, width, -1, heads, dh)[:, :, part].transpose(0, 2, 1, 3)
 
     proj = x @ w_in
-    proj += b_in
+    proj[:, -hidden:] += b_v.data
+    if every:
+        proj[:, :hidden] += b_q.data
     parts = proj.shape[1] // hidden
     # q|k|v (or k|v) at every position of the batch, zeros where no row is
     padded = np.zeros((b * length, parts * hidden), x.dtype)
@@ -397,12 +372,12 @@ def self_attention(h: Tensor, weights: Sequence[Tensor], mask: Array, rows: Arra
 
     def backward(g: Array):
         need = [_needs_grad(t) for t in inputs]
-        need_h, need_in = need[0], any(need[1:7])
+        need_h, need_in = need[0], any(need[1:6])
         grads: list[Array | None] = [None] * len(inputs)
-        dz, grads[9], grads[10] = _post_norm_backward(g, xhat, inv, gamma.data,
-                                                      need[9] or need[10])
-        if need[7] or need[8]:
-            grads[7], grads[8] = _affine_grads(ctx, dz)
+        dz, grads[8], grads[9] = _post_norm_backward(g, xhat, inv, gamma.data,
+                                                     need[8] or need[9])
+        if need[6] or need[7]:
+            grads[6], grads[7] = _affine_grads(ctx, dz)
         if not (need_h or need_in):
             return _only_needed(grads, need)
         gh = np.zeros((b * q_len, hidden), x.dtype)
@@ -426,12 +401,11 @@ def self_attention(h: Tensor, weights: Sequence[Tensor], mask: Array, rows: Arra
         dproj = dpad.take(rows, axis=0)
         if need_in:
             dw, db = _affine_grads(x, dproj)
-            if not every:
+            grads[3:6] = dw[:, -2 * hidden:-hidden], dw[:, -hidden:], db[-hidden:]
+            if every:
+                grads[1], grads[2] = dw[:, :hidden], db[:hidden]
+            else:
                 grads[1], grads[2] = _affine_grads(xq, dq)
-            first = 7 - 2 * parts  # the grads index of the first projected weight
-            for part in range(parts):
-                cols = slice(part * hidden, (part + 1) * hidden)
-                grads[first + 2 * part], grads[first + 2 * part + 1] = dw[:, cols], db[cols]
         if need_h:
             dx = dproj @ w_in.T
             if every:
@@ -491,8 +465,6 @@ def feed_forward(h: Tensor, weights: Sequence[Tensor], eps: float) -> Tensor:
     width = weights[0].shape[-1] if weights and weights[0].data.ndim == 2 else -1
     _check_weights("feed_forward", weights, [(hidden, width), (width,),
                                              (width, hidden)] + [(hidden,)] * 3)
-    if eps <= 0:
-        raise ContractError(f"feed_forward: eps must be positive, got {eps}")
     w_in, b_in, w_out, b_out, gamma, beta = weights
     inputs = (h, *weights)
     keep = _recording(inputs)
@@ -526,29 +498,33 @@ def feed_forward(h: Tensor, weights: Sequence[Tensor], eps: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# the fusion mix
+# adapters and the fusion mix
 # ---------------------------------------------------------------------------
 
 def adapter_fusion(h: Tensor, w_down: Sequence[Tensor], b_down: Sequence[Tensor],
-                   w_up: Sequence[Tensor], b_up: Sequence[Tensor], w_q: Tensor,
-                   w_k: Tensor, w_v: Tensor) -> tuple[Tensor, Array]:
-    """T bottleneck adapters and the AdapterFusion attention over them, from
-    ``h`` [..., H]: adapter t gives ``z_t = h + y_t`` with
+                   w_up: Sequence[Tensor], b_up: Sequence[Tensor],
+                   w_q: Tensor | None = None, w_k: Tensor | None = None,
+                   w_v: Tensor | None = None) -> tuple[Tensor, Array | None]:
+    """T bottleneck adapters on ``h`` [..., H], alone or under the
+    AdapterFusion attention, as one tape node. Adapter t gives
     ``y_t = relu(h W_down,t + b_down,t) W_up,t + b_up,t`` ([H, b], [b],
-    [b, H], [H] weights), and the output is ``sum_t a_t (z_t W_V)`` with
-    ``a = softmax_t((h W_Q) . (z_t W_K))`` and [H, H] query, key and value
-    weights.
+    [b, H], [H] weights).
+
+    Without query, key and value weights the output is ``h + sum_t y_t``
+    (at T = 1, a residual adapter). With the [H, H] weights W_Q, W_K and W_V
+    it is the fusion layer and its residual, ``h + sum_t a_t (z_t W_V)``
+    with ``z_t = h + y_t`` and ``a = softmax_t((h W_Q) . (z_t W_K))``.
 
     No z_t is built. Each bias b_up,t rides as one more bottleneck unit
     whose activation is 1: with u_t the [b + 1]-wide activations and
     W_t = [W_up,t; b_up,t], ``y_t = u_t W_t``. With r = h (W_Q W_K^T), every
     score shares the term h . r, which softmax ignores, so the scores are
-    ``u_t . (r W_t^T)`` and the output is ``(h + sum_t a_t u_t W_t) W_V``.
+    ``u_t . (r W_t^T)`` and the output is ``h + (h + sum_t a_t u_t W_t) W_V``.
     Every GEMM is [N, H] x [H, Tb + H], [N, H] x [H, H] or
-    [N, T(b + 1)] x [T(b + 1), H] over the N leading positions. One tape
-    node; its backward returns ``None`` for every input that needs no
-    gradient and skips that work. Returns the output [..., H] and the
-    weights a [..., T].
+    [N, T(b + 1)] x [T(b + 1), H] over the N leading positions. The backward
+    returns ``None`` for every input that needs no gradient and skips that
+    work. Returns the output [..., H] and the weights a [..., T], or None
+    without fusion weights.
     """
     tasks = len(w_down)
     if not tasks:
@@ -567,105 +543,130 @@ def adapter_fusion(h: Tensor, w_down: Sequence[Tensor], b_down: Sequence[Tensor]
             raise ShapeMismatchError(
                 f"adapter_fusion: adapter shapes {got} do not match input shape "
                 f"{h.shape} and bottleneck {width}")
-    for w in (w_q, w_k, w_v):
-        if w.shape != (hidden, hidden):
-            raise ShapeMismatchError(
-                f"adapter_fusion: weight shape {w.shape} does not match input "
-                f"shape {h.shape}; expected {(hidden, hidden)}")
+    fusion = [w for w in (w_q, w_k, w_v) if w is not None]
+    if len(fusion) not in (0, 3) or any(w.shape != (hidden, hidden) for w in fusion):
+        raise ShapeMismatchError(
+            f"adapter_fusion: fusion weight shapes {[w.shape for w in fusion]} do "
+            f"not match input shape {h.shape}; expected none or 3 of {(hidden, hidden)}")
     x = h.data.reshape(-1, hidden)
     n, wide = x.shape[0], width + 1
     wd = np.concatenate([t.data for t in w_down], axis=1)             # [H, Tb]
     bd = np.concatenate([t.data for t in b_down])
-    wu = np.concatenate([np.stack([t.data for t in w_up]),
-                         np.stack([t.data for t in b_up])[:, None]], axis=1)
-    wu = wu.reshape(tasks * wide, hidden)                              # [T(b+1), H]
-    wqk = w_q.data @ w_k.data.T
-    first = x @ np.concatenate([wd, wqk], axis=1)                      # [N, Tb + H]
+    wu = np.concatenate([part for w, b in zip(w_up, b_up)               # [T(b+1), H]
+                         for part in (w.data, b.data[None])])
+    if fusion:
+        wqk = w_q.data @ w_k.data.T
+        first = x @ np.concatenate([wd, wqk], axis=1)                  # [N, Tb + H]
+        r = first[:, tasks * width:]
+    else:
+        first = x @ wd
     u = np.ones((n, tasks, wide), dtype=x.dtype)
     u[..., :width] = np.maximum(first[:, :tasks * width] + bd,
                                 0.0).reshape(n, tasks, width)
-    r = first[:, tasks * width:]
-    rw = (r @ wu.T).reshape(n, tasks, wide)
-    alpha = _softmax(_row_sum(u * rw)[..., 0])                        # [N, T]
-    v = (alpha[..., None] * u).reshape(n, tasks * wide)
+    alpha, v = None, u
+    if fusion:
+        rw = (r @ wu.T).reshape(n, tasks, wide)
+        alpha = _softmax(_row_sum(u, rw)[..., 0])                      # [N, T]
+        v = alpha[..., None] * u
+    v = v.reshape(n, tasks * wide)
     m = x + v @ wu
-    out = (m @ w_v.data).reshape(h.shape)
+    out = x + m @ w_v.data if fusion else m
 
-    inputs = (h, *w_down, *b_down, *w_up, *b_up, w_q, w_k, w_v)
+    inputs = (h, *w_down, *b_down, *w_up, *b_up, *fusion)
 
     def backward(g: Array):
         need = [_needs_grad(t) for t in inputs]
-        need_h, need_q, need_k, need_v = need[0], *need[-3:]
-        need_down, need_up = any(need[1:1 + 2 * tasks]), any(need[1 + 2 * tasks:-3])
+        need_h = need[0]
+        need_down = any(need[1:1 + 2 * tasks])
+        need_up = any(need[1 + 2 * tasks:1 + 4 * tasks])
         g2 = g.reshape(-1, hidden)
-        dm = g2 @ w_v.data.T
-        dv = (dm @ wu.T).reshape(n, tasks, wide)
-        # d a_t = dm . y_t: the dm . h part every z_t shares is left out
-        # (the softmax backward cancels it), so float32 keeps the differences
-        ds = _softmax_backward(alpha, _row_sum(dv * u)[..., 0])
-        drw = (ds[..., None] * u).reshape(n, tasks * wide)
         grads: list[Array | None] = [None] * len(need)
-        if need_h or need_q or need_k:
-            dr = drw @ wu
-            if need_q or need_k:
-                p = x.T @ dr
-                grads[-3], grads[-2] = p @ w_k.data, p.T @ w_q.data
-        if need_v:
-            grads[-1] = m.T @ g2
+        dm = g2 @ w_v.data.T if fusion else g2
+        dv = (dm @ wu.T).reshape(n, tasks, wide)
+        if fusion:
+            need_q, need_k, need_v = need[-3:]
+            # d a_t = dm . y_t: the dm . h part every z_t shares is left out
+            # (the softmax backward cancels it), so float32 keeps the differences
+            ds = _softmax_backward(alpha, _row_sum(dv, u)[..., 0])
+            drw = (ds[..., None] * u).reshape(n, tasks * wide)
+            if need_h or need_q or need_k:
+                dr = drw @ wu
+                if need_q or need_k:
+                    p = x.T @ dr
+                    grads[-3], grads[-2] = p @ w_k.data, p.T @ w_q.data
+            if need_v:
+                grads[-1] = m.T @ g2
         if need_up:
-            dwu = (v.T @ dm + drw.T @ r).reshape(tasks, wide, hidden)
+            dwu = v.T @ dm
+            if fusion:
+                dwu += drw.T @ r
+            dwu = dwu.reshape(tasks, wide, hidden)
             for t in range(tasks):
                 grads[1 + 2 * tasks + t] = dwu[t, :width]
                 grads[1 + 3 * tasks + t] = dwu[t, width]
         if need_h or need_down:
-            du = alpha[..., None] * dv + ds[..., None] * rw
+            du = alpha[..., None] * dv + ds[..., None] * rw if fusion else dv
             da = (du[..., :width] * (u[..., :width] > 0.0)).reshape(n, tasks * width)
             if need_down:
-                dwd, dbd = x.T @ da, da.sum(axis=0)
+                dwd, dbd = _affine_grads(x, da)
                 for t in range(tasks):
                     cols = slice(t * width, (t + 1) * width)
                     grads[1 + t], grads[1 + tasks + t] = dwd[:, cols], dbd[cols]
             if need_h:
-                grads[0] = (dm + dr @ wqk.T + da @ wd.T).reshape(h.shape)
+                dh = (dm + dr @ wqk.T if fusion else dm) + da @ wd.T
+                if fusion:
+                    dh += g2
+                grads[0] = dh.reshape(h.shape)
         return _only_needed(grads, need)
 
-    out_t = _track("adapter_fusion", inputs, out, backward)
-    return out_t, alpha.reshape(h.shape[:-1] + (tasks,))
+    out_t = _track("adapter_fusion", inputs, out.reshape(h.shape), backward)
+    return out_t, None if alpha is None else alpha.reshape(h.shape[:-1] + (tasks,))
 
 
 # ---------------------------------------------------------------------------
-# lookup / shaping
+# the embedding block
 # ---------------------------------------------------------------------------
 
-def embedding(table: Tensor, ids: Array) -> Tensor:
-    """Gather rows of ``table`` by integer ids; gradient scatter-adds.
-
-    The scatter runs on the flat view of the table, one index per element
-    (``np.add.at`` is several times faster on 1-D indices than on rows);
-    every element sees the same adds in the same order as a row scatter."""
-    ids = np.asarray(ids)
-    if np.any(ids < 0) or np.any(ids >= table.shape[0]):
-        raise ContractError(
-            f"embedding: id out of range for table with {table.shape[0]} rows")
-    out = table.data[ids]
+def embeddings(tables: Sequence[Tensor], ids: Sequence[Array], gamma: Tensor,
+               beta: Tensor, eps: float) -> Tensor:
+    """The embedding block as one node: the rows that ``ids[k]`` picks from
+    each [rows_k, H] table ``tables[k]``, summed in order, then layer-normed
+    with gamma and beta [H]. Every ``ids[k]`` holds the same n integer ids;
+    returns [n, H]. The backward skips every input that needs no gradient.
+    A table's gradient is a scatter-add on its flat view, one index per
+    element (``np.add.at`` is several times faster on 1-D indices than on
+    rows), which gives each element the adds of a row scatter in order."""
+    ids = [np.asarray(i) for i in ids]
+    hidden = gamma.shape[-1] if gamma.data.ndim == 1 else -1
+    if (not tables or len(ids) != len(tables) or beta.shape != gamma.shape
+            or any(t.shape[1:] != (hidden,) or i.shape != ids[0].shape or i.ndim != 1
+                   or i.dtype.kind not in "iu" for t, i in zip(tables, ids))):
+        raise ShapeMismatchError(
+            f"embeddings: tables {[t.shape for t in tables]}, ids "
+            f"{[i.shape for i in ids]} and gamma/beta {gamma.shape}/{beta.shape}")
+    for k, (t, i) in enumerate(zip(tables, ids)):
+        if i.size and (i.min() < 0 or i.max() >= t.shape[0]):
+            raise ContractError(
+                f"embeddings: id out of range for table {k} with {t.shape[0]} rows")
+    inputs = (*tables, gamma, beta)
+    x = tables[0].data[ids[0]]
+    for t, i in zip(tables[1:], ids[1:]):
+        x += t.data[i]
+    out, xhat, inv = _post_norm(x, gamma.data, beta.data, eps, _recording(inputs))
 
     def backward(g: Array):
-        dt = np.zeros_like(table.data)
-        width = math.prod(table.shape[1:])
-        flat = (ids.reshape(-1, 1) * width + np.arange(width)).ravel()
-        np.add.at(dt.reshape(-1), flat, g.ravel())
-        return (dt,)
+        need = [_needs_grad(t) for t in inputs]
+        grads: list[Array | None] = [None] * len(inputs)
+        dx, grads[-2], grads[-1] = _post_norm_backward(g, xhat, inv, gamma.data,
+                                                       need[-2] or need[-1])
+        for k, (t, i) in enumerate(zip(tables, ids)):
+            if need[k]:
+                grads[k] = np.zeros_like(t.data)
+                flat = (i[:, None] * hidden + np.arange(hidden)).ravel()
+                np.add.at(grads[k].reshape(-1), flat, dx.ravel())
+        return _only_needed(grads, need)
 
-    return _track("embedding", (table,), out, backward)
-
-
-def _check_rows(op: str, rows: Array, limit: int) -> None:
-    if (rows.ndim != 1 or rows.dtype.kind not in "iu"
-            or (rows.size and (rows[0] < 0 or rows[-1] >= limit
-                               or np.any(rows[1:] <= rows[:-1])))):
-        raise ContractError(
-            f"{op}: rows must be strictly increasing integer positions in "
-            f"[0, {limit})")
+    return _track("embeddings", inputs, out, backward)
 
 
 # ---------------------------------------------------------------------------

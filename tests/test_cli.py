@@ -463,6 +463,20 @@ def test_evaluate_stage_it_cannot_rebuild_exits_2_without_traceback(
     assert err.startswith("error: checkpoint stage") and "Traceback" not in err
 
 
+def test_evaluate_checkpoint_with_an_attention_key_bias_exits_2(
+        tmp_path, corpus_path, capsys):
+    # written while attention keys had a bias: the model has no such parameter
+    path = adapter_checkpoint(tmp_path, lambda m: {})
+    ckpt = load_checkpoint(path)
+    ckpt.tensors["layers.0.attention.key.bias"] = np.zeros(
+        ckpt.tensors["layers.0.attention.query.bias"].shape, np.float32)
+    save_checkpoint(ckpt, path)
+    assert run_cli("evaluate", "--checkpoint", path, "--corpus", corpus_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "model has no parameter 'layers.0.attention.key.bias'" in err
+
+
 @pytest.mark.parametrize("vocab", [None, ["a", "b", "c", "d", "e"]],
                          ids=["missing", "short"])
 @pytest.mark.parametrize("command", ["evaluate", "train-fusion"])

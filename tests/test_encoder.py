@@ -16,6 +16,7 @@ from fuseformer.errors import ConfigError, ContractError
 from fuseformer.fusion import AdapterBank
 from fuseformer.losses import head_forward
 from fuseformer.tensor import Tensor, finite_difference_check
+import chain
 from probes import probe
 
 
@@ -152,7 +153,8 @@ def test_embed_gradient_wrt_tables():
     bank = make_bank(config, dtype=np.float64)
     batch = make_batch(config, np.random.default_rng(4), b=2, l=4)
     tables = [(n, bank.params[n]) for n in
-              ("embeddings.token", "embeddings.position", "embeddings.segment")]
+              ("embeddings.token", "embeddings.position", "embeddings.segment",
+               "embeddings.norm.gamma", "embeddings.norm.beta")]
     mix = np.random.default_rng(5).uniform(-1, 1, (2 * 4, config.hidden_size))
     report = finite_difference_check(
         lambda: probe(mix, embed(config, bank.params, batch, all_rows(batch))),
@@ -164,11 +166,10 @@ def test_embed_gradient_wrt_tables():
 # attention
 # ---------------------------------------------------------------------------
 
-def set_attention(bank, layer, key_w=None, key_b=None, value_w=None,
-                  value_b=None, out_w=None, out_b=None):
+def set_attention(bank, layer, key_w=None, value_w=None, value_b=None,
+                  out_w=None, out_b=None):
     p = f"layers.{layer}.attention"
-    h = bank.config.hidden_size
-    updates = {"key.weight": key_w, "key.bias": key_b, "value.weight": value_w,
+    updates = {"key.weight": key_w, "value.weight": value_w,
                "value.bias": value_b, "output.weight": out_w,
                "output.bias": out_b}
     for suffix, value in updates.items():
@@ -191,8 +192,8 @@ def test_equal_keys_attend_uniformly_over_unmasked():
     bank = make_bank(config, seed=7, dtype=np.float64)
     h = config.hidden_size
     # zero key map -> all keys equal -> uniform weights; identity output path
-    set_attention(bank, 0, key_w=np.zeros((h, h)), key_b=np.zeros(h),
-                  out_w=np.eye(h), out_b=np.zeros(h))
+    set_attention(bank, 0, key_w=np.zeros((h, h)), out_w=np.eye(h),
+                  out_b=np.zeros(h))
     rng = np.random.default_rng(8)
     batch = make_batch(config, rng, b=1, l=4, mask_out=[(0, 3)])
     rows = np.flatnonzero(batch.attention_mask)  # packed: the 3 unmasked slots
@@ -212,8 +213,8 @@ def test_mask_all_but_one_position():
     config = tiny_config()
     bank = make_bank(config, seed=9, dtype=np.float64)
     h = config.hidden_size
-    set_attention(bank, 0, key_w=np.zeros((h, h)), key_b=np.zeros(h),
-                  out_w=np.eye(h), out_b=np.zeros(h))
+    set_attention(bank, 0, key_w=np.zeros((h, h)), out_w=np.eye(h),
+                  out_b=np.zeros(h))
     batch = make_batch(config, np.random.default_rng(10), b=1, l=4,
                        mask_out=[(0, 1), (0, 2), (0, 3)])
     x = embed(config, bank.params, batch, all_rows(batch))
@@ -261,7 +262,7 @@ def test_attention_sublayer_is_four_linears_around_one_attention_node(cls_only):
     assert out.node.op == "self_attention" and out.node.inputs[0] is x
     assert [t.name for t in out.node.inputs[1:]] == [
         f"layers.0.attention.{name}" for name in (
-            "query.weight", "query.bias", "key.weight", "key.bias", "value.weight",
+            "query.weight", "query.bias", "key.weight", "value.weight",
             "value.bias", "output.weight", "output.bias", "norm.gamma", "norm.beta")]
 
 
@@ -286,7 +287,7 @@ def naive_layer_forward(config, params, layer, x, mask):
     b, l, h = x.shape
     nh, dh = config.num_heads, config.head_dim
     q = x @ p("attention.query.weight") + p("attention.query.bias")
-    k = x @ p("attention.key.weight") + p("attention.key.bias")
+    k = x @ p("attention.key.weight")
     v = x @ p("attention.value.weight") + p("attention.value.bias")
     ctx = np.zeros_like(x)
     for bi in range(b):
@@ -386,7 +387,7 @@ def full_sequence_logits(bank, batch, task):
                                   batch.attention_mask, rows, bank.slot)
     b, l = batch.token_ids.shape
     # each row's position 0, picked by a lookup with h as the table
-    return head_forward(bank.params, task, T.embedding(h, np.arange(b) * l))
+    return head_forward(bank.params, task, chain.embedding(h, np.arange(b) * l))
 
 
 @pytest.mark.parametrize("num_layers", [1, 2])

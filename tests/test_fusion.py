@@ -562,17 +562,17 @@ def test_float32_fusion_bank_matches_float64_on_the_same_weights():
 
 HEAD = ["heads.t.dense", "heads.t.out"]
 # stage: (tape nodes reachable from the loss, the linear layers that are
-# matmul nodes on it, the encoder layers on it). Each encoder layer is one
-# self_attention and one feed_forward node, which hold its six linears. The
-# frozen embeddings and layer 0 record no node in the adapter and fusion
-# stages, so only the trained adapters, fusion and layer 1 reach the tape.
-# In the fusion stage each layer's adapters run inside its adapter_fusion
-# node, so no adapter linear is a matmul node.
+# matmul nodes on it, the encoder layers on it). The embeddings are one
+# embeddings node, and each encoder layer is one self_attention and one
+# feed_forward node, which hold its six linears. The frozen embeddings and
+# layer 0 record no node in the adapter and fusion stages, so only the
+# trained adapters, fusion and layer 1 reach the tape. In both stages each
+# layer's adapters run inside its adapter_fusion node, so no adapter linear
+# is a matmul node. The head is two matmul nodes, a tanh and the loss.
 TAPES = {
-    "finetune": (14, HEAD, [0, 1]),
-    "adapter": (14, ["adapters.t.0.down", "adapters.t.0.up", "adapters.t.1.down",
-                     "adapters.t.1.up"] + HEAD, [1]),
-    "fusion": (10, HEAD, [1]),
+    "finetune": (9, HEAD, [0, 1]),
+    "adapter": (8, HEAD, [1]),
+    "fusion": (8, HEAD, [1]),
 }
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from fuseformer import tensor as T
 from fuseformer.errors import ContractError, ShapeMismatchError
-from fuseformer.fusion import adapter_forward
 from fuseformer.tensor import (Tensor, backward, finite_difference_check,
                                relative_error)
 import chain
@@ -90,7 +89,7 @@ def test_matmul_gradient_vs_finite_differences():
 # ---------------------------------------------------------------------------
 
 def test_relu_definition():
-    out = T.relu(Tensor([-3.0, 3.0]))
+    out = chain.relu(Tensor([-3.0, 3.0]))
     np.testing.assert_array_equal(out.data, [0.0, 3.0])
 
 
@@ -104,15 +103,44 @@ def test_equal_shape_broadcast_only():
     # add takes equal shapes; a scalar operand is not broadcast either
     for shape in [(3,), (2, 1), ()]:
         with pytest.raises(ShapeMismatchError, match=re.escape(str(shape))):
-            T.add(Tensor(np.ones((2, 3))), Tensor(np.ones(shape)))
-    out = T.add(Tensor(np.ones((2, 3))), Tensor(np.full((2, 3), 5.0)))
+            chain.add(Tensor(np.ones((2, 3))), Tensor(np.ones(shape)))
+    out = chain.add(Tensor(np.ones((2, 3))), Tensor(np.full((2, 3), 5.0)))
     assert np.all(out.data == 6.0)
 
 
 def attention_weights(hidden):
-    """Shapes of ``self_attention``'s weights: the query, key, value and
-    output projections, then the norm's gamma and beta."""
-    return [(hidden, hidden), (hidden,)] * 4 + [(hidden,)] * 2
+    """Shapes of ``self_attention``'s weights: the query projection, the key
+    weight, the value and output projections, then the norm's gamma and
+    beta."""
+    return ([(hidden, hidden), (hidden,), (hidden, hidden)]
+            + [(hidden, hidden), (hidden,)] * 2 + [(hidden,)] * 2)
+
+
+def embeddings_leaves(r):
+    """Token, position and segment tables of width 4, then gamma and beta."""
+    return leaves_of(r, [(5, 4), (3, 4), (2, 4), (4,), (4,)], 2.0)
+
+
+# three lookups per table for each of 6 rows, with repeats
+EMBEDDING_IDS = [np.array([0, 3, 3, 1, 4, 3]), np.array([0, 1, 2, 0, 1, 2]),
+                 np.array([1, 0, 0, 1, 1, 0])]
+
+
+def adapter_leaves(r, tasks, fusion, shape=(2, 3, 4), width=2):
+    """h, then ``tasks`` adapters' [H, b] down weights, [b] down biases,
+    [b, H] up weights and [H] up biases, then W_Q/K/V if ``fusion``."""
+    hidden = shape[-1]
+    return leaves_of(r, [shape] + [(hidden, width)] * tasks + [(width,)] * tasks
+                     + [(width, hidden)] * tasks + [(hidden,)] * tasks
+                     + [(hidden, hidden)] * 3 * fusion)
+
+
+def adapter_op(tasks):
+    """``adapter_fusion`` over the leaves of ``adapter_leaves``."""
+    def apply(h, *w):
+        return T.adapter_fusion(h, *(w[i * tasks:(i + 1) * tasks] for i in range(4)),
+                                *w[4 * tasks:])[0]
+    return apply
 
 
 def ff_weights(hidden, width):
@@ -128,16 +156,11 @@ def leaves_of(r, shapes, scale=1.0):
 # B=2 rows of L=3: every position has a row of h, and position 2 is a padded key
 SUBLAYER_MASK = np.array([[1, 1, 0], [1, 1, 1]])
 
-# one case per op (two for matmul and self_attention); every op runs both
-# parametrizations
+# one case per op (two for matmul, self_attention and adapter_fusion); every
+# op runs both parametrizations
 OP_CASES = [
-    ("add", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
-                       Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True)),
-     lambda a, b: T.add(a, b)),
     ("tanh", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),),
      lambda a: T.tanh(a)),
-    ("relu", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),),
-     lambda a: T.relu(a)),
     ("matmul_bias", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
                                Tensor(r.uniform(-2, 2, (4, 2)), requires_grad=True),
                                Tensor(r.uniform(-2, 2, 2), requires_grad=True)),
@@ -147,21 +170,14 @@ OP_CASES = [
                 Tensor(r.uniform(-2, 2, (4, 2)), requires_grad=True),
                 Tensor(r.uniform(-2, 2, 2), requires_grad=True)),
      lambda a, w, b: T.matmul(a, w, b)),
-    # h, then two adapters' [4, 2], [2], [2, 4] and [4] weights, then W_Q/K/V
-    ("adapter_fusion", lambda r: tuple(
-        Tensor(r.uniform(-1, 1, s), requires_grad=True)
-        for s in [(2, 3, 4)] + [(4, 2)] * 2 + [(2,)] * 2 + [(2, 4)] * 2 + [(4,)] * 2
-        + [(4, 4)] * 3),
-     lambda h, *w: T.adapter_fusion(h, w[0:2], w[2:4], w[4:6], w[6:8], *w[8:])[0]),
+    # two adapters, under the fusion attention and alone
+    ("adapter_fusion", lambda r: adapter_leaves(r, 2, True), adapter_op(2)),
+    ("adapter_fusion_plain", lambda r: adapter_leaves(r, 2, False), adapter_op(2)),
     # a 0-d loss node: sum(sin x), whose gradient cos x its caller supplies
     ("scalar_loss", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),),
      lambda a: T.scalar_loss(a, np.sum(np.sin(a.data)), lambda: np.cos(a.data))),
-    ("layer_norm", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
-                              Tensor(r.uniform(0.5, 1.5, 4), requires_grad=True),
-                              Tensor(r.uniform(-1, 1, 4), requires_grad=True)),
-     lambda x, g, b: T.layer_norm(x, g, b)),
-    ("embedding", lambda r: (Tensor(r.uniform(-2, 2, (5, 4)), requires_grad=True),),
-     lambda t: T.embedding(t, np.array([0, 3, 3, 1]))),
+    ("embeddings", embeddings_leaves,
+     lambda *t: T.embeddings(t[:3], EMBEDDING_IDS, *t[3:], 1e-12)),
     # H=4 over 2 heads: every row queries, or rows 0 and 3 (the [CLS] rows)
     ("attention", lambda r: leaves_of(r, [(6, 4)] + attention_weights(4), 2.0),
      lambda h, *w: T.self_attention(h, w, SUBLAYER_MASK, np.arange(6), None, 2, 1e-12)),
@@ -170,6 +186,20 @@ OP_CASES = [
                                     2, 1e-12)),
     ("feed_forward", lambda r: leaves_of(r, [(3, 4)] + ff_weights(4, 5), 2.0),
      lambda h, *w: T.feed_forward(h, w, 1e-12)),
+]
+# the composed ops of the test oracles in ``chain``, checked as the ops are
+CHAIN_CASES = [
+    ("add", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
+                       Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True)),
+     lambda a, b: chain.add(a, b)),
+    ("relu", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),),
+     lambda a: chain.relu(a)),
+    ("layer_norm", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),
+                              Tensor(r.uniform(0.5, 1.5, 4), requires_grad=True),
+                              Tensor(r.uniform(-1, 1, 4), requires_grad=True)),
+     lambda x, g, b: chain.layer_norm(x, g, b)),
+    ("embedding", lambda r: (Tensor(r.uniform(-2, 2, (5, 4)), requires_grad=True),),
+     lambda t: chain.embedding(t, np.array([0, 3, 3, 1]))),
 ]
 # public functions of the tensor module that record no tape node of their own
 NOT_OPS = {"backward", "finite_difference_check", "relative_error"}
@@ -184,7 +214,8 @@ def test_every_public_op_has_a_case():
     assert covered == ops
 
 
-@pytest.mark.parametrize("name,make,apply", OP_CASES, ids=[c[0] for c in OP_CASES])
+@pytest.mark.parametrize("name,make,apply", OP_CASES + CHAIN_CASES,
+                         ids=[c[0] for c in OP_CASES + CHAIN_CASES])
 def test_op_gradients_match_finite_differences(name, make, apply):
     # >= 20 seeded trials per op, inputs in [-2, 2]
     for trial in range(20):
@@ -195,7 +226,8 @@ def test_op_gradients_match_finite_differences(name, make, apply):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("name,make,apply", OP_CASES, ids=[c[0] for c in OP_CASES])
+@pytest.mark.parametrize("name,make,apply", OP_CASES + CHAIN_CASES,
+                         ids=[c[0] for c in OP_CASES + CHAIN_CASES])
 def test_ops_and_their_backwards_keep_the_input_dtype(name, make, apply, dtype):
     rng = np.random.default_rng(3)
     leaves = [Tensor(t.data.astype(dtype), requires_grad=True) for t in make(rng)]
@@ -227,14 +259,14 @@ def test_layer_norm_gradients_match_finite_differences():
         gamma = Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True, name="gamma")
         beta = Tensor(rng.uniform(-1, 1, 4), requires_grad=True, name="beta")
         mix = rng.uniform(-1, 1, (3, 4))
-        assert_grad_matches(lambda: probe(mix, T.layer_norm(x, gamma, beta, 1e-12)),
+        assert_grad_matches(lambda: probe(mix, chain.layer_norm(x, gamma, beta, 1e-12)),
                             [x, gamma, beta], tol=1e-5)
 
 
 def test_embedding_gradient_scatter_adds():
     table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
     ids = np.array([[0, 2, 2]])
-    backward(probe(np.ones((1, 3, 3)), T.embedding(table, ids)))
+    backward(probe(np.ones((1, 3, 3)), chain.embedding(table, ids)))
     expected = np.zeros((4, 3))
     expected[0] = 1.0
     expected[2] = 2.0  # looked up twice
@@ -244,22 +276,31 @@ def test_embedding_gradient_scatter_adds():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_embedding_backward_is_bit_identical_to_a_row_scatter(dtype):
     # the desk token, position and segment tables, each looked up by 340
-    # ids with many repeats
+    # ids with many repeats, beside a table looked up once per row: its
+    # gradient is the gradient of the rows' sum
     rng = np.random.default_rng(63)
+    norm = [Tensor(np.ones(64, dtype)), Tensor(np.zeros(64, dtype))]
+    once = Tensor(rng.normal(size=(340, 64)).astype(dtype), requires_grad=True)
     for rows in (600, 32, 2):
         table = Tensor(rng.normal(size=(rows, 64)).astype(dtype), requires_grad=True)
         ids = rng.integers(0, rows, 340)
-        g = rng.normal(size=(340, 64)).astype(dtype)
-        (got,) = T.embedding(table, ids).node.backward_fn(g)
+        out = T.embeddings([table, once], [ids, np.arange(340)], *norm, 1e-12)
+        got, g = out.node.backward_fn(rng.normal(size=(340, 64)).astype(dtype))[:2]
         want = np.zeros_like(table.data)
         np.add.at(want, ids, g)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_embedding_id_out_of_range():
-    table = Tensor(np.zeros((4, 3)))
-    with pytest.raises(ContractError):
-        T.embedding(table, np.array([4]))
+    tables = [Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 3)))]
+    norm = [Tensor(np.ones(3)), Tensor(np.zeros(3))]
+    for ids in ([4], [-1]):
+        with pytest.raises(ContractError, match="table 0 with 4 rows"):
+            T.embeddings(tables, [np.array(ids), np.array([0])], *norm, 1e-12)
+    with pytest.raises(ContractError, match="table 1 with 2 rows"):
+        T.embeddings(tables, [np.array([3]), np.array([2])], *norm, 1e-12)
+    with pytest.raises(ShapeMismatchError):  # one id array per table, of one length
+        T.embeddings(tables, [np.array([0, 1]), np.array([0])], *norm, 1e-12)
 
 
 # packed rows: B = 3 rows of L = 4 with 3, 2 and 4 real tokens
@@ -326,10 +367,10 @@ def naive_attention(q, k, v, mask, rows, q_rows, heads, scale):
 
 def naive_attention_sublayer(h, weights, mask, rows, q_idx, heads, eps):
     """``LN(x + MHA(h) W_o + b_o)`` in numpy, with ``naive_attention``."""
-    w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, gamma, beta = (t.data for t in weights)
+    w_q, b_q, w_k, w_v, b_v, w_o, b_o, gamma, beta = (t.data for t in weights)
     x = h if q_idx is None else h[q_idx]
     q_pos = rows if q_idx is None else rows[q_idx]
-    ctx = naive_attention(x @ w_q + b_q, h @ w_k + b_k, h @ w_v + b_v, mask, rows,
+    ctx = naive_attention(x @ w_q + b_q, h @ w_k, h @ w_v + b_v, mask, rows,
                           q_pos, heads, 1.0 / np.sqrt(h.shape[1] // heads))
     z = x + (ctx @ w_o + b_o)
     mu = z.mean(-1, keepdims=True)
@@ -354,11 +395,11 @@ ATTENTION_SHAPES = {
 
 
 def attention_leaves(cfg, seed):
-    """h, then the ten weights of ``self_attention``."""
+    """h, then the nine weights of ``self_attention``."""
     rng = np.random.default_rng(seed)
     h, *weights = leaves_of(rng, [(len(cfg["rows"]), cfg["hidden"])]
                             + attention_weights(cfg["hidden"]), 2.0)
-    for t, name in zip([h, *weights], ["h"] + [f"w{i}" for i in range(10)]):
+    for t, name in zip([h, *weights], ["h"] + [f"w{i}" for i in range(9)]):
         t.name = name
     return h, weights
 
@@ -412,10 +453,13 @@ def test_attention_shape_errors():
     with pytest.raises(ShapeMismatchError):  # 3 heads do not divide H = 8
         T.self_attention(x, weights, mask, rows, None, 3, 1e-12)
     with pytest.raises(ShapeMismatchError):  # a value projection of another width
-        T.self_attention(x, weights[:4] + [Tensor(np.ones((8, 4)))] + weights[5:],
+        T.self_attention(x, weights[:3] + [Tensor(np.ones((8, 4)))] + weights[4:],
                          mask, rows, None, 2, 1e-12)
     with pytest.raises(ShapeMismatchError):  # no norm beta
-        T.self_attention(x, weights[:9], mask, rows, None, 2, 1e-12)
+        T.self_attention(x, weights[:8], mask, rows, None, 2, 1e-12)
+    with pytest.raises(ShapeMismatchError):  # a key bias
+        T.self_attention(x, weights[:3] + [Tensor(np.ones(8))] + weights[3:], mask,
+                         rows, None, 2, 1e-12)
     with pytest.raises(ShapeMismatchError):  # a mask that is not [B, L]
         T.self_attention(x, weights, np.ones(4), rows, None, 2, 1e-12)
     with pytest.raises(ShapeMismatchError):  # h with leading dims
@@ -453,6 +497,15 @@ SUBLAYERS = {
     "feed_forward": (lambda r: leaves_of(r, [(7, 8)] + ff_weights(8, 16)),
                      lambda h, w: T.feed_forward(h, w, 1e-12),
                      lambda h, w: chain.feed_forward_sublayer(h, w, 1e-12)),
+    # h is the token table
+    "embeddings": (embeddings_leaves,
+                   lambda h, w: T.embeddings([h, *w[:2]], EMBEDDING_IDS, *w[2:], 1e-12),
+                   lambda h, w: chain.embedding_block([h, *w[:2]], EMBEDDING_IDS,
+                                                      *w[2:], 1e-12)),
+    # one adapter alone, on [n, H] rows as in stage 1
+    "adapter": (lambda r: adapter_leaves(r, 1, False, shape=(7, 8), width=4),
+                lambda h, w: adapter_op(1)(h, *w),
+                lambda h, w: chain.adapter(h, *w)),
 }
 
 
@@ -460,10 +513,9 @@ SUBLAYERS = {
                          ids=["float64", "float32"])
 @pytest.mark.parametrize("name", sorted(SUBLAYERS))
 def test_sublayers_match_the_composed_chain(name, dtype, tol):
-    """The fused op against linears, the packed-row attention, add,
-    layer_norm and a numpy GELU: the output and every input's gradient,
-    within ``tol`` relative to the largest entry, or absolute below 1 (the
-    key bias's gradient is zero up to rounding)."""
+    """The one-node op against its chain of lookups, linears, the packed-row
+    attention, add, relu, layer_norm and a numpy GELU: the output and every
+    input's gradient, within ``tol`` relative to the largest entry."""
     make, fused, composed = SUBLAYERS[name]
     rng = np.random.default_rng(64)
     h, *weights = [Tensor(t.data.astype(dtype), requires_grad=True)
@@ -476,7 +528,7 @@ def test_sublayers_match_the_composed_chain(name, dtype, tol):
 
     def close(got, want):
         assert got.dtype == want.dtype == dtype
-        assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
     close(out.data, ref.data)
     for leaf, ref_leaf in zip([h, *weights], [ref_h, *ref_weights]):
@@ -558,27 +610,23 @@ def attention_reference(h, zs, ws, mix):
 
 
 def adapter_fusion_reference(h, adapters, ws, mix):
-    """T separate ``adapter_forward`` calls, then ``attention_reference``.
-    The gradients of h and the adapter weights are the z_t gradients carried
-    back through the adapters (a vector-Jacobian product) plus, for h, its
-    gradient as the query. Returns the output, the weights and the gradients
-    of h, of each adapter weight (in ``adapters`` order) and of W_Q/K/V."""
-    leaves = {f"adapters.{t}.0.{part}": leaf.data
-              for part, tensors in zip(ADAPTER_PARTS, adapters)
-              for t, leaf in enumerate(tensors)}
-    store = T.ParameterStore([(name, x.shape) for name, x in leaves.items()])
-    for name, x in leaves.items():
-        store.assign(name, x)
+    """T separate ``chain.adapter`` chains, then ``attention_reference``, plus
+    the residual h. The gradients of h and the adapter weights are the z_t
+    gradients carried back through the adapters (a vector-Jacobian product)
+    plus, for h, its gradient as the query and through the residual. Returns
+    the output, the weights and the gradients of h, of each adapter weight
+    (in ``adapters`` order) and of W_Q/K/V."""
+    leaves = [chain.copies(tensors) for tensors in adapters]
     h_in = Tensor(h.data.copy(), requires_grad=True)
-    zs = [adapter_forward(store, str(t), 0, h_in) for t in range(len(adapters[0]))]
+    zs = [chain.adapter(h_in, *(part[t] for part in leaves))
+          for t in range(len(adapters[0]))]
     out, alpha, dh, dzs, dws = attention_reference(h, zs, ws, mix)
-    backward(functools.reduce(T.add, (probe(dz, z) for dz, z in zip(dzs, zs))))
-    grads = [[store[f"adapters.{t}.0.{part}"].grad for t in range(len(tensors))]
-             for part, tensors in zip(ADAPTER_PARTS, adapters)]
-    return out, alpha, dh + h_in.grad, grads, dws
+    backward(functools.reduce(chain.add, (probe(dz, z) for dz, z in zip(dzs, zs))))
+    grads = [[leaf.grad for leaf in part] for part in leaves]
+    return h.data + out, alpha, dh + h_in.grad + mix, grads, dws
 
 
-@pytest.mark.parametrize("num_adapters", [1, 5])
+@pytest.mark.parametrize("num_adapters", [1, 2, 5])
 def test_fusion_mix_passes_finite_difference_check(num_adapters):
     h, adapters, ws, mix = adapter_fusion_leaves(num_adapters, seed=40 + num_adapters)
     leaves = [h, *(t for a in adapters for t in a), *ws]
@@ -587,6 +635,36 @@ def test_fusion_mix_passes_finite_difference_check(num_adapters):
         [(t.name, t) for t in leaves], tol=1e-4)
     assert len(report.blocks) == 4 * num_adapters + 4
     assert report.passed, report.worst()
+
+
+@pytest.mark.parametrize("num_adapters", [1, 2])
+def test_adapters_without_fusion_weights_pass_finite_difference_check(num_adapters):
+    h, adapters, _, mix = adapter_fusion_leaves(num_adapters, seed=45 + num_adapters)
+    assert T.adapter_fusion(h, *adapters)[1] is None  # no fusion weights
+    leaves = [h, *(t for a in adapters for t in a)]
+    report = finite_difference_check(
+        lambda: probe(mix, T.adapter_fusion(h, *adapters)[0]),
+        [(t.name, t) for t in leaves], tol=1e-4)
+    assert len(report.blocks) == 4 * num_adapters + 1
+    assert report.passed, report.worst()
+
+
+def test_adapters_without_fusion_weights_sum_the_adapter_chains():
+    h, adapters, _, mix = adapter_fusion_leaves(2, seed=47)
+    out = T.adapter_fusion(h, *adapters)[0]
+    backward(probe(mix, out))
+    leaves = [chain.copies(tensors) for tensors in adapters]
+    h_in = Tensor(h.data.copy(), requires_grad=True)
+    zs = [chain.adapter(h_in, *(part[t] for part in leaves)) for t in range(2)]
+    # h + y_0 + y_1 = z_0 + z_1 - h
+    ref = probe(mix, zs[0]), probe(mix, zs[1]), probe(-mix, h_in)
+    backward(functools.reduce(chain.add, ref))
+    np.testing.assert_allclose(out.data, zs[0].data + zs[1].data - h.data,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(h.grad, h_in.grad, rtol=0, atol=1e-12)
+    for tensors, ref_tensors in zip(adapters, leaves):
+        for leaf, ref_leaf in zip(tensors, ref_tensors):
+            np.testing.assert_allclose(leaf.grad, ref_leaf.grad, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("num_adapters", [1, 5])
@@ -632,7 +710,7 @@ def test_fusion_mix_backward_skips_inputs_that_need_no_gradient():
     for got, want in zip(grads[13:], full[13:]):
         np.testing.assert_array_equal(got, want)
     # stage 2 above layer 0: h has a node of its own and gets its gradient
-    h_node = T.add(h, Tensor(np.zeros(h.shape)))  # adding +0.0 is exact
+    h_node = chain.add(h, Tensor(np.zeros(h.shape)))  # adding +0.0 is exact
     grads = T.adapter_fusion(h_node, *frozen, *ws)[0].node.backward_fn(g)
     assert grads[1:13] == (None,) * 12
     for got, want in zip(grads[:1] + grads[13:], full[:1] + full[13:]):
@@ -658,6 +736,8 @@ def test_fusion_mix_shape_errors_name_both_shapes():
         T.adapter_fusion(h, *mixed, *ws)
     with pytest.raises(ShapeMismatchError, match=r"\(4, 3\).*\(2, 3, 4\)"):
         T.adapter_fusion(h, *adapters, ws[0], Tensor(np.ones((4, 3))), ws[2])
+    with pytest.raises(ShapeMismatchError, match=r"\[\(4, 4\), \(4, 4\)\]"):
+        T.adapter_fusion(h, *adapters, *ws[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -684,26 +764,30 @@ def test_softmax_is_probability_vector():
 
 
 # ---------------------------------------------------------------------------
-# layer_norm examples
+# layer-norm examples, on the embedding block: the norm of a table's rows
 # ---------------------------------------------------------------------------
 
+def normed_rows(x, eps=1e-12):
+    """The layer norm of the rows of ``x``, as ``embeddings`` over one table
+    whose rows they are, with unit gamma and zero beta."""
+    x = np.asarray(x, dtype=np.float64)
+    return T.embeddings([Tensor(x)], [np.arange(len(x))], Tensor(np.ones(x.shape[1])),
+                        Tensor(np.zeros(x.shape[1])), eps)
+
+
 def test_layer_norm_constant_input_gives_zeros():
-    x = Tensor(np.full((2, 4), 3.7))
-    out = T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    out = normed_rows(np.full((2, 4), 3.7))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
 
 def test_layer_norm_already_standardized():
-    x = Tensor([[1.0, -1.0]])
-    out = T.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                       eps=1e-12)
+    out = normed_rows([[1.0, -1.0]], eps=1e-12)
     np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-9)
 
 
 def test_layer_norm_eps_contract():
     with pytest.raises(ContractError):
-        T.layer_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]),
-                     eps=0.0)
+        normed_rows([[1.0]], eps=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -746,14 +830,14 @@ def test_backward_frozen_leaf_receives_no_grad():
 def test_backward_accumulates_across_shared_subexpressions():
     w = Tensor([[3.0]], requires_grad=True)
     sq = square(w)
-    backward(probe(np.ones((1, 1)), T.add(sq, sq)))  # diamond: sq used twice
+    backward(probe(np.ones((1, 1)), chain.add(sq, sq)))  # diamond: sq used twice
     np.testing.assert_allclose(w.grad, [[12.0]])
 
 
 def test_tape_topological_replay_visits_each_node_once():
     w = Tensor([[3.0]], requires_grad=True)
     sq = square(w)
-    total = T.add(sq, sq)  # diamond: sq's node is reached along two edges
+    total = chain.add(sq, sq)  # diamond: sq's node is reached along two edges
     loss = probe(np.ones((1, 1)), total)
     calls = []
     for node in (loss.node, total.node, sq.node):
@@ -836,7 +920,7 @@ def test_backward_linearity_is_exact():
 
     w = Tensor(values.copy(), requires_grad=True)
     l1, l2 = build(w)
-    backward(T.add(l1, l2))
+    backward(chain.add(l1, l2))
     np.testing.assert_array_equal(w.grad, g1 + g2)
 
 

@@ -635,6 +635,23 @@ def test_train_fusion_rejects_a_checkpoint_missing_an_encoder_entry():
         train_fusion(EMOTION, [r1.checkpoint, r2.checkpoint], splits, cfg)
 
 
+def test_checkpoint_with_an_attention_key_bias_is_ignored_by_train_fusion():
+    # checkpoints written while attention keys had a bias carry one per layer,
+    # which no model has now; train_fusion loads only the names its bank has
+    splits = tiny_splits()
+    cfg = fast_cfg()
+    r1, r2 = two_adapter_checkpoints(splits, cfg)
+    stale = "layers.0.attention.key.bias"
+    for r in (r1, r2):
+        r.checkpoint.tensors[stale] = np.zeros(desk_config().hidden_size, np.float32)
+    result = train_fusion(EMOTION, [r1.checkpoint, r2.checkpoint], splits, cfg)
+    assert stale not in result.bank.params and stale not in result.checkpoint.tensors
+    assert all(entry["frozen"] for entry in result.audit.values())
+    # bank_from_checkpoint loads every entry, so it rejects the stale one
+    with pytest.raises(CheckpointError, match=f"model has no parameter '{stale}'"):
+        bank_from_checkpoint(r1.checkpoint)
+
+
 def test_train_fusion_rejects_mismatched_configs():
     splits = tiny_splits()
     cfg = fast_cfg()
