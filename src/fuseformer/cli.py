@@ -24,7 +24,7 @@ from .encoder import ModelConfig
 from .errors import (CheckpointError, ConfigError, ContractError, CorpusError,
                      NumericalDivergenceError)
 from .fusion import STAGES, count_parameters
-from .losses import pos_weights
+from .losses import LOSS_NAMES, REDUCTIONS, pos_weights
 from .metrics import MetricsReport
 from .training import (TaskSpec, TrainConfig, TrainResult, bank_from_checkpoint,
                        config_from_meta, evaluate_model, grad_check,
@@ -89,8 +89,9 @@ def _config_file(args) -> dict:
     return raw
 
 
-def _resolve_train_config(args) -> TrainConfig:
-    raw = _config_file(args)
+def _resolve_train_config(args, raw: dict) -> TrainConfig:
+    """The training fields of the --config object ``raw``, with flags over
+    them."""
     cfg = TrainConfig.from_dict({k: v for k, v in raw.items() if k != "model"})
     overrides = {name: getattr(args, name) for name in FLAG_FIELDS
                  if getattr(args, name, None) is not None}
@@ -98,10 +99,6 @@ def _resolve_train_config(args) -> TrainConfig:
     if "patience" not in overrides and cfg.patience > epochs:
         overrides["patience"] = epochs
     return replace(cfg, **overrides) if overrides else cfg
-
-
-def _resolve_model_config(args) -> ModelConfig:
-    return ModelConfig.from_dict(_config_file(args).get("model", {}))
 
 
 def _splits(args, task: str) -> Splits:
@@ -197,9 +194,10 @@ def _train_seeds(cfg: TrainConfig, train: Callable[[TrainConfig], TrainResult],
 
 
 def cmd_train_adapter(args) -> int:
-    cfg = _resolve_train_config(args)
+    raw = _config_file(args)
+    cfg = _resolve_train_config(args, raw)
     task = _task_spec(args.task, cfg)
-    model_config = _resolve_model_config(args)
+    model_config = ModelConfig.from_dict(raw.get("model", {}))
     splits = _splits(args, args.task)
     vocab = Vocabulary.load(args.vocab) if args.vocab else \
         build_vocab(splits.train, cfg.vocab_size)
@@ -210,7 +208,7 @@ def cmd_train_adapter(args) -> int:
 
 
 def cmd_train_fusion(args) -> int:
-    cfg = _resolve_train_config(args)
+    cfg = _resolve_train_config(args, _config_file(args))
     task = _task_spec(args.task, cfg)
     checkpoints = [load_checkpoint(p) for p in args.adapters]
     splits = _splits(args, args.task)
@@ -314,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--val-corpus")
         p.add_argument("--test-corpus")
         p.add_argument("--task", required=True, choices=sorted(TASK_TABLE))
-        p.add_argument("--loss", choices=["bce", "weighted_bce", "focal"])
+        p.add_argument("--loss", choices=LOSS_NAMES)
         p.add_argument("--runs", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--epochs", type=int)
@@ -325,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threshold", type=float)
         p.add_argument("--warmup-steps", dest="warmup_steps", type=int)
         p.add_argument("--loss-reduction", dest="loss_reduction",
-                       choices=["batch-mean", "sum"])
+                       choices=REDUCTIONS)
         p.add_argument("--out", required=True)
 
     p = sub.add_parser("stats", help="class statistics and positive weights")

@@ -16,6 +16,7 @@ from .errors import ConfigError, ContractError
 from .tensor import ParameterStore, Tensor
 
 INIT_STD = 0.02
+ADAPTER_UP_INIT_STD = 1e-4  # an adapter starts near the identity
 
 
 def has_type(value, hint) -> bool:
@@ -139,23 +140,19 @@ def encoder_param_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, 
 
 
 def init_parameter(store: ParameterStore, name: str, shape: tuple[int, ...],
-                   rng: np.random.Generator, std: float = INIT_STD) -> Tensor:
-    """Write normal(0, std) weights, zero biases/betas or unit gammas into
-    the store's parameter ``name`` of ``shape``."""
+                   rng: np.random.Generator) -> None:
+    """Write the initial value of the store's parameter ``name`` of
+    ``shape``: unit gammas, zero biases and betas, and normal(0, std)
+    weights, with std ``ADAPTER_UP_INIT_STD`` for an adapter's up
+    projection and ``INIT_STD`` for every other weight."""
     if name.endswith(".gamma"):
         data = np.ones(shape)
     elif name.endswith(".bias") or name.endswith(".beta"):
         data = np.zeros(shape)
     else:
+        std = ADAPTER_UP_INIT_STD if name.endswith(".up.weight") else INIT_STD
         data = rng.normal(0.0, std, size=shape)
     store.assign(name, data)
-    return store[name]
-
-
-def init_encoder_params(config: ModelConfig, store: ParameterStore,
-                        rng: np.random.Generator) -> None:
-    for name, shape in encoder_param_shapes(config):
-        init_parameter(store, name, shape, rng)
 
 
 # ---------------------------------------------------------------------------

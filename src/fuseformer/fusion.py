@@ -10,19 +10,18 @@ Each stage also trains its task's head; everything else is frozen.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import math
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .data import Batch
-from .encoder import (ModelConfig, encode, encoder_param_shapes,
-                      init_encoder_params, init_parameter)
+from .encoder import ModelConfig, encode, encoder_param_shapes, init_parameter
 from .errors import ConfigError, ContractError
-from .losses import head_forward, head_param_shapes, init_head_params
+from .losses import head_forward, head_param_shapes
 from .tensor import ParameterStore, Tensor
 
-ADAPTER_UP_INIT_STD = 1e-4  # near-identity when first wired in
 # the group each stage trains besides ``heads.{task}``
 STAGES = {"finetune": "encoder", "adapter": "adapters.{task}", "fusion": "fusion"}
 
@@ -46,20 +45,19 @@ def fusion_param_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, .
         yield f"{p}.value", (h, h)
 
 
-def init_adapter_params(config: ModelConfig, store: ParameterStore, task: str,
-                        rng: np.random.Generator) -> None:
-    for name, shape in adapter_param_shapes(config, task):
-        std = ADAPTER_UP_INIT_STD if ".up.weight" in name else None
-        if std is None:
-            init_parameter(store, name, shape, rng)
-        else:
-            init_parameter(store, name, shape, rng, std=std)
-
-
-def init_fusion_params(config: ModelConfig, store: ParameterStore,
-                       rng: np.random.Generator) -> None:
-    for name, shape in fusion_param_shapes(config):
-        init_parameter(store, name, shape, rng)
+def bank_param_shapes(config: ModelConfig, heads: Mapping[str, int],
+                      adapter_tasks: Sequence[str], with_fusion: bool
+                      ) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every parameter of a bank, in the order the bank stores and draws
+    them: the encoder, each task's adapters, the fusion layer (if
+    ``with_fusion``), then a head of ``heads[task]`` labels per task."""
+    yield from encoder_param_shapes(config)
+    for task in adapter_tasks:
+        yield from adapter_param_shapes(config, task)
+    if with_fusion:
+        yield from fusion_param_shapes(config)
+    for task, num_labels in heads.items():
+        yield from head_param_shapes(config, task, num_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +143,12 @@ def group_of(name: str) -> str:
     return "encoder"
 
 
+def _trained_groups(stage: str, task: str) -> tuple[str, str]:
+    """The groups ``stage`` trains for ``task``: its group in ``STAGES`` and
+    the task's head."""
+    return STAGES[stage].format(task=task), f"heads.{task}"
+
+
 # ---------------------------------------------------------------------------
 # assembled model
 # ---------------------------------------------------------------------------
@@ -167,22 +171,12 @@ class AdapterBank:
         self.head_labels = dict(heads)
         self.adapter_tasks = list(adapter_tasks)
         self.with_fusion = with_fusion
-        # the whole buffer is laid out before any weight is drawn
-        self.params = ParameterStore([
-            *encoder_param_shapes(config),
-            *(s for task in self.adapter_tasks
-              for s in adapter_param_shapes(config, task)),
-            *(fusion_param_shapes(config) if with_fusion else ()),
-            *(s for task, num_labels in self.head_labels.items()
-              for s in head_param_shapes(config, task, num_labels))], dtype)
+        shapes = list(bank_param_shapes(config, self.head_labels,
+                                        self.adapter_tasks, with_fusion))
+        self.params = ParameterStore(shapes, dtype)
         rng = np.random.default_rng(seed)
-        init_encoder_params(config, self.params, rng)
-        for task in self.adapter_tasks:
-            init_adapter_params(config, self.params, task, rng)
-        if with_fusion:
-            init_fusion_params(config, self.params, rng)
-        for task, num_labels in self.head_labels.items():
-            init_head_params(config, self.params, task, num_labels, rng)
+        for name, shape in shapes:
+            init_parameter(self.params, name, shape, rng)
         self.groups: dict[str, list[str]] = {}
         for name in self.params.names():
             self.groups.setdefault(group_of(name), []).append(name)
@@ -201,9 +195,9 @@ class AdapterBank:
                               f"{list(STAGES)}")
         if task not in self.head_labels:
             raise ConfigError(f"no head for task {task!r}")
-        trained = STAGES[stage].format(task=task)
-        if trained not in self.groups:
-            raise ConfigError(f"stage {stage!r} trains {trained!r}, which this "
+        trained = _trained_groups(stage, task)
+        if trained[0] not in self.groups:
+            raise ConfigError(f"stage {stage!r} trains {trained[0]!r}, which this "
                               f"bank does not hold")
         if stage == "fusion" and not self.adapter_tasks:
             raise ConfigError("the fusion stage needs at least one adapter")
@@ -214,7 +208,7 @@ class AdapterBank:
         else:
             self.slot = None
         for group, names in self.groups.items():
-            self.params.set_requires_grad(names, group in (trained, f"heads.{task}"))
+            self.params.set_requires_grad(names, group in trained)
         self.stage = stage
 
     def forward(self, batch: Batch, task: str) -> Tensor:
@@ -231,34 +225,29 @@ class AdapterBank:
 # parameter accounting
 # ---------------------------------------------------------------------------
 
-def _count(shapes: Iterator[tuple[str, tuple[int, ...]]]) -> int:
-    return sum(int(np.prod(shape)) for _, shape in shapes)
-
-
 def count_parameters(config: ModelConfig, mode: str, num_tasks: int = 1,
                      num_labels: int = 6) -> dict[str, int]:
-    """Exact {total, trainable} counts for a configured model, by shape
-    enumeration only (no weight allocation)."""
+    """Exact {total, trainable} counts of the bank stage ``mode`` trains a
+    head of ``num_labels`` in, from its ``bank_param_shapes`` table (no
+    weight is allocated) and the groups ``mode`` trains. The "adapter" bank
+    holds the head task's adapter, the "fusion" bank ``num_tasks`` adapters
+    and the fusion layer."""
     if mode not in STAGES:
         raise ConfigError(f"unknown counting mode {mode!r}")
     if num_tasks < 1:
         raise ContractError("num_tasks must be at least 1")
-    enc = _count(encoder_param_shapes(config))
-    adapter = _count(adapter_param_shapes(config, "t"))
-    head = _count(head_param_shapes(config, "t", num_labels))
-    fusion = _count(fusion_param_shapes(config))
-    if mode == "finetune":
-        total = enc + head
-        trainable = total
-    elif mode == "adapter":
-        total = enc + adapter + head
-        trainable = adapter + head
-    else:
-        total = enc + num_tasks * adapter + fusion + head
-        trainable = fusion + head
+    adapters = {"finetune": 0, "adapter": 1, "fusion": num_tasks}[mode]
+    trained = _trained_groups(mode, "t0")
+    total = trainable = 0
+    for name, shape in bank_param_shapes(config, {"t0": num_labels},
+                                         [f"t{i}" for i in range(adapters)],
+                                         mode == "fusion"):
+        size = math.prod(shape)
+        total += size
+        trainable += size if group_of(name) in trained else 0
     return {"total": total, "trainable": trainable}
 
 
 def adapter_parameter_count(config: ModelConfig) -> int:
     """Size of one task adapter; the Fusion(T+2) - Fusion(T) total step."""
-    return _count(adapter_param_shapes(config, "t"))
+    return sum(math.prod(shape) for _, shape in adapter_param_shapes(config, "t"))

@@ -22,11 +22,13 @@ import numpy as np
 
 from . import tensor as T
 from .data import ClassStats
-from .encoder import ModelConfig, init_parameter, linear
+from .encoder import ModelConfig, linear
 from .errors import ContractError
 from .tensor import ParameterStore, Tensor
 
 REDUCTIONS = ("batch-mean", "sum")
+# the head width of each task kind; a head of any other width is refused
+TASK_NUM_LABELS = {"binary": 1, "multiclass-7": 7, "multilabel-6": 6}
 
 
 @dataclass
@@ -42,20 +44,15 @@ class PosWeights:
 
 def head_param_shapes(config: ModelConfig, task: str,
                       num_labels: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    if num_labels not in TASK_NUM_LABELS.values():
+        raise ContractError(f"num_labels must be one of "
+                            f"{sorted(TASK_NUM_LABELS.values())}, got {num_labels}")
     h = config.hidden_size
     p = f"heads.{task}"
     yield f"{p}.dense.weight", (h, h)
     yield f"{p}.dense.bias", (h,)
     yield f"{p}.out.weight", (h, num_labels)
     yield f"{p}.out.bias", (num_labels,)
-
-
-def init_head_params(config: ModelConfig, store: ParameterStore, task: str,
-                     num_labels: int, rng: np.random.Generator) -> None:
-    if num_labels not in (1, 6, 7):
-        raise ContractError(f"num_labels must be 1, 6, or 7, got {num_labels}")
-    for name, shape in head_param_shapes(config, task, num_labels):
-        init_parameter(store, name, shape, rng)
 
 
 def head_forward(params: ParameterStore, task: str, cls_state: Tensor) -> Tensor:

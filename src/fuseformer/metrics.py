@@ -6,7 +6,7 @@ and exact-match accuracy for the 7-class task.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -75,11 +75,6 @@ class ClassMetrics:
     f1: float
     support: float
 
-    def to_dict(self) -> dict:
-        return {"label": self.label, "accuracy": self.accuracy,
-                "precision": self.precision, "recall": self.recall,
-                "f1": self.f1, "support": self.support}
-
 
 @dataclass
 class MetricsReport:
@@ -90,10 +85,7 @@ class MetricsReport:
     overall: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"task_kind": self.task_kind, "split": self.split,
-                "seed": self.seed,
-                "per_class": [c.to_dict() for c in self.per_class],
-                "overall": dict(self.overall)}
+        return asdict(self)
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, **kw)
@@ -194,15 +186,10 @@ def aggregate_reports(reports: list[MetricsReport]) -> MetricsReport:
         if r.task_kind != first.task_kind or len(r.per_class) != len(first.per_class):
             raise ContractError("cannot aggregate reports of different shapes")
     n = len(reports)
-    per_class = []
-    for i, base in enumerate(first.per_class):
-        per_class.append(ClassMetrics(
-            label=base.label,
-            accuracy=sum(r.per_class[i].accuracy for r in reports) / n,
-            precision=sum(r.per_class[i].precision for r in reports) / n,
-            recall=sum(r.per_class[i].recall for r in reports) / n,
-            f1=sum(r.per_class[i].f1 for r in reports) / n,
-            support=sum(r.per_class[i].support for r in reports) / n))
+    metrics = [f.name for f in fields(ClassMetrics) if f.name != "label"]
+    per_class = [ClassMetrics(label=base.label, **{
+        k: sum(getattr(r.per_class[i], k) for r in reports) / n for k in metrics})
+        for i, base in enumerate(first.per_class)]
     overall = {k: sum(r.overall[k] for r in reports) / n for k in first.overall}
     return MetricsReport(task_kind=first.task_kind,
                          split=f"mean-of-{n}", seed=None,

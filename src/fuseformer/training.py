@@ -36,8 +36,8 @@ from .encoder import ModelConfig, config_kwargs, has_type
 from .errors import (CheckpointError, ConfigError, ContractError,
                      NumericalDivergenceError)
 from .fusion import AdapterBank
-from .losses import (LOSS_NAMES, REDUCTIONS, PosWeights, cross_entropy_7,
-                     multilabel_loss, pos_weights, weighted_bce)
+from .losses import (LOSS_NAMES, REDUCTIONS, TASK_NUM_LABELS, PosWeights,
+                     cross_entropy_7, multilabel_loss, pos_weights, weighted_bce)
 from .metrics import (OVERALL_METRICS, MetricsReport, aggregate_reports,
                       binary_report, early_stop_metric, emotion_report,
                       multiclass_report)
@@ -53,8 +53,6 @@ NO_DECAY_SUFFIXES = (".bias", ".gamma", ".beta")
 META_TYPES = {"heads": dict[str, int], "adapter_tasks": list[str],
               "with_fusion": bool, "seed": int, "stage": str, "task": str,
               "task_kind": str, "loss": str, "vocab": list[str]}
-
-TASK_NUM_LABELS = {"binary": 1, "multiclass-7": 7, "multilabel-6": 6}
 
 
 @dataclass(frozen=True)

@@ -683,3 +683,12 @@ def test_count_params_single_mode(capsys):
     assert run_cli("count-params", "--scale", "full", "--mode", "adapter") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["trainable"] == 1_489_734
+
+
+@pytest.mark.parametrize("mode", [["--mode", "finetune"], []], ids=["mode", "table"])
+@pytest.mark.parametrize("num_labels", [5, 0, -1])
+def test_count_params_head_width_no_task_has_exits_2(capsys, num_labels, mode):
+    code = run_cli("count-params", "--scale", "desk", "--num-labels", num_labels, *mode)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -429,16 +429,19 @@ def test_fusion5_minus_fusion3_is_exactly_two_adapters():
         assert f5 - f3 == 2 * adapter_parameter_count(config)
 
 
-def test_count_matches_allocated_bank():
+@pytest.mark.parametrize("num_tasks", [1, 2, 5])
+@pytest.mark.parametrize("num_labels", [1, 6, 7])
+def test_count_matches_allocated_bank(num_labels, num_tasks):
     config = tiny_config(num_layers=2)
     # each stage's bank: its adapters (the head's own for "adapter") and fusion
-    adapters = {"finetune": [], "adapter": ["t"], "fusion": ["a", "b", "c"]}
+    adapters = {"finetune": [], "adapter": ["t"],
+                "fusion": [f"a{i}" for i in range(num_tasks)]}
     assert list(adapters) == list(STAGES)
     for stage, tasks in adapters.items():
-        bank = AdapterBank(config, heads={"t": 6}, adapter_tasks=tasks,
+        bank = AdapterBank(config, heads={"t": num_labels}, adapter_tasks=tasks,
                            with_fusion=stage == "fusion", seed=50)
-        expected = count_parameters(config, stage, num_tasks=max(len(tasks), 1),
-                                    num_labels=6)
+        expected = count_parameters(config, stage, num_tasks=num_tasks,
+                                    num_labels=num_labels)
         assert sum(t.size for _, t in bank.params.items()) == expected["total"], stage
         bank.set_stage(stage, "t")
         assert sum(bank.params[n].size for n in bank.params.trainable_names()) \
@@ -457,12 +460,61 @@ def test_count_contract_errors():
         count_parameters(tiny_config(), "fusion", num_tasks=0)
 
 
+@pytest.mark.parametrize("num_labels", [5, 0, -1])
+def test_bank_and_count_reject_the_same_head_widths(num_labels):
+    with pytest.raises(ContractError, match="num_labels"):
+        AdapterBank(tiny_config(), heads={"t": num_labels})
+    for stage in STAGES:
+        with pytest.raises(ContractError, match="num_labels"):
+            count_parameters(tiny_config(), stage, num_labels=num_labels)
+
+
 def test_group_of_routing():
     assert group_of("embeddings.token") == "encoder"
     assert group_of("layers.3.ff.in.weight") == "encoder"
     assert group_of("adapters.emo.0.down.weight") == "adapters.emo"
     assert group_of("fusion.1.query") == "fusion"
     assert group_of("heads.emo.out.bias") == "heads.emo"
+
+
+# ---------------------------------------------------------------------------
+# initialisation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_rule_sets_norms_biases_and_weight_scales(dtype):
+    # H=32 and r=4: the smallest weight, an adapter's up projection, has 256
+    # entries, so the loose bounds below hold for its root mean square
+    config = tiny_config(num_layers=2, hidden_size=32, ff_size=64,
+                         reduction_factor=4)
+    bank = AdapterBank(config, heads={"a": 6, "b": 1}, adapter_tasks=["a", "b"],
+                       with_fusion=True, seed=3, dtype=dtype)
+    ups = 0
+    for name, p in bank.params.items():
+        if name.endswith(".gamma"):
+            assert np.all(p.data == 1.0), name
+        elif name.endswith((".bias", ".beta")):
+            assert np.all(p.data == 0.0), name
+        else:
+            rms = float(np.sqrt(np.mean(p.data.astype(np.float64) ** 2)))
+            std = 1e-4 if name.endswith(".up.weight") else 0.02
+            ups += name.endswith(".up.weight")
+            assert std / 2 < rms < 2 * std, (name, rms)
+    assert ups == 2 * config.num_layers
+
+
+def encoder_bytes(bank):
+    return b"".join(bank.params[n].data.tobytes() for n in bank.groups["encoder"])
+
+
+def test_banks_of_one_seed_hold_the_same_encoder_whatever_else_they_hold():
+    config = tiny_config(num_layers=2)
+    plain = AdapterBank(config, heads={"t": 6}, seed=11)
+    fused = AdapterBank(config, heads={"a": 1, "b": 7}, adapter_tasks=["a", "b", "c"],
+                        with_fusion=True, seed=11)
+    assert encoder_bytes(plain) == encoder_bytes(fused)
+    assert encoder_bytes(plain) != encoder_bytes(AdapterBank(config, heads={"t": 6},
+                                                             seed=12))
 
 
 # ---------------------------------------------------------------------------

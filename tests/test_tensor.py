@@ -741,7 +741,9 @@ def test_fusion_mix_shape_errors_name_both_shapes():
 
 
 # ---------------------------------------------------------------------------
-# softmax properties (of the kernel that attention and adapter_fusion run)
+# softmax properties, of both kernels: ``_softmax`` over the last axis, which
+# adapter_fusion runs over the adapters, and ``_softmax_over_keys`` over the
+# first, which self_attention runs over the keys
 # ---------------------------------------------------------------------------
 
 def test_softmax_symmetry():
@@ -761,6 +763,52 @@ def test_softmax_is_probability_vector():
         y = T._softmax(rng.uniform(-50, 50, (4, 7)))
         assert np.all(y >= 0)
         np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def over_keys(s, dtype=np.float64):
+    """``_softmax_over_keys`` of a copy of ``s``, whose first axis is the keys."""
+    y = np.array(s, dtype=dtype)
+    T._softmax_over_keys(y)
+    return y
+
+
+def test_softmax_over_keys_symmetry():
+    np.testing.assert_allclose(over_keys([[0.0], [0.0]]), [[0.5], [0.5]])
+
+
+def test_softmax_over_keys_max_shift_stability():
+    out = over_keys([[1000.0], [0.0]])
+    assert out[0, 0] == pytest.approx(1.0)
+    assert out[1, 0] == pytest.approx(0.0, abs=1e-300)
+    assert np.all(np.isfinite(out))
+
+
+def test_softmax_over_keys_is_probability_vector():
+    for trial in range(25):
+        rng = np.random.default_rng(trial)
+        y = over_keys(rng.uniform(-50, 50, (7, 4)))
+        assert np.all(y >= 0)
+        np.testing.assert_allclose(y.sum(axis=0), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_over_keys_gives_a_masked_key_weight_zero(dtype):
+    s = np.random.default_rng(0).uniform(-5, 5, (4, 3, 2))
+    s[2] += T._MASKED_SCORE
+    y = over_keys(s, dtype)
+    assert np.all(y[2] == 0.0)
+    np.testing.assert_allclose(y.sum(axis=0), 1.0, rtol=1e-6)
+
+
+def test_softmax_over_keys_and_its_backward_match_softmax_transposed():
+    rng = np.random.default_rng(4)
+    x, g = rng.uniform(-5, 5, (6, 5)), rng.normal(size=(6, 5))
+    y = over_keys(x)
+    np.testing.assert_allclose(y, T._softmax(x.T.copy()).T, rtol=1e-12)
+    dx = g.copy()
+    T._softmax_over_keys_backward(y, dx)
+    np.testing.assert_allclose(dx, T._softmax_backward(y.T, g.T).T,
+                               rtol=1e-10, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
