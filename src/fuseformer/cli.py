@@ -372,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count-params", help="exact parameter accounting")
     p.add_argument("--scale", choices=["desk", "full"], default="full")
     p.add_argument("--mode", choices=list(STAGES))
-    p.add_argument("--num-tasks", dest="num_tasks", type=int, default=3)
+    p.add_argument("--num-tasks", dest="num_tasks", type=int, default=3,
+                   help="adapters in the --mode fusion bank; the table's "
+                        "fusion3 and fusion5 rows are fixed")
     p.add_argument("--num-labels", dest="num_labels", type=int, default=6)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_count_params)

@@ -21,6 +21,13 @@ from .errors import ContractError, CorpusError
 
 EMOTIONS = ("joy", "sadness", "anger", "surprise", "disgust", "fear")
 
+# the classes of each task kind, one head output per class
+TASK_CLASSES = {"binary": ("positive",),
+                "multiclass-7": tuple(f"class_{i}" for i in range(7)),
+                "multilabel-6": EMOTIONS}
+# the one kind whose label is a class id; in the others each class is 0/1
+EXCLUSIVE = "multiclass-7"
+
 # positive-sample proportions of the six emotion classes in the reference
 # corpus; used as default priors for the synthetic generator
 DEFAULT_CLASS_PRIORS = (0.52, 0.25, 0.21, 0.10, 0.17, 0.08)
@@ -199,18 +206,20 @@ def derive_label(ex: RawExample, task_kind: str):
         if ex.sentiment is None:
             raise ContractError(f"example {ex.id!r} has no sentiment for 7-class task")
         return discretize_sentiment_7(ex.sentiment)
-    if task_kind == "multilabel-6":
-        return _stack_labels([ex], task_kind)[0]
-    raise ContractError(f"unknown task kind {task_kind!r}")
+    # multilabel-6, or an unknown kind, which _stack_labels refuses
+    return _stack_labels([ex], task_kind)[0]
 
 
 def _stack_labels(examples: Sequence[RawExample], task_kind: str) -> np.ndarray:
-    """``derive_label`` of every example, stacked: [N, 6] for multilabel-6,
-    binarized in one call, and [N] for the other kinds. Errors name the
-    offending example."""
+    """``derive_label`` of every example, stacked: class ids [N] for the
+    EXCLUSIVE kind, and [N, classes] of 0/1 for the others, multilabel-6
+    binarized in one call. Errors name the offending example."""
+    if task_kind not in TASK_CLASSES:
+        raise ContractError(f"unknown task kind {task_kind!r}")
     if task_kind != "multilabel-6":
-        return np.array([derive_label(ex, task_kind) for ex in examples],
-                        dtype=np.int64).reshape(len(examples))
+        labels = np.array([derive_label(ex, task_kind) for ex in examples],
+                          dtype=np.int64)
+        return labels if task_kind == EXCLUSIVE else labels[:, None]
     for ex in examples:
         if ex.emotions is None:
             raise ContractError(f"example {ex.id!r} has no emotions for multilabel task")
@@ -223,19 +232,14 @@ def _stack_labels(examples: Sequence[RawExample], task_kind: str) -> np.ndarray:
 
 
 def class_statistics(corpus: list[RawExample], task_kind: str) -> ClassStats:
-    """Per-class positive/negative counts over a split, after binarization."""
-    if task_kind == "multilabel-6":
-        labels = EMOTIONS
-        pos = _stack_labels(corpus, task_kind).sum(axis=0)
-    elif task_kind == "binary":
-        labels = ("positive",)
-        pos = _stack_labels(corpus, task_kind).sum(keepdims=True)
-    elif task_kind == "multiclass-7":
-        labels = tuple(f"class_{i}" for i in range(7))
-        pos = np.bincount(_stack_labels(corpus, task_kind), minlength=7)
-    else:
-        raise ContractError(f"unknown task kind {task_kind!r}")
-    return ClassStats(labels=labels, positives=pos, negatives=len(corpus) - pos)
+    """Per-class positive/negative counts over a split, after binarization:
+    each class of ``TASK_CLASSES[task_kind]`` against the rest."""
+    labels = _stack_labels(corpus, task_kind)
+    classes = TASK_CLASSES[task_kind]
+    if task_kind == EXCLUSIVE:  # class ids to one 0/1 column per class
+        labels = np.eye(len(classes), dtype=np.int64)[labels]
+    pos = labels.sum(axis=0)
+    return ClassStats(labels=classes, positives=pos, negatives=len(corpus) - pos)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +327,7 @@ def make_batches(examples: list[RawExample], vocab: Vocabulary, max_len: int,
         ids[(cols > 0) & (cols < ends[:, None])] = [i for row in body for i in row]
         ids[np.arange(len(chunk)), ends] = SEP
         labels = _stack_labels(chunk, task_kind)
-        if task_kind == "binary":
-            labels = labels[:, None]
-        if task_kind != "multiclass-7":
+        if task_kind != EXCLUSIVE:
             labels = labels.astype(np.float64)
         batches.append(Batch(token_ids=ids, attention_mask=mask,
                              segment_ids=np.zeros_like(ids), labels=labels))

@@ -234,8 +234,8 @@ def count_parameters(config: ModelConfig, mode: str, num_tasks: int = 1,
     and the fusion layer."""
     if mode not in STAGES:
         raise ConfigError(f"unknown counting mode {mode!r}")
-    if num_tasks < 1:
-        raise ContractError("num_tasks must be at least 1")
+    if mode == "fusion" and num_tasks < 1:
+        raise ContractError("num_tasks must be at least 1 for the fusion mode")
     adapters = {"finetune": 0, "adapter": 1, "fusion": num_tasks}[mode]
     trained = _trained_groups(mode, "t0")
     total = trainable = 0

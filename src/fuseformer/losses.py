@@ -21,14 +21,12 @@ from typing import Iterator
 import numpy as np
 
 from . import tensor as T
-from .data import ClassStats
+from .data import TASK_CLASSES, ClassStats
 from .encoder import ModelConfig, linear
 from .errors import ContractError
 from .tensor import ParameterStore, Tensor
 
 REDUCTIONS = ("batch-mean", "sum")
-# the head width of each task kind; a head of any other width is refused
-TASK_NUM_LABELS = {"binary": 1, "multiclass-7": 7, "multilabel-6": 6}
 
 
 @dataclass
@@ -44,9 +42,9 @@ class PosWeights:
 
 def head_param_shapes(config: ModelConfig, task: str,
                       num_labels: int) -> Iterator[tuple[str, tuple[int, ...]]]:
-    if num_labels not in TASK_NUM_LABELS.values():
-        raise ContractError(f"num_labels must be one of "
-                            f"{sorted(TASK_NUM_LABELS.values())}, got {num_labels}")
+    widths = sorted(len(classes) for classes in TASK_CLASSES.values())
+    if num_labels not in widths:
+        raise ContractError(f"num_labels must be one of {widths}, got {num_labels}")
     h = config.hidden_size
     p = f"heads.{task}"
     yield f"{p}.dense.weight", (h, h)

@@ -10,11 +10,12 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import EMOTIONS
+from .data import EXCLUSIVE, TASK_CLASSES
 from .errors import ContractError
 from .losses import _sigmoid_stable
 
-# Keys of ``MetricsReport.overall`` for each task kind.
+# Keys of ``MetricsReport.overall`` for each task kind, in order; the last is
+# the default early-stopping metric.
 OVERALL_METRICS = {"multilabel-6": ("mean_accuracy", "weighted_f1"),
                    "binary": ("accuracy",), "multiclass-7": ("accuracy",)}
 
@@ -94,13 +95,9 @@ class MetricsReport:
         """Aligned A/F1 table, one column per class plus Overall."""
         headers = [c.label.capitalize() for c in self.per_class]
         cells = [f"{100 * c.accuracy:.1f}/{100 * c.f1:.1f}" for c in self.per_class]
-        if "mean_accuracy" in self.overall:
+        if self.overall:
             headers.append("Overall")
-            cells.append(f"{100 * self.overall['mean_accuracy']:.1f}/"
-                         f"{100 * self.overall['weighted_f1']:.1f}")
-        elif "accuracy" in self.overall:
-            headers.append("Overall")
-            cells.append(f"{100 * self.overall['accuracy']:.1f}")
+            cells.append("/".join(f"{100 * v:.1f}" for v in self.overall.values()))
         width = [max(len(h), len(c)) for h, c in zip(headers, cells)]
         head = " | ".join(h.ljust(w) for h, w in zip(headers, width))
         body = " | ".join(c.ljust(w) for c, w in zip(cells, width))
@@ -110,24 +107,23 @@ class MetricsReport:
         return f"{title}\n{head}\n{body}"
 
 
-def emotion_report(logits: np.ndarray, labels: np.ndarray,
-                   threshold: float = 0.5, split: str = "",
-                   seed: int | None = None) -> MetricsReport:
-    """Per-emotion accuracy/F1 on sigmoid(logit) > threshold decisions.
-
-    mean_accuracy is the unweighted mean of the six accuracies; weighted_f1
-    weighs each class F1 by its positive support in the evaluated split.
-    """
+def _threshold_report(kind: str, logits: np.ndarray, labels: np.ndarray,
+                      threshold: float, split: str, seed: int | None) -> MetricsReport:
+    """Per-class accuracy/F1 on sigmoid(logit) > threshold decisions, one
+    column per class of ``kind``. The overall metrics are the unweighted mean
+    accuracy and the F1 weighted by positive support, of which ``kind``
+    reports the first len(OVERALL_METRICS[kind])."""
+    classes = TASK_CLASSES[kind]
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     if logits.shape != labels.shape or logits.ndim != 2 \
-            or logits.shape[1] != len(EMOTIONS):
+            or logits.shape[1] != len(classes):
         raise ContractError(
-            f"expected [N, {len(EMOTIONS)}] logits/labels, got "
+            f"expected [N, {len(classes)}] logits/labels, got "
             f"{logits.shape} and {labels.shape}")
     preds = (_sigmoid_stable(logits) > threshold).astype(np.int64)
     per_class = []
-    for c, label in enumerate(EMOTIONS):
+    for c, label in enumerate(classes):
         tp, fp, tn, fn = confusion(preds[:, c], labels[:, c])
         per_class.append(ClassMetrics(
             label=label, accuracy=binary_accuracy(tp, fp, tn, fn),
@@ -139,25 +135,24 @@ def emotion_report(logits: np.ndarray, labels: np.ndarray,
         weighted = sum(c.support * c.f1 for c in per_class) / total_support
     else:
         weighted = 0.0
-    return MetricsReport(task_kind="multilabel-6", split=split, seed=seed,
+    return MetricsReport(task_kind=kind, split=split, seed=seed,
                          per_class=per_class,
-                         overall={"mean_accuracy": mean_acc,
-                                  "weighted_f1": weighted})
+                         overall=dict(zip(OVERALL_METRICS[kind], (mean_acc, weighted))))
+
+
+def emotion_report(logits: np.ndarray, labels: np.ndarray,
+                   threshold: float = 0.5, split: str = "",
+                   seed: int | None = None) -> MetricsReport:
+    """The threshold report of the six emotions, logits/labels [N, 6]."""
+    return _threshold_report("multilabel-6", logits, labels, threshold, split, seed)
 
 
 def binary_report(logits: np.ndarray, labels: np.ndarray,
                   threshold: float = 0.5, split: str = "",
                   seed: int | None = None) -> MetricsReport:
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-    labels = np.asarray(labels).reshape(-1)
-    preds = (_sigmoid_stable(logits) > threshold).astype(np.int64)
-    tp, fp, tn, fn = confusion(preds, labels)
-    cm = ClassMetrics(label="positive",
-                      accuracy=binary_accuracy(tp, fp, tn, fn),
-                      precision=precision(tp, fp), recall=recall(tp, fn),
-                      f1=f1(tp, fp, fn), support=float(tp + fn))
-    return MetricsReport(task_kind="binary", split=split, seed=seed,
-                         per_class=[cm], overall={"accuracy": cm.accuracy})
+    """The threshold report of one class, logits/labels [N] or [N, 1]."""
+    return _threshold_report("binary", np.reshape(logits, (-1, 1)),
+                             np.reshape(labels, (-1, 1)), threshold, split, seed)
 
 
 def multiclass_report(logits: np.ndarray, labels: np.ndarray, split: str = "",
@@ -165,16 +160,13 @@ def multiclass_report(logits: np.ndarray, labels: np.ndarray, split: str = "",
     logits = np.asarray(logits, dtype=np.float64)
     preds = np.argmax(logits, axis=1)
     acc = multiclass_accuracy(preds, labels, num_classes=logits.shape[1])
-    return MetricsReport(task_kind="multiclass-7", split=split, seed=seed,
-                         per_class=[],
+    return MetricsReport(task_kind=EXCLUSIVE, split=split, seed=seed,
                          overall={"accuracy": acc})
 
 
 def early_stop_metric(report: MetricsReport) -> float:
     """Weighted F1 for the emotion task, accuracy otherwise."""
-    if report.task_kind == "multilabel-6":
-        return report.overall["weighted_f1"]
-    return report.overall["accuracy"]
+    return report.overall[OVERALL_METRICS[report.task_kind][-1]]
 
 
 def aggregate_reports(reports: list[MetricsReport]) -> MetricsReport:

@@ -30,13 +30,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .data import (Batch, Splits, Vocabulary, build_vocab,
-                   class_statistics, make_batches)
+from .data import (EXCLUSIVE, TASK_CLASSES, Batch, Splits, Vocabulary,
+                   build_vocab, class_statistics, make_batches)
 from .encoder import ModelConfig, config_kwargs, has_type
 from .errors import (CheckpointError, ConfigError, ContractError,
                      NumericalDivergenceError)
 from .fusion import AdapterBank
-from .losses import (LOSS_NAMES, REDUCTIONS, TASK_NUM_LABELS, PosWeights,
+from .losses import (LOSS_NAMES, REDUCTIONS, PosWeights,
                      cross_entropy_7, multilabel_loss, pos_weights, weighted_bce)
 from .metrics import (OVERALL_METRICS, MetricsReport, aggregate_reports,
                       binary_report, early_stop_metric, emotion_report,
@@ -63,14 +63,16 @@ class TaskSpec:
     loss: str = "bce"
 
     def __post_init__(self):
-        if self.kind not in TASK_NUM_LABELS:
+        if self.kind not in TASK_CLASSES:
             raise ConfigError(f"unknown task kind {self.kind!r}")
-        if self.kind == "multiclass-7" and self.loss not in ("ce",):
+        if self.kind == EXCLUSIVE:
             object.__setattr__(self, "loss", "ce")
+        elif self.loss not in LOSS_NAMES:
+            raise ConfigError(f"unknown loss {self.loss!r}; expected one of {LOSS_NAMES}")
 
     @property
     def num_labels(self) -> int:
-        return TASK_NUM_LABELS[self.kind]
+        return len(TASK_CLASSES[self.kind])
 
 
 @dataclass
@@ -406,7 +408,7 @@ class TrainResult:
 def _batch_loss(bank: AdapterBank, task: TaskSpec, batch: Batch,
                 weights: PosWeights | None, cfg: TrainConfig) -> Tensor:
     logits = bank.forward(batch, task.name)
-    if task.kind == "multiclass-7":
+    if task.kind == EXCLUSIVE:
         return cross_entropy_7(logits, batch.labels, reduction=cfg.loss_reduction)
     return multilabel_loss(task.loss, logits, batch.labels, weights=weights,
                            gamma=cfg.focal_gamma, alpha=cfg.focal_alpha,
@@ -632,12 +634,17 @@ def vocab_from_meta(meta: dict, config: ModelConfig) -> Vocabulary:
 
 def bank_from_checkpoint(ckpt: Checkpoint) -> tuple[AdapterBank, Vocabulary, TaskSpec]:
     """Rebuild a model from a saved checkpoint, at the stage its meta
-    ``stage`` ("<stage>:<task>") names; a stage this library cannot rebuild
-    raises CheckpointError."""
+    ``stage`` ("<stage>:<task>") names; a stage this library cannot rebuild,
+    or a task ``TaskSpec`` refuses, raises CheckpointError."""
     meta = ckpt.meta
     for key in ("heads", "stage", "task", "task_kind"):
         if key not in meta:
             raise CheckpointError(f"checkpoint meta is missing {key!r}")
+    try:
+        task = TaskSpec(name=meta["task"], kind=meta["task_kind"],
+                        loss=meta.get("loss", "bce"))
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint meta: {exc}") from None
     config = config_from_meta(ModelConfig, meta, "model_config")
     bank = AdapterBank(config, heads=dict(meta["heads"]),
                        adapter_tasks=list(meta.get("adapter_tasks", [])),
@@ -653,8 +660,6 @@ def bank_from_checkpoint(ckpt: Checkpoint) -> tuple[AdapterBank, Vocabulary, Tas
     except ConfigError as exc:
         raise CheckpointError(f"checkpoint stage {meta['stage']!r}: {exc}") from None
     vocab = vocab_from_meta(meta, config)
-    task = TaskSpec(name=meta["task"], kind=meta["task_kind"],
-                    loss=meta.get("loss", "bce"))
     return bank, vocab, task
 
 

@@ -477,6 +477,15 @@ def test_evaluate_checkpoint_with_an_attention_key_bias_exits_2(
     assert "model has no parameter 'layers.0.attention.key.bias'" in err
 
 
+@pytest.mark.parametrize("loss", ["bogus", "ce"])
+def test_evaluate_checkpoint_with_a_loss_its_task_cannot_train_exits_2(
+        tmp_path, corpus_path, capsys, loss):
+    ckpt = adapter_checkpoint(tmp_path, lambda m: {"loss": loss})
+    assert run_cli("evaluate", "--checkpoint", ckpt, "--corpus", corpus_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint meta") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("vocab", [None, ["a", "b", "c", "d", "e"]],
                          ids=["missing", "short"])
 @pytest.mark.parametrize("command", ["evaluate", "train-fusion"])
@@ -683,6 +692,19 @@ def test_count_params_single_mode(capsys):
     assert run_cli("count-params", "--scale", "full", "--mode", "adapter") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["trainable"] == 1_489_734
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--num-tasks", "0", "--mode", "finetune"], 0),
+    (["--num-tasks", "0"], 0),
+    (["--num-tasks", "9", "--mode", "adapter"], 0),
+    (["--num-tasks", "0", "--mode", "fusion"], 2),
+], ids=["finetune_0", "table_0", "adapter_9", "fusion_0"])
+def test_count_params_checks_num_tasks_only_for_fusion(capsys, argv, code):
+    # only --mode fusion reads --num-tasks; the table's fusion rows are fixed
+    assert run_cli("count-params", "--scale", "desk", *argv) == code
+    err = capsys.readouterr().err
+    assert err.count("error: ") == (code == 2) and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("mode", [["--mode", "finetune"], []], ids=["mode", "table"])

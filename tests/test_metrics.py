@@ -2,6 +2,7 @@
 aggregation invariants."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -255,6 +256,20 @@ def test_binary_report_roundtrip():
     assert report.per_class[0].support == 2.0
 
 
+@pytest.mark.parametrize("threshold", [0.5, 0.3])
+def test_binary_report_is_one_emotion_column(threshold):
+    rng = np.random.default_rng(12)
+    logits = rng.uniform(-2, 2, (40, 6))
+    labels = (rng.random((40, 6)) < 0.3).astype(int)
+    emo = emotion_report(logits, labels, threshold)
+    for c, want in enumerate(emo.per_class):
+        binr = binary_report(logits[:, c], labels[:, c], threshold)
+        got = binr.per_class[0]
+        assert [getattr(got, f.name) for f in fields(got) if f.name != "label"] \
+            == [getattr(want, f.name) for f in fields(want) if f.name != "label"]
+        assert binr.overall == {"accuracy": want.accuracy}
+
+
 def test_multiclass_report_argmax():
     logits = np.zeros((2, 7))
     logits[0, 1] = 5.0
@@ -271,6 +286,8 @@ def test_early_stop_metric_selection():
     binr = binary_report(rng.uniform(-1, 1, 10),
                          (rng.random(10) < 0.5).astype(int))
     assert early_stop_metric(binr) == binr.overall["accuracy"]
+    multi = multiclass_report(rng.uniform(-1, 1, (10, 7)), rng.integers(0, 7, 10))
+    assert early_stop_metric(multi) == multi.overall["accuracy"]
 
 
 def test_overall_metrics_table_names_every_reported_key():
@@ -305,6 +322,25 @@ def test_text_table_column_order():
     cols = [c.strip() for c in header.split("|")]
     assert cols == ["Joy", "Sadness", "Anger", "Surprise", "Disgust", "Fear",
                     "Overall"]
+
+
+def test_text_table_strings_of_each_report_kind():
+    binr = binary_report(np.array([3.0, -3.0, 3.0, 3.0, -1.0]),
+                         np.array([1, 0, 1, 0, 1]), split="val", seed=2)
+    assert binr.text_table() == ("task=binary split=val seed=2\n"
+                                 "Positive  | Overall\n"
+                                 "60.0/66.7 | 60.0   ")
+    logits = np.zeros((4, 7))
+    logits[[0, 1, 2, 3], [1, 6, 3, 3]] = 5.0
+    multi = multiclass_report(logits, np.array([1, 0, 3, 2]), split="test")
+    assert multi.text_table() == "task=multiclass-7 split=test\nOverall\n50.0   "
+    emo = emotion_report(np.array([[2.0, -1, 1, -1, 1, -1], [-2, 1, 1, -1, -1, 1],
+                                   [1, 1, -1, 1, -1, -1]]),
+                         np.array([[1, 0, 1, 0, 0, 0], [0, 1, 1, 0, 1, 1],
+                                   [1, 0, 0, 0, 0, 0]]))
+    assert emo.text_table().splitlines()[2] == (
+        "100.0/100.0 | 66.7/66.7 | 100.0/100.0 | 66.7/0.0 | 33.3/0.0 | "
+        "100.0/100.0 | 77.8/81.0")
 
 
 def test_aggregate_reports_takes_arithmetic_means():

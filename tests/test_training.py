@@ -723,6 +723,16 @@ def test_bank_from_checkpoint_rejects_a_stage_it_cannot_rebuild(stage, match):
         bank_from_checkpoint(ckpt)
 
 
+@pytest.mark.parametrize("loss", ["bogus", "ce"])
+def test_bank_from_checkpoint_rejects_a_loss_its_task_cannot_train(loss):
+    ckpt = checkpoint_from_bank(small_bank(), seed=0, stage="adapter:emotion",
+                                vocab=table_vocab(desk_config()),
+                                extra_meta={"task": "emotion", "loss": loss,
+                                            "task_kind": "multilabel-6"})
+    with pytest.raises(CheckpointError, match=f"unknown loss '{loss}'"):
+        bank_from_checkpoint(ckpt)
+
+
 # ---------------------------------------------------------------------------
 # block-wise gradient check
 # ---------------------------------------------------------------------------
@@ -877,7 +887,16 @@ def test_task_spec_validation():
     with pytest.raises(ConfigError):
         TaskSpec(name="x", kind="regression")
     assert TaskSpec(name="s7", kind="multiclass-7", loss="bce").loss == "ce"
+    assert TaskSpec(name="s7", kind="multiclass-7", loss="bogus").loss == "ce"
     assert TaskSpec(name="e", kind="multilabel-6").num_labels == 6
+
+
+@pytest.mark.parametrize("kind,loss", [("binary", "ce"), ("multilabel-6", "bogus"),
+                                       ("binary", "")])
+def test_task_spec_rejects_a_loss_its_kind_cannot_train(kind, loss):
+    with pytest.raises(ConfigError, match="unknown loss"):
+        TaskSpec(name="t", kind=kind, loss=loss)
+
 
 
 def test_explicit_early_stop_metric_is_honored():
