@@ -189,10 +189,10 @@ def multi_head_attention(config: ModelConfig, params: ParameterStore,
 
     ``h`` [n, H] holds the rows at the flat positions ``rows`` of the [B, L]
     batch whose key mask is ``mask``; ``rows`` must cover every position
-    the mask marks real. Queries (and x) are every row of ``h`` ([n, H] out)
-    or, given ``q_rows``, the rows of ``h`` at those indices (one row out
-    per index). Keys and values come from every row of ``h``; only the op
-    sees the padded [B, L, H] layout.
+    the mask marks real. Queries (and x) are the rows of ``h`` at the
+    indices ``q_rows``, every row when it is None (one row out per query).
+    K|V is one GEMM over every row of ``h``; Q is one GEMM over the query
+    rows. Only the op sees the padded [B, L, H] layout.
     """
     p = f"layers.{layer_idx}.attention"
     weights = [params[f"{p}.{name}"] for name in (
@@ -211,10 +211,10 @@ def encoder_layer_forward(config: ModelConfig, params: ParameterStore,
     each), then the adapter slot applied to the FF-sublayer output.
 
     ``h``, ``mask``, ``rows`` and ``q_rows`` are as in
-    ``multi_head_attention``. The layer computes every row of ``h``, or with
-    ``q_rows`` those rows only; they attend over every row of ``h``, and the
-    residuals, layer norms, FF block and adapter slot act on them alone, so
-    the output is [n, H] or [len(q_rows), H].
+    ``multi_head_attention``. The layer computes the query rows only, all
+    rows when ``q_rows`` is None; they attend over every row of ``h``, and
+    the residuals, layer norms, FF block and adapter slot act on them alone,
+    so the output is [n, H] or [len(q_rows), H].
     """
     p = f"layers.{layer_idx}.ff"
     h1 = multi_head_attention(config, params, layer_idx, h, mask, rows, q_rows)

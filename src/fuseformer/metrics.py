@@ -151,8 +151,13 @@ def binary_report(logits: np.ndarray, labels: np.ndarray,
                   threshold: float = 0.5, split: str = "",
                   seed: int | None = None) -> MetricsReport:
     """The threshold report of one class, logits/labels [N] or [N, 1]."""
-    return _threshold_report("binary", np.reshape(logits, (-1, 1)),
-                             np.reshape(labels, (-1, 1)), threshold, split, seed)
+    logits, labels = np.asarray(logits), np.asarray(labels)
+    if any(a.ndim not in (1, 2) or a.shape[1:] not in ((), (1,))
+           for a in (logits, labels)):
+        raise ContractError(
+            f"expected [N] or [N, 1] logits/labels, got {logits.shape} and {labels.shape}")
+    return _threshold_report("binary", logits.reshape(-1, 1), labels.reshape(-1, 1),
+                             threshold, split, seed)
 
 
 def multiclass_report(logits: np.ndarray, labels: np.ndarray, split: str = "",

@@ -295,14 +295,14 @@ def self_attention(h: Tensor, weights: Sequence[Tensor], mask: Array, rows: Arra
     1/sqrt(H / heads), to the keys of its own batch row. Returns one row per
     query.
 
-    Q|K|V is one GEMM over the concatenated weights (with ``q_rows``, K|V is
-    one and Q another over the query rows alone). One row scatter lays them
-    out as [B, L] by position; given ``q_rows``, each batch row's queries
-    are laid out, in order, as [B, Lq], where Lq is the most queries any
-    batch row has. The scores are held keys-first, so the softmax runs over
-    whole contiguous slices. The residual and the norm run in place. The
-    backward returns ``None`` for every input that needs no gradient and
-    skips that work.
+    K|V is one GEMM over the concatenated weights on every row; Q is one
+    GEMM over the query rows, all rows when ``q_rows`` is None. One row
+    scatter lays K|V out as [B, L] by position, and another lays Q out as
+    [B, Lq] by position, where Lq is one past the last query position (L
+    for every row, 1 for the [CLS] rows). The scores are held keys-first,
+    so the softmax runs over whole contiguous slices. The residual and the
+    norm run in place. The backward returns ``None`` for every input that
+    needs no gradient and skips that work.
     """
     mask, rows = np.asarray(mask), np.asarray(rows)
     if (mask.ndim != 2 or h.data.ndim != 2 or h.shape[:1] != rows.shape
@@ -320,45 +320,36 @@ def self_attention(h: Tensor, weights: Sequence[Tensor], mask: Array, rows: Arra
     keep = _recording(inputs)
     dh = hidden // heads
     scale = 1.0 / math.sqrt(dh)
-    x = h.data
-    every = q_rows is None
-    if every:
-        w_in = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)
-        xq, q_flat, q_len = x, rows, length
+    if q_rows is None:
+        q_rows = slice(None)  # a view, and an in-place add in the backward
     else:
         q_rows = np.asarray(q_rows)
         _check_rows("self_attention", q_rows, n)
-        w_in = np.concatenate([w_k.data, w_v.data], axis=1)
-        xq = x[q_rows]
-        q_batch = rows[q_rows] // length
-        q_slot = np.arange(len(q_rows)) - np.searchsorted(q_batch, q_batch)
-        q_len = int(q_slot.max(initial=-1)) + 1
-        q_flat = q_batch * q_len + q_slot
+    x = h.data
+    xq = x[q_rows]
+    q_batch, q_pos = np.divmod(rows[q_rows], length)
+    q_len = int(q_pos.max(initial=-1)) + 1
+    q_flat = q_batch * q_len + q_pos
+    w_kv = np.concatenate([w_k.data, w_v.data], axis=1)
 
     def by_head(buf: Array, width: int, part: int = 0) -> Array:
         """The [B, h, width, dh] view of the ``part``-th H columns of the
         [B * width, parts * H] rows ``buf``."""
         return buf.reshape(b, width, -1, heads, dh)[:, :, part].transpose(0, 2, 1, 3)
 
-    proj = x @ w_in
-    proj[:, -hidden:] += b_v.data
-    if every:
-        proj[:, :hidden] += b_q.data
-    parts = proj.shape[1] // hidden
-    # q|k|v (or k|v) at every position of the batch, zeros where no row is
-    padded = np.zeros((b * length, parts * hidden), x.dtype)
+    proj = x @ w_kv
+    proj[:, hidden:] += b_v.data
+    # k|v at every position of the batch, zeros where no row is
+    padded = np.zeros((b * length, 2 * hidden), x.dtype)
     padded[rows] = proj
     # a contiguous K^T makes the score GEMMs several times faster
-    kt = np.ascontiguousarray(by_head(padded, length, -2).swapaxes(-1, -2))
-    vh = by_head(padded, length, -1)
-    if every:
-        qh = by_head(padded, length)
-    else:
-        q = xq @ w_q.data
-        q += b_q.data
-        qh = np.zeros((b * q_len, hidden), x.dtype)
-        qh[q_flat] = q
-        qh = by_head(qh, q_len)
+    kt = np.ascontiguousarray(by_head(padded, length).swapaxes(-1, -2))
+    vh = by_head(padded, length, 1)
+    q = xq @ w_q.data
+    q += b_q.data
+    qh = np.zeros((b * q_len, hidden), x.dtype)
+    qh[q_flat] = q
+    qh = by_head(qh, q_len)
     # scores held keys-first, [L, B, h, Lq]: the softmax then runs over
     # whole contiguous slices rather than along a short inner axis
     p = np.empty((length, b, heads, q_len), x.dtype)
@@ -384,38 +375,31 @@ def self_attention(h: Tensor, weights: Sequence[Tensor], mask: Array, rows: Arra
             grads[6], grads[7] = _affine_grads(ctx, dz)
         if not (need_h or need_in):
             return _only_needed(grads, need)
-        gh = np.zeros((b * q_len, hidden), x.dtype)
-        gh[q_flat] = dz @ w_o.data.T
-        gh = by_head(gh, q_len)
+        dctx = np.zeros((b * q_len, hidden), x.dtype)
+        dctx[q_flat] = dz @ w_o.data.T
+        gh = by_head(dctx, q_len)
         ds = np.empty_like(p)
         np.matmul(gh, vh.swapaxes(-1, -2), out=_by_query(ds))
         _softmax_over_keys_backward(p, ds)
         ds *= scale
         ds = _by_query(ds)
-        # d(q|k|v) laid out as padded is, then taken at the rows of proj
+        # d(k|v) laid out as padded is, then taken at the rows of proj
         dpad = np.empty_like(padded)
-        np.matmul(ds.swapaxes(-1, -2), qh, out=by_head(dpad, length, -2))
-        np.matmul(_by_query(p).swapaxes(-1, -2), gh, out=by_head(dpad, length, -1))
-        if every:
-            np.matmul(ds, kt.swapaxes(-1, -2), out=by_head(dpad, length))
-        else:
-            dq = np.empty((b * q_len, hidden), x.dtype)
-            np.matmul(ds, kt.swapaxes(-1, -2), out=by_head(dq, q_len))
-            dq = dq.take(q_flat, axis=0)
+        np.matmul(ds.swapaxes(-1, -2), qh, out=by_head(dpad, length))
+        np.matmul(_by_query(p).swapaxes(-1, -2), gh, out=by_head(dpad, length, 1))
+        # dq overwrites dctx, which nothing reads any more
+        np.matmul(ds, kt.swapaxes(-1, -2), out=gh)
+        dq = dctx.take(q_flat, axis=0)
         dproj = dpad.take(rows, axis=0)
         if need_in:
+            grads[1], grads[2] = _affine_grads(xq, dq)
             dw, db = _affine_grads(x, dproj)
-            grads[3:6] = dw[:, -2 * hidden:-hidden], dw[:, -hidden:], db[-hidden:]
-            if every:
-                grads[1], grads[2] = dw[:, :hidden], db[:hidden]
-            else:
-                grads[1], grads[2] = _affine_grads(xq, dq)
+            grads[3:6] = dw[:, :hidden], dw[:, hidden:], db[hidden:]
         if need_h:
-            dx = dproj @ w_in.T
-            if every:
-                dx += dz
-            else:
-                dx[q_rows] += dz + dq @ w_q.data.T
+            dxq = dq @ w_q.data.T
+            dxq += dz
+            dx = dproj @ w_kv.T
+            dx[q_rows] += dxq
             grads[0] = dx
         return _only_needed(grads, need)
 

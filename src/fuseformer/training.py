@@ -113,6 +113,11 @@ class TrainConfig:
             raise ConfigError(f"threshold {self.threshold} must lie in (0, 1)")
         if self.warmup_steps < 0:
             raise ConfigError(f"warmup_steps {self.warmup_steps} must be >= 0")
+        reported = sorted({m for names in OVERALL_METRICS.values() for m in names})
+        if self.metric_for_early_stop not in (None, *reported):
+            raise ConfigError(
+                f"metric_for_early_stop {self.metric_for_early_stop!r} is reported by "
+                f"no task kind; expected one of {reported}")
         self.betas = (float(self.betas[0]), float(self.betas[1]))
 
     def to_dict(self) -> dict:

@@ -256,6 +256,25 @@ def test_binary_report_roundtrip():
     assert report.per_class[0].support == 2.0
 
 
+@pytest.mark.parametrize("logits,labels", [
+    (np.ones((4, 6)), np.ones((4, 6))),
+    (np.ones((4, 1)), np.ones((4, 2))),
+    (np.ones((4, 1, 1)), np.ones((4, 1, 1))),
+    (np.float64(1.0), np.int64(1)),
+], ids=["six_columns", "two_label_columns", "three_dims", "scalars"])
+def test_binary_report_refuses_anything_but_one_column(logits, labels):
+    with pytest.raises(ContractError, match=r"\[N\] or \[N, 1\]"):
+        binary_report(logits, labels)
+
+
+def test_binary_report_takes_a_column_or_a_vector():
+    logits, labels = np.array([3.0, -3.0, 3.0]), np.array([1, 0, 0])
+    want = binary_report(logits, labels)
+    for got in (binary_report(logits[:, None], labels[:, None]),
+                binary_report(logits[:, None], labels)):
+        assert got == want
+
+
 @pytest.mark.parametrize("threshold", [0.5, 0.3])
 def test_binary_report_is_one_emotion_column(threshold):
     rng = np.random.default_rng(12)

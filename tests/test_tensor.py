@@ -388,6 +388,12 @@ ATTENTION_SHAPES = {
     "encoder": dict(q_idx=None, rows=ROWS, mask=ROW_MASK, hidden=8, heads=2),
     # the last encoder layer: only each batch row's [CLS] row queries
     "cls": dict(q_idx=np.array([0, 4]), rows=ROWS, mask=ROW_MASK, hidden=8, heads=2),
+    # one query per batch row past position 0 (positions 1 and 3), so the
+    # [B, Lq] query layout has slots no query fills
+    "late": dict(q_idx=np.array([1, 6]), rows=ROWS, mask=ROW_MASK, hidden=8, heads=2),
+    # every row queries, named by its index rather than by None
+    "every_index": dict(q_idx=np.arange(len(ROWS)), rows=ROWS, mask=ROW_MASK,
+                        hidden=8, heads=2),
     # B=6 batch rows of L=5, one query per batch row, single head, no padding
     "fusion": dict(q_idx=np.arange(6) * 5, rows=np.arange(30), mask=np.ones((6, 5)),
                    hidden=4, heads=1),
@@ -445,6 +451,30 @@ def test_attention_under_no_grad_records_no_node():
         out = T.self_attention(h, weights, *attention_args(cfg))
     assert out.node is None
     np.testing.assert_array_equal(out.data, taped.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_attention_queries_by_none_and_by_every_index_are_byte_identical(dtype):
+    """``q_rows=None`` is the index of every row: the output and the
+    gradients of h and all nine weights match bit for bit, with a recorded
+    node and under ``no_grad``."""
+    cfg = ATTENTION_SHAPES["encoder"]
+    mix = np.random.default_rng(10).uniform(-1, 1, (len(ROWS), cfg["hidden"]))
+    runs = []
+    for q_idx in (None, np.arange(len(ROWS))):
+        h, weights = attention_leaves(cfg, seed=9)
+        h, *weights = [Tensor(t.data.astype(dtype), requires_grad=True)
+                       for t in (h, *weights)]
+        args = (cfg["mask"], cfg["rows"], q_idx, cfg["heads"], 1e-12)
+        out = T.self_attention(h, weights, *args)
+        backward(probe(mix, out))
+        with T.no_grad():
+            untaped = T.self_attention(h, weights, *args)
+        assert untaped.node is None
+        runs.append([out.data, untaped.data] + [t.grad for t in (h, *weights)])
+    for by_none, by_index in zip(*runs):
+        assert by_none.dtype == by_index.dtype == dtype
+        assert by_none.tobytes() == by_index.tobytes()
 
 
 def test_attention_shape_errors():

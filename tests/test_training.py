@@ -824,8 +824,17 @@ def test_train_config_from_dict_rejects_malformed_input(bad):
 
 def test_train_config_from_dict_accepts_json_spellings():
     cfg = TrainConfig.from_dict({"lr": 1, "betas": [0.8, 0.99], "focal_alpha": None,
-                                 "metric_for_early_stop": "macro_f1"})
-    assert cfg == TrainConfig(lr=1.0, betas=(0.8, 0.99), metric_for_early_stop="macro_f1")
+                                 "metric_for_early_stop": "weighted_f1"})
+    assert cfg == TrainConfig(lr=1.0, betas=(0.8, 0.99),
+                              metric_for_early_stop="weighted_f1")
+
+
+@pytest.mark.parametrize("name", ["bogus", "macro_f1", ""])
+def test_train_config_rejects_an_early_stop_metric_no_task_kind_reports(name):
+    with pytest.raises(ConfigError, match="metric_for_early_stop"):
+        TrainConfig(metric_for_early_stop=name)
+    with pytest.raises(ConfigError, match="metric_for_early_stop"):
+        TrainConfig.from_dict({"metric_for_early_stop": name})
 
 
 @pytest.mark.parametrize("value", [
