@@ -1,5 +1,5 @@
 """AdamW with decoupled weight decay, linear LR schedule, early stopping,
-the two-stage adapter/fusion training pipeline, multi-run averaging,
+the two-stage adapter/fusion training pipeline, serial multi-run averaging,
 binary checkpointing, and the block-wise gradient check.
 
 Each ``train_*`` function sets one stage (``fusion.STAGES``) on its bank
@@ -23,7 +23,6 @@ import math
 import os
 import struct
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
@@ -97,8 +96,17 @@ class TrainConfig:
     vocab_size: int = 2000
 
     def __post_init__(self):
-        if self.lr <= 0 or self.epochs <= 0 or self.patience <= 0:
-            raise ConfigError("lr, epochs, and patience must be positive")
+        self.betas = (float(self.betas[0]), float(self.betas[1]))
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr {self.lr} must be finite and positive")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay {self.weight_decay} must be finite and >= 0")
+        if not self.adam_eps > 0:
+            raise ConfigError(f"adam_eps {self.adam_eps} must be positive")
+        if not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ConfigError(f"betas {list(self.betas)} must lie in [0, 1)")
+        if self.epochs <= 0 or self.patience <= 0:
+            raise ConfigError("epochs and patience must be positive")
         if self.patience > self.epochs:
             raise ConfigError(
                 f"patience {self.patience} exceeds epochs {self.epochs}")
@@ -118,7 +126,6 @@ class TrainConfig:
             raise ConfigError(
                 f"metric_for_early_stop {self.metric_for_early_stop!r} is reported by "
                 f"no task kind; expected one of {reported}")
-        self.betas = (float(self.betas[0]), float(self.betas[1]))
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
@@ -441,11 +448,15 @@ def fit(bank: AdapterBank, task: TaskSpec, splits: Splits, vocab: Vocabulary,
     """Epoch loop with patience-based early stopping on the validation
     metric; the best-metric trainable parameters are restored at the end.
     Returns the history, the best epoch and its validation report, which
-    is the report of the restored parameters."""
+    is the report of the restored parameters. The task's loss is trained;
+    outside ``EXCLUSIVE`` tasks, ``cfg.loss`` must name the same loss."""
     if not splits.train:
         raise ConfigError("empty training split")
     if not splits.val:
         raise ConfigError("empty validation split")
+    if task.kind != EXCLUSIVE and cfg.loss != task.loss:
+        raise ConfigError(f"config loss {cfg.loss!r} is not task {task.name!r}'s "
+                          f"loss {task.loss!r}")
     steady_process()
     metric_names = OVERALL_METRICS[task.kind]
     if cfg.metric_for_early_stop not in (None, *metric_names):
@@ -730,33 +741,12 @@ def grad_check(seed: int, h: float, tol: float, max_coords: int | None,
 # multi-run averaging
 # ---------------------------------------------------------------------------
 
-def run_parallelism() -> int:
-    """``FUSEFORMER_THREADS`` (default 1), which must be a positive integer."""
-    raw = os.environ.get("FUSEFORMER_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"FUSEFORMER_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def run_experiment(cfg: TrainConfig,
                    run_fn: Callable[[int], MetricsReport]
                    ) -> tuple[list[MetricsReport], MetricsReport]:
-    """Execute ``runs`` seeded replicas (seed, seed+1, ...) and average.
-
-    Replicas are independent model instances; FUSEFORMER_THREADS caps how
-    many execute concurrently.
-    """
-    seeds = [cfg.seed + i for i in range(cfg.runs)]
-    workers = min(run_parallelism(), len(seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_fn, seeds))
-    else:
-        reports = [run_fn(s) for s in seeds]
+    """Execute ``runs`` seeded replicas (seed, seed+1, ...) one after
+    another in the calling thread, and average."""
+    reports = [run_fn(cfg.seed + i) for i in range(cfg.runs)]
     return reports, aggregate_reports(reports)
 
 

@@ -564,6 +564,20 @@ def test_fit_requires_nonempty_splits():
                       fast_cfg())
 
 
+@pytest.mark.parametrize("loss", ["focal", "weighted_bce"])
+def test_fit_rejects_a_config_loss_that_is_not_the_tasks(loss, monkeypatch):
+    steps = []
+    monkeypatch.setattr(training, "adamw_step", lambda *a: steps.append(a))
+    with pytest.raises(ConfigError, match="loss"):
+        train_adapter(EMOTION, tiny_splits(), desk_config(), fast_cfg(loss=loss))
+    assert not steps
+    # an exclusive task trains cross-entropy whatever the config's loss
+    sent7 = TaskSpec(name="sent7", kind="multiclass-7", loss=loss)
+    train_adapter(sent7, tiny_splits(), desk_config(),
+                  fast_cfg(loss=loss, epochs=1, patience=1))
+    assert steps
+
+
 def test_training_divergence_raises_with_diagnostics():
     splits = tiny_splits()
     cfg = fast_cfg(lr=1e30, epochs=2)
@@ -777,15 +791,6 @@ def test_run_experiment_mean_is_arithmetic():
     assert abs(agg.overall["mean_accuracy"] - want) <= 1e-12
 
 
-def test_run_experiment_respects_thread_cap(monkeypatch):
-    splits = tiny_splits()
-    cfg = fast_cfg(runs=2, epochs=1, patience=1)
-    sequential, _ = run_experiment(cfg, run_fn_factory(splits, cfg))
-    monkeypatch.setenv("FUSEFORMER_THREADS", "2")
-    parallel, _ = run_experiment(cfg, run_fn_factory(splits, cfg))
-    assert [r.to_json() for r in sequential] == [r.to_json() for r in parallel]
-
-
 def test_forced_identical_seeds_degenerate_aggregation():
     splits = tiny_splits()
     cfg = fast_cfg(runs=3, epochs=1, patience=1)
@@ -807,9 +812,16 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(runs=0)
     for bad in ({"loss": "ce"}, {"loss": "nope"}, {"loss_reduction": "mean"},
-                {"threshold": 0.0}, {"threshold": 1.0}, {"warmup_steps": -1}):
+                {"threshold": 0.0}, {"threshold": 1.0}, {"warmup_steps": -1},
+                {"lr": math.nan}, {"lr": math.inf}, {"lr": -1e-3},
+                {"weight_decay": -1.0}, {"weight_decay": math.inf},
+                {"weight_decay": math.nan}, {"adam_eps": 0.0}, {"adam_eps": math.nan},
+                {"betas": (1.0, 0.999)}, {"betas": (0.9, -0.1)},
+                {"betas": (0.9, math.nan)}):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
+    # the closed ends of the ranges are usable
+    TrainConfig(weight_decay=0.0, betas=(0.0, 0.0))
 
 
 @pytest.mark.parametrize("bad", [
