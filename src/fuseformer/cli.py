@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 from .data import (DEFAULT_CLASS_PRIORS, EMOTIONS, Splits, Vocabulary,
                    build_vocab, class_statistics, load_corpus, make_batches,
@@ -35,6 +35,7 @@ from .training import (TaskSpec, TrainConfig, TrainResult, bank_from_checkpoint,
 FLAG_FIELDS = ("runs", "seed", "loss", "threshold", "warmup_steps",
                "loss_reduction", "epochs", "batch_size", "max_len", "lr",
                "patience")
+FLAG_CHOICES = {"loss": LOSS_NAMES, "loss_reduction": REDUCTIONS}
 
 TASK_TABLE = {
     "sent2": ("binary", "mosei-style"),
@@ -312,18 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--val-corpus")
         p.add_argument("--test-corpus")
         p.add_argument("--task", required=True, choices=sorted(TASK_TABLE))
-        p.add_argument("--loss", choices=LOSS_NAMES)
-        p.add_argument("--runs", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--patience", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--max-len", dest="max_len", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--threshold", type=float)
-        p.add_argument("--warmup-steps", dest="warmup_steps", type=int)
-        p.add_argument("--loss-reduction", dest="loss_reduction",
-                       choices=REDUCTIONS)
+        types = get_type_hints(TrainConfig)
+        for name in FLAG_FIELDS:
+            p.add_argument("--" + name.replace("_", "-"), dest=name,
+                           type=types[name], choices=FLAG_CHOICES.get(name))
         p.add_argument("--out", required=True)
 
     p = sub.add_parser("stats", help="class statistics and positive weights")

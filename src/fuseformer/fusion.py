@@ -143,6 +143,17 @@ def group_of(name: str) -> str:
     return "encoder"
 
 
+def bank_layout(tensors: Mapping[str, np.ndarray]) -> tuple[dict[str, int], list[str], bool]:
+    """The inverse of ``bank_param_shapes``, from a {name: array} table's names:
+    the heads ({task: size of ``heads.<task>.out.bias``}), the adapter tasks
+    in table order, and whether the table holds the fusion layer."""
+    groups = dict.fromkeys(map(group_of, tensors))
+    heads = {g[len("heads."):]: tensors[f"{g}.out.bias"].size for g in groups
+             if g.startswith("heads.") and f"{g}.out.bias" in tensors}
+    adapter_tasks = [g[len("adapters."):] for g in groups if g.startswith("adapters.")]
+    return heads, adapter_tasks, "fusion" in groups
+
+
 def _trained_groups(stage: str, task: str) -> tuple[str, str]:
     """The groups ``stage`` trains for ``task``: its group in ``STAGES`` and
     the task's head."""
@@ -170,7 +181,6 @@ class AdapterBank:
         self.config = config
         self.head_labels = dict(heads)
         self.adapter_tasks = list(adapter_tasks)
-        self.with_fusion = with_fusion
         shapes = list(bank_param_shapes(config, self.head_labels,
                                         self.adapter_tasks, with_fusion))
         self.params = ParameterStore(shapes, dtype)

@@ -10,9 +10,11 @@ and records it in the checkpoint meta as ``"<stage>:<task>"``;
 Checkpoint wire format: 8-byte magic "AFCKPT01", little-endian u64 manifest
 length, UTF-8 JSON manifest {name -> {shape, dtype:"f32", offset}} plus a
 reserved "__meta__" entry (config snapshot, RNG seed, stage tag, vocab),
-then the contiguous little-endian float32 payload. The entries must tile the
-payload exactly: non-negative integer dimensions and offsets, no gap, no
-overlap, no trailing bytes. Meta entries must have their ``META_TYPES``.
+then the contiguous little-endian float32 payload in the bank's table order,
+which gives its adapter order; the tensor names give the rest of its layout
+(``fusion.bank_layout``). The entries must tile the payload exactly:
+non-negative integer dimensions and offsets, no gap, no overlap, no trailing
+bytes. Meta entries must have their ``META_TYPES``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import struct
 import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .data import (EXCLUSIVE, TASK_CLASSES, Batch, Splits, Vocabulary,
 from .encoder import ModelConfig, config_kwargs, has_type
 from .errors import (CheckpointError, ConfigError, ContractError,
                      NumericalDivergenceError)
-from .fusion import AdapterBank
+from .fusion import AdapterBank, bank_layout
 from .losses import (LOSS_NAMES, REDUCTIONS, PosWeights,
                      cross_entropy_7, multilabel_loss, pos_weights, weighted_bce)
 from .metrics import (OVERALL_METRICS, MetricsReport, aggregate_reports,
@@ -49,9 +51,8 @@ META_KEY = "__meta__"
 NO_DECAY_SUFFIXES = (".bias", ".gamma", ".beta")
 # meta entries checked on load; model_config and train_config are checked
 # where they are used, by config_from_meta
-META_TYPES = {"heads": dict[str, int], "adapter_tasks": list[str],
-              "with_fusion": bool, "seed": int, "stage": str, "task": str,
-              "task_kind": str, "loss": str, "vocab": list[str]}
+META_TYPES = {"seed": int, "stage": str, "task_kind": str, "loss": str,
+              "vocab": list[str]}
 
 
 @dataclass(frozen=True)
@@ -245,14 +246,7 @@ def checkpoint_from_bank(bank: AdapterBank, seed: int, stage: str,
                          vocab: Vocabulary | None = None,
                          extra_meta: dict | None = None) -> Checkpoint:
     tensors = {name: t.data.copy() for name, t in bank.params.items()}
-    meta = {
-        "model_config": asdict(bank.config),
-        "heads": dict(bank.head_labels),
-        "adapter_tasks": list(bank.adapter_tasks),
-        "with_fusion": bank.with_fusion,
-        "seed": seed,
-        "stage": stage,
-    }
+    meta = {"model_config": asdict(bank.config), "seed": seed, "stage": stage}
     if vocab is not None:
         meta["vocab"] = vocab.tokens[4:]
     if extra_meta:
@@ -266,8 +260,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     manifest: dict = {META_KEY: ckpt.meta}
     payload_parts = []
     offset = 0
-    for name in sorted(ckpt.tensors):
-        arr = np.asarray(ckpt.tensors[name], dtype="<f4")
+    for name, arr in ckpt.tensors.items():
+        arr = np.asarray(arr, dtype="<f4")
         raw = arr.tobytes()
         manifest[name] = {"shape": list(arr.shape), "dtype": "f32",
                           "offset": offset}
@@ -358,11 +352,9 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(tensors=tensors, meta=meta)
 
 
-def load_into_bank(bank: AdapterBank, ckpt: Checkpoint,
-                   names: list[str] | None = None) -> None:
-    """Copy checkpoint values into matching bank parameters, in the bank's
-    dtype."""
-    names = list(ckpt.tensors) if names is None else names
+def load_into_bank(bank: AdapterBank, ckpt: Checkpoint, names: Iterable[str]) -> None:
+    """Copy the checkpoint values of ``names`` into the bank's parameters, in
+    the bank's dtype."""
     for name in names:
         if name not in ckpt.tensors:
             raise CheckpointError(f"checkpoint is missing entry {name!r}")
@@ -457,6 +449,9 @@ def fit(bank: AdapterBank, task: TaskSpec, splits: Splits, vocab: Vocabulary,
     if task.kind != EXCLUSIVE and cfg.loss != task.loss:
         raise ConfigError(f"config loss {cfg.loss!r} is not task {task.name!r}'s "
                           f"loss {task.loss!r}")
+    if cfg.max_len > bank.config.max_positions:
+        raise ConfigError(f"max_len {cfg.max_len} exceeds the model's "
+                          f"max_positions {bank.config.max_positions}")
     steady_process()
     metric_names = OVERALL_METRICS[task.kind]
     if cfg.metric_for_early_stop not in (None, *metric_names):
@@ -562,7 +557,7 @@ def train_fusion(target_task: TaskSpec, adapter_checkpoints: list[Checkpoint],
             raise CheckpointError("adapter checkpoints disagree on model config")
         if ckpt.meta.get("vocab") != base.get("vocab"):
             raise CheckpointError("adapter checkpoints disagree on vocabulary")
-        ckpt_tasks = ckpt.meta.get("adapter_tasks", [])
+        _, ckpt_tasks, _ = bank_layout(ckpt.tensors)
         if len(ckpt_tasks) != 1:
             raise CheckpointError(
                 f"expected a single-adapter checkpoint, found tasks {ckpt_tasks}")
@@ -585,9 +580,7 @@ def train_fusion(target_task: TaskSpec, adapter_checkpoints: list[Checkpoint],
                 raise CheckpointError(
                     f"adapter checkpoints carry different encoder weights "
                     f"(first differs at {name!r})")
-        adapter_names = [n for n in ckpt.tensors
-                         if n.startswith(f"adapters.{task_name}.")]
-        load_into_bank(bank, ckpt, adapter_names)
+        load_into_bank(bank, ckpt, bank.groups[f"adapters.{task_name}"])
     bank.set_stage("fusion", target_task.name)
     result = _finish(bank, target_task, splits, vocab, cfg)
     before = group_hashes(bank, {name: arr for ckpt in adapter_checkpoints
@@ -613,8 +606,8 @@ def _finish(bank: AdapterBank, task: TaskSpec, splits: Splits,
                                      split="test", seed=cfg.seed)
     ckpt = checkpoint_from_bank(
         bank, seed=cfg.seed, stage=f"{bank.stage}:{task.name}", vocab=vocab,
-        extra_meta={"task": task.name, "task_kind": task.kind,
-                    "loss": task.loss, "train_config": cfg.to_dict()})
+        extra_meta={"task_kind": task.kind, "loss": task.loss,
+                    "train_config": cfg.to_dict()})
     return TrainResult(bank=bank, vocab=vocab, task=task, history=history,
                        best_epoch=best_epoch, val_report=val_report,
                        test_report=test_report, checkpoint=ckpt)
@@ -649,30 +642,25 @@ def vocab_from_meta(meta: dict, config: ModelConfig) -> Vocabulary:
 
 
 def bank_from_checkpoint(ckpt: Checkpoint) -> tuple[AdapterBank, Vocabulary, TaskSpec]:
-    """Rebuild a model from a saved checkpoint, at the stage its meta
-    ``stage`` ("<stage>:<task>") names; a stage this library cannot rebuild,
-    or a task ``TaskSpec`` refuses, raises CheckpointError."""
+    """Rebuild a model from a saved checkpoint: the layout its tensor names
+    give (``fusion.bank_layout``), loaded entry for entry, at the stage its
+    meta ``stage`` ("<stage>:<task>") names. A missing or extra entry, or a
+    stage or task this library cannot rebuild, raises CheckpointError."""
     meta = ckpt.meta
-    for key in ("heads", "stage", "task", "task_kind"):
+    for key in ("stage", "task_kind"):
         if key not in meta:
             raise CheckpointError(f"checkpoint meta is missing {key!r}")
+    stage, _, task_name = meta["stage"].partition(":")
     try:
-        task = TaskSpec(name=meta["task"], kind=meta["task_kind"],
+        task = TaskSpec(name=task_name, kind=meta["task_kind"],
                         loss=meta.get("loss", "bce"))
     except ConfigError as exc:
         raise CheckpointError(f"checkpoint meta: {exc}") from None
     config = config_from_meta(ModelConfig, meta, "model_config")
-    bank = AdapterBank(config, heads=dict(meta["heads"]),
-                       adapter_tasks=list(meta.get("adapter_tasks", [])),
-                       with_fusion=bool(meta.get("with_fusion", False)),
-                       seed=int(meta.get("seed", 0)))
-    load_into_bank(bank, ckpt)
-    stage, _, stage_task = meta["stage"].partition(":")
-    if stage_task != meta["task"]:
-        raise CheckpointError(f"checkpoint stage {meta['stage']!r} does not "
-                              f"name the checkpoint task {meta['task']!r}")
+    bank = AdapterBank(config, *bank_layout(ckpt.tensors))
+    load_into_bank(bank, ckpt, dict.fromkeys([*bank.params.names(), *ckpt.tensors]))
     try:
-        bank.set_stage(stage, meta["task"])
+        bank.set_stage(stage, task.name)
     except ConfigError as exc:
         raise CheckpointError(f"checkpoint stage {meta['stage']!r}: {exc}") from None
     vocab = vocab_from_meta(meta, config)

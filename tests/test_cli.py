@@ -323,6 +323,46 @@ def test_train_fusion_checkpoint_missing_encoder_entry_exits_2(
     assert not (out / "fusion-emotion.ckpt").exists()
 
 
+def test_train_fusion_reads_the_adapter_task_from_the_tensors(
+        tmp_path, corpus_path, capsys):
+    # a stale meta "adapter_tasks" naming another task is not read
+    cfg, out = model_json(tmp_path), tmp_path / "run"
+    assert run_cli("train-adapter", "--task", "sent2", "--corpus", corpus_path,
+                   "--config", cfg, "--runs", 1, "--seed", 3, "--out", out,
+                   *TRAIN_FLAGS) == 0
+    ckpt = load_checkpoint(out / "adapter-sent2.ckpt")
+    ckpt.meta["adapter_tasks"] = ["emotion"]
+    save_checkpoint(ckpt, tmp_path / "relabelled.ckpt")
+    capsys.readouterr()
+    assert run_cli("train-fusion", "--task", "emotion", "--corpus", corpus_path,
+                   "--config", cfg, "--runs", 1, "--seed", 4, "--out", out,
+                   "--adapters", tmp_path / "relabelled.ckpt", *TRAIN_FLAGS) == 0
+    assert "FROZEN OK" in capsys.readouterr().out
+    audit = json.loads((out / "fusion-report-emotion.json").read_text())["audit"]
+    assert {g: e["frozen"] for g, e in audit.items()} == {
+        "encoder": True, "adapters.sent2": True}
+
+
+def test_train_fusion_checkpoint_missing_an_adapter_entry_exits_2_before_training(
+        tmp_path, corpus_path, capsys, monkeypatch):
+    cfg, out = train_two_adapters(tmp_path, corpus_path)
+    ckpt = load_checkpoint(out / "adapter-sent2.ckpt")
+    del ckpt.tensors["adapters.sent2.0.down.weight"]
+    save_checkpoint(ckpt, tmp_path / "broken-sent2.ckpt")
+    steps = []
+    monkeypatch.setattr(training, "adamw_step", lambda *a, **k: steps.append(a))
+    capsys.readouterr()
+    code = run_cli("train-fusion", "--task", "emotion", "--corpus", corpus_path,
+                   "--config", cfg, "--runs", 1, "--seed", 4, "--out", out,
+                   "--adapters", out / "adapter-emotion.ckpt",
+                   tmp_path / "broken-sent2.ckpt", *TRAIN_FLAGS)
+    err = capsys.readouterr().err
+    assert code == 2 and steps == []
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "'adapters.sent2.0.down.weight'" in err
+    assert not (out / "fusion-emotion.ckpt").exists()
+
+
 def test_evaluate_empty_corpus_exits_2(tmp_path, corpus_path):
     out = tmp_path / "run"
     assert run_cli("train-adapter", "--task", "emotion", "--corpus", corpus_path,
@@ -399,7 +439,8 @@ def test_train_adapter_invalid_config_exits_2_without_traceback(
 
 def adapter_checkpoint(tmp_path, meta):
     """A stage-1 emotion checkpoint of the model_json bank, with ``meta``
-    (a function of the model dict) overriding its meta entries."""
+    (a function of the model dict) overriding its meta entries. As written,
+    it evaluates on the ``corpus_path`` corpus."""
     from fuseformer.encoder import ModelConfig
     from fuseformer.fusion import AdapterBank
     from fuseformer.training import (TrainConfig, checkpoint_from_bank,
@@ -412,8 +453,8 @@ def adapter_checkpoint(tmp_path, meta):
     vocab = [f"w{i}" for i in range(bank.config.vocab_size - 4)]
     ckpt = checkpoint_from_bank(
         bank, seed=0, stage="adapter:emotion",
-        extra_meta={"task": "emotion", "task_kind": "multilabel-6", "vocab": vocab,
-                    "loss": "bce", "train_config": TrainConfig().to_dict(),
+        extra_meta={"task_kind": "multilabel-6", "vocab": vocab, "loss": "bce",
+                    "train_config": TrainConfig(max_len=16).to_dict(),
                     **meta(model)})
     path = tmp_path / "adapter-emotion.ckpt"
     save_checkpoint(ckpt, path)
@@ -432,14 +473,20 @@ MALFORMED = {
     "eval_model_list": ("evaluate", lambda m: {"model_config": [8]}),
     "eval_train_str_epochs": ("evaluate", lambda m: {"train_config": {"epochs": "3"}}),
     "eval_train_str": ("evaluate", lambda m: {"train_config": "fast"}),
-    "eval_heads_str_labels": ("evaluate", lambda m: {"heads": {"emotion": "6"}}),
-    "eval_adapter_tasks_int": ("evaluate", lambda m: {"adapter_tasks": 3}),
     "eval_seed_str": ("evaluate", lambda m: {"seed": "a"}),
     "fusion_model_unknown_key": (
         "train-fusion", lambda m: {"model_config": {**m, "dropout": 0.1}}),
     "fusion_model_str_layers": (
         "train-fusion", lambda m: {"model_config": {**m, "num_layers": "1"}}),
 }
+
+
+def test_evaluate_well_formed_adapter_checkpoint_exits_0(tmp_path, corpus_path,
+                                                         capsys):
+    # the control of the MALFORMED checkpoint cases
+    ckpt = adapter_checkpoint(tmp_path, lambda m: {})
+    assert run_cli("evaluate", "--checkpoint", ckpt, "--corpus", corpus_path) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("stage", ["fuson:emotion", "adapter:a"])
@@ -463,6 +510,18 @@ def test_evaluate_checkpoint_with_an_attention_key_bias_exits_2(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert "model has no parameter 'layers.0.attention.key.bias'" in err
+
+
+def test_evaluate_checkpoint_missing_an_entry_exits_2(tmp_path, corpus_path, capsys):
+    # loaded, the model would keep that parameter's random initial value
+    path = adapter_checkpoint(tmp_path, lambda m: {})
+    ckpt = load_checkpoint(path)
+    del ckpt.tensors["layers.0.ff.in.weight"]
+    save_checkpoint(ckpt, path)
+    assert run_cli("evaluate", "--checkpoint", path, "--corpus", corpus_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "checkpoint is missing entry 'layers.0.ff.in.weight'" in err
 
 
 @pytest.mark.parametrize("loss", ["bogus", "ce"])
@@ -532,6 +591,9 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, corpus_path,
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert not list(out.glob("*"))
+    if command != "config":
+        (key,) = payload({})
+        assert key in err, err
 
 
 def test_train_sent7_path(tmp_path, corpus_path, capsys):

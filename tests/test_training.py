@@ -430,7 +430,7 @@ def test_load_into_mismatched_hidden_size_is_shape_error(tmp_path):
     wide = AdapterBank(desk_config(hidden_size=16, reduction_factor=4),
                        heads={"emotion": 6}, adapter_tasks=["emotion"], seed=0)
     with pytest.raises(CheckpointError, match="shape mismatch"):
-        load_into_bank(wide, load_checkpoint(path))
+        load_into_bank(wide, load_checkpoint(path), wide.params.names())
 
 
 def test_no_temp_files_left_behind(tmp_path):
@@ -714,8 +714,7 @@ def test_bank_from_checkpoint_restores_each_stage(stage):
     bank.set_stage(stage, "emotion")
     ckpt = checkpoint_from_bank(bank, seed=3, stage=f"{stage}:emotion",
                                 vocab=table_vocab(bank.config),
-                                extra_meta={"task": "emotion",
-                                            "task_kind": "multilabel-6"})
+                                extra_meta={"task_kind": "multilabel-6"})
     got, _, _ = bank_from_checkpoint(ckpt)
     assert got.stage == stage
     assert type(got.slot) is type(bank.slot)
@@ -724,24 +723,56 @@ def test_bank_from_checkpoint_restores_each_stage(stage):
 
 @pytest.mark.parametrize("stage,match", [
     ("fuson:emotion", "unknown stage"),
-    ("adapter:a", "does not name"),
-    ("adapter", "does not name"),
+    ("adapter:a", "no head for task 'a'"),
+    ("adapter", "no head for task ''"),
     ("fusion:emotion", "'fusion'"),
 ], ids=["unknown_prefix", "other_task", "no_task", "missing_group"])
 def test_bank_from_checkpoint_rejects_a_stage_it_cannot_rebuild(stage, match):
     ckpt = checkpoint_from_bank(small_bank(), seed=0, stage=stage,
                                 vocab=table_vocab(desk_config()),
-                                extra_meta={"task": "emotion",
-                                            "task_kind": "multilabel-6"})
+                                extra_meta={"task_kind": "multilabel-6"})
     with pytest.raises(CheckpointError, match=match):
         bank_from_checkpoint(ckpt)
+
+
+def test_bank_from_checkpoint_rejects_a_missing_entry():
+    # the entry would otherwise keep its random initial value
+    ckpt = checkpoint_from_bank(small_bank(), seed=0, stage="adapter:emotion",
+                                vocab=table_vocab(desk_config()),
+                                extra_meta={"task_kind": "multilabel-6"})
+    del ckpt.tensors["layers.0.ff.in.weight"]
+    with pytest.raises(CheckpointError,
+                       match="checkpoint is missing entry 'layers.0.ff.in.weight'"):
+        bank_from_checkpoint(ckpt)
+
+
+def test_fusion_checkpoint_keeps_its_adapter_order(tmp_path):
+    # the payload order carries the adapter order, which fusion is not
+    # invariant to in floating point
+    bank = AdapterBank(desk_config(), heads={"emotion": 6},
+                       adapter_tasks=["sent2", "emotion"], with_fusion=True, seed=4)
+    bank.set_stage("fusion", "emotion")
+    path = tmp_path / "fusion.ckpt"
+    save_checkpoint(checkpoint_from_bank(bank, seed=4, stage="fusion:emotion",
+                                         vocab=table_vocab(bank.config),
+                                         extra_meta={"task_kind": "multilabel-6"}),
+                    path)
+    got, _, _ = bank_from_checkpoint(load_checkpoint(path))
+    assert got.adapter_tasks == ["sent2", "emotion"]
+    rng = np.random.default_rng(4)
+    ids = rng.integers(4, bank.config.vocab_size, size=(3, 7))
+    ids[:, 0] = 2
+    batch = Batch(token_ids=ids, attention_mask=np.ones_like(ids),
+                  segment_ids=np.zeros_like(ids), labels=np.zeros((3, 6)))
+    assert got.forward(batch, "emotion").data.tobytes() \
+        == bank.forward(batch, "emotion").data.tobytes()
 
 
 @pytest.mark.parametrize("loss", ["bogus", "ce"])
 def test_bank_from_checkpoint_rejects_a_loss_its_task_cannot_train(loss):
     ckpt = checkpoint_from_bank(small_bank(), seed=0, stage="adapter:emotion",
                                 vocab=table_vocab(desk_config()),
-                                extra_meta={"task": "emotion", "loss": loss,
+                                extra_meta={"loss": loss,
                                             "task_kind": "multilabel-6"})
     with pytest.raises(CheckpointError, match=f"unknown loss '{loss}'"):
         bank_from_checkpoint(ckpt)
@@ -857,8 +888,7 @@ def test_train_config_rejects_an_early_stop_metric_no_task_kind_reports(name):
 def test_malformed_checkpoint_model_config_is_checkpoint_error(value):
     ckpt = checkpoint_from_bank(small_bank(), seed=0, stage="adapter:emotion",
                                 vocab=table_vocab(desk_config()),
-                                extra_meta={"task": "emotion",
-                                            "task_kind": "multilabel-6"})
+                                extra_meta={"task_kind": "multilabel-6"})
     ckpt.meta["model_config"] = value
     with pytest.raises(CheckpointError, match="model_config"):
         bank_from_checkpoint(ckpt)
@@ -874,8 +904,7 @@ def test_malformed_checkpoint_model_config_is_checkpoint_error(value):
 def test_checkpoint_vocabulary_must_fill_the_embedding_table(vocab, match):
     ckpt = checkpoint_from_bank(small_bank(), seed=0, stage="adapter:emotion",
                                 vocab=table_vocab(desk_config()),
-                                extra_meta={"task": "emotion",
-                                            "task_kind": "multilabel-6"})
+                                extra_meta={"task_kind": "multilabel-6"})
     bank_from_checkpoint(ckpt)
     if vocab is None:
         del ckpt.meta["vocab"]
@@ -885,6 +914,14 @@ def test_checkpoint_vocabulary_must_fill_the_embedding_table(vocab, match):
         bank_from_checkpoint(ckpt)
     with pytest.raises(CheckpointError, match=match):
         train_fusion(EMOTION, [ckpt], tiny_splits(), fast_cfg())
+
+
+def test_max_len_over_max_positions_is_rejected_before_the_first_step(monkeypatch):
+    steps = []
+    monkeypatch.setattr(training, "adamw_step", lambda *a, **k: steps.append(a))
+    with pytest.raises(ConfigError, match="max_len 17 exceeds .* max_positions 16"):
+        train_full(EMOTION, tiny_splits(), desk_config(), fast_cfg(max_len=17))
+    assert steps == []
 
 
 def test_unknown_early_stop_metric_is_rejected_before_the_first_step(monkeypatch):
