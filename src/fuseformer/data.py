@@ -307,30 +307,49 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np
 
 def make_batches(examples: list[RawExample], vocab: Vocabulary, max_len: int,
                  task_kind: str, batch_size: int) -> list[Batch]:
-    """Tokenize and chunk in the given example order. Each batch is cut to
-    its longest row, so it is at most ``max_len`` wide. The rows are those of
-    ``tokenize``; a chunk's ids and mask are built at once."""
-    if batch_size < 1:
-        raise ContractError(f"batch_size must be positive, got {batch_size}")
+    """Tokenize and chunk in the given example order: ``gather_batches`` of
+    ``tokenize_split`` in that order. Each batch is cut to its longest row,
+    so it is at most ``max_len`` wide."""
+    return gather_batches(tokenize_split(examples, vocab, max_len, task_kind),
+                          np.arange(len(examples)), batch_size)
+
+
+def tokenize_split(examples: list[RawExample], vocab: Vocabulary, max_len: int,
+                   task_kind: str) -> Batch:
+    """Every example as one row of one Batch, cut to the longest row. The
+    rows are those of ``tokenize``; the ids and mask are built at once."""
     if examples and max_len < 2:
         raise ContractError(f"max_len must be at least 2, got {max_len}")
     lookup, keep = vocab.index.get, max_len - 2
+    body = [[lookup(tok, UNK) for tok in ex.text.split()[:keep]] for ex in examples]
+    ends = np.array([len(ids) + 1 for ids in body], dtype=np.int64)  # where [SEP] goes
+    cols = np.arange(int(ends.max(initial=0)) + 1)
+    mask = (cols <= ends[:, None]).astype(np.int64)
+    ids = np.full(mask.shape, PAD, dtype=np.int64)
+    ids[:, 0] = CLS
+    ids[(cols > 0) & (cols < ends[:, None])] = [i for row in body for i in row]
+    ids[np.arange(len(examples)), ends] = SEP
+    labels = _stack_labels(examples, task_kind)
+    if task_kind != EXCLUSIVE:
+        labels = labels.astype(np.float64)
+    return Batch(token_ids=ids, attention_mask=mask, segment_ids=np.zeros_like(ids),
+                 labels=labels)
+
+
+def gather_batches(split: Batch, order: np.ndarray, batch_size: int) -> list[Batch]:
+    """The rows of the tokenized ``split`` at the indices ``order``,
+    ``batch_size`` at a time, each batch cut to its longest row."""
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be positive, got {batch_size}")
+    lengths = split.attention_mask.sum(axis=1)
     batches = []
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start:start + batch_size]
-        body = [[lookup(tok, UNK) for tok in ex.text.split()[:keep]] for ex in chunk]
-        ends = np.array([len(ids) + 1 for ids in body])  # where each [SEP] goes
-        cols = np.arange(int(ends.max()) + 1)
-        mask = (cols <= ends[:, None]).astype(np.int64)
-        ids = np.full(mask.shape, PAD, dtype=np.int64)
-        ids[:, 0] = CLS
-        ids[(cols > 0) & (cols < ends[:, None])] = [i for row in body for i in row]
-        ids[np.arange(len(chunk)), ends] = SEP
-        labels = _stack_labels(chunk, task_kind)
-        if task_kind != EXCLUSIVE:
-            labels = labels.astype(np.float64)
-        batches.append(Batch(token_ids=ids, attention_mask=mask,
-                             segment_ids=np.zeros_like(ids), labels=labels))
+    for start in range(0, len(order), batch_size):
+        rows = order[start:start + batch_size]
+        width = int(lengths[rows].max())
+        ids = split.token_ids[rows, :width]
+        batches.append(Batch(token_ids=ids,
+                             attention_mask=split.attention_mask[rows, :width],
+                             segment_ids=np.zeros_like(ids), labels=split.labels[rows]))
     return batches
 
 

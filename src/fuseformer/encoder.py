@@ -183,41 +183,42 @@ def linear(params: ParameterStore, prefix: str, x: Tensor) -> Tensor:
 
 def multi_head_attention(config: ModelConfig, params: ParameterStore,
                          layer_idx: int, h: Tensor, mask: np.ndarray,
-                         rows: np.ndarray, q_rows: np.ndarray | None = None) -> Tensor:
+                         rows: np.ndarray, cls_only: bool = False) -> Tensor:
     """The attention sublayer, residual and post-norm included:
-    ``LN(x + MHA(h) W_o + b_o)`` as one ``tensor.self_attention`` node.
+    ``LN(x + MHA(h) W_o + b_o)`` as one ``tensor.self_attention`` node, or,
+    with ``cls_only``, one ``tensor.cls_attention`` node.
 
     ``h`` [n, H] holds the rows at the flat positions ``rows`` of the [B, L]
     batch whose key mask is ``mask``; ``rows`` must cover every position
-    the mask marks real. Queries (and x) are the rows of ``h`` at the
-    indices ``q_rows``, every row when it is None (one row out per query).
-    K|V is one GEMM over every row of ``h``; Q is one GEMM over the query
-    rows. Only the op sees the padded [B, L, H] layout.
+    the mask marks real. The queries (and x) are every row of ``h``, one
+    row out per row in, or with ``cls_only`` each batch row's [CLS] row
+    (position 0), one row out per batch row. Only the ops see the padded
+    [B, L, ·] layout.
     """
     p = f"layers.{layer_idx}.attention"
     weights = [params[f"{p}.{name}"] for name in (
         "query.weight", "query.bias", "key.weight", "value.weight", "value.bias",
         "output.weight", "output.bias", "norm.gamma", "norm.beta")]
-    return T.self_attention(h, weights, mask, rows, q_rows, config.num_heads,
-                            config.eps)
+    op = T.cls_attention if cls_only else T.self_attention
+    return op(h, weights, mask, rows, config.num_heads, config.eps)
 
 
 def encoder_layer_forward(config: ModelConfig, params: ParameterStore,
                           layer_idx: int, h: Tensor, mask: np.ndarray,
                           rows: np.ndarray,
                           adapter_slot: AdapterSlot | None = None,
-                          q_rows: np.ndarray | None = None) -> Tensor:
+                          cls_only: bool = False) -> Tensor:
     """Attention sublayer, FF sublayer (both residual + post-norm, one node
     each), then the adapter slot applied to the FF-sublayer output.
 
-    ``h``, ``mask``, ``rows`` and ``q_rows`` are as in
-    ``multi_head_attention``. The layer computes the query rows only, all
-    rows when ``q_rows`` is None; they attend over every row of ``h``, and
-    the residuals, layer norms, FF block and adapter slot act on them alone,
-    so the output is [n, H] or [len(q_rows), H].
+    ``h``, ``mask``, ``rows`` and ``cls_only`` are as in
+    ``multi_head_attention``. The layer computes the query rows only: every
+    row, or with ``cls_only`` each batch row's [CLS] row. They attend over
+    every row of ``h``, and the residuals, layer norms, FF block and adapter
+    slot act on them alone, so the output is [n, H] or [B, H].
     """
     p = f"layers.{layer_idx}.ff"
-    h1 = multi_head_attention(config, params, layer_idx, h, mask, rows, q_rows)
+    h1 = multi_head_attention(config, params, layer_idx, h, mask, rows, cls_only)
     h2 = T.feed_forward(h1, [params[f"{p}.{name}"] for name in (
         "in.weight", "in.bias", "out.weight", "out.bias", "norm.gamma",
         "norm.beta")], config.eps)
@@ -235,8 +236,9 @@ def encode(config: ModelConfig, params: ParameterStore, batch: Batch,
     FF block, adapter slot) then runs on those real-token rows only; padded
     positions would only ever feed keys the mask weights 0. Every layer but
     the last computes all of them; the last computes each row's [CLS] row
-    only, since only that reaches a head. Position 0 of every row must be a
-    real token, or ContractError is raised.
+    only, since only that reaches a head, through ``tensor.cls_attention``,
+    which projects no key or value. Position 0 of every row must be a real
+    token, or ContractError is raised.
     """
     mask = batch.attention_mask
     masked_cls = np.flatnonzero(mask[:, 0] == 0)
@@ -249,4 +251,4 @@ def encode(config: ModelConfig, params: ParameterStore, batch: Batch,
     for i in range(last):
         h = encoder_layer_forward(config, params, i, h, mask, rows, adapter_slot)
     return encoder_layer_forward(config, params, last, h, mask, rows, adapter_slot,
-                                 np.flatnonzero(rows % mask.shape[1] == 0))
+                                 cls_only=True)

@@ -9,11 +9,12 @@ Every differentiable operation records a node holding its inputs and a
 backward closure. ``backward`` orders the graph below a scalar root
 topologically and replays it in reverse, accumulating gradients with ``+=``
 across shared subexpressions. Inside ``no_grad`` nothing is recorded. Each
-model block is one op: ``embeddings``, ``self_attention`` and
-``feed_forward`` on packed [n, H] rows (only ``self_attention`` builds a
-padded layout), then ``adapter_fusion`` and ``matmul`` on the last axis of
-any leading dims. A loss is one ``scalar_loss`` node whose value and
-gradient its caller computes in closed form.
+model block is one op: ``embeddings``, ``self_attention`` (or, for the
+[CLS] queries alone, ``cls_attention``) and ``feed_forward`` on packed
+[n, H] rows (only the attention ops build a padded layout), then
+``adapter_fusion`` and ``matmul`` on the last axis of any leading dims. A
+loss is one ``scalar_loss`` node whose value and gradient its caller
+computes in closed form.
 """
 
 from __future__ import annotations
@@ -278,88 +279,184 @@ def _check_rows(op: str, rows: Array, limit: int) -> None:
             f"[0, {limit})")
 
 
+def _attention_rows(op: str, h: Tensor, weights: Sequence[Tensor], mask: Array,
+                    rows: Array, heads: int) -> tuple[Array, Array]:
+    """Check the arguments shared by the attention ops; returns ``mask`` and
+    ``rows`` as arrays."""
+    mask, rows = np.asarray(mask), np.asarray(rows)
+    if (mask.ndim != 2 or h.data.ndim != 2 or h.shape[:1] != rows.shape
+            or h.shape[1] % heads != 0):
+        raise ShapeMismatchError(
+            f"{op}: h {h.shape} at {rows.shape} positions, mask {mask.shape}, "
+            f"{heads} heads")
+    sq, vec = (h.shape[1],) * 2, h.shape[1:]
+    _check_weights(op, weights, [sq, vec, sq, sq, vec, sq, vec, vec, vec])
+    _check_rows(op, rows, mask.size)
+    return mask, rows
+
+
+def _key_fill(mask: Array, dtype) -> Array:
+    """The keys-first [L, B] score offsets of the [B, L] key mask: -1e9 at
+    the keys it marks 0."""
+    return (1.0 - mask.T.astype(dtype)) * _MASKED_SCORE
+
+
 def self_attention(h: Tensor, weights: Sequence[Tensor], mask: Array, rows: Array,
-                   q_rows: Array | None, heads: int, eps: float) -> Tensor:
+                   heads: int, eps: float) -> Tensor:
     """The post-norm attention sublayer of an encoder layer as one node:
-    ``LN(x + MHA(h) W_o + b_o)``, where x holds the query rows of ``h``.
+    ``LN(h + MHA(h) W_o + b_o)``, every row of ``h`` a query.
 
     ``weights`` are the query projection's [H, H] weight and [H] bias, the
     key projection's weight, the value and output projections' weights and
     biases, then the norm's gamma and beta, in that order. Keys take no bias:
     a shift shared by every key of a query cancels in the softmax. ``h``
-    [n, H] holds the rows at the flat positions ``rows`` of a [B, L] batch
-    whose key mask ``mask`` gives the keys it marks 0 a -1e9 score (``rows``
-    must cover every real one). The queries are the rows of
-    ``h`` at the indices ``q_rows``, or every row when it is None; both must
-    be strictly increasing. Each query attends, over ``heads`` heads scaled by
-    1/sqrt(H / heads), to the keys of its own batch row. Returns one row per
-    query.
+    [n, H] holds the rows at the flat positions ``rows`` (strictly
+    increasing) of a [B, L] batch whose key mask ``mask`` gives the keys it
+    marks 0 a -1e9 score (``rows`` must cover every real one). Each row
+    attends, over ``heads`` heads scaled by 1/sqrt(H / heads), to the keys of
+    its own batch row. Returns [n, H].
 
-    K|V is one GEMM over the concatenated weights on every row; Q is one
-    GEMM over the query rows, all rows when ``q_rows`` is None. One row
-    scatter lays K|V out as [B, L] by position, and another lays Q out as
-    [B, Lq] by position, where Lq is one past the last query position (L
-    for every row, 1 for the [CLS] rows). The scores are held keys-first,
-    so the softmax runs over whole contiguous slices. The residual and the
-    norm run in place. The backward returns ``None`` for every input that
-    needs no gradient and skips that work.
+    Q|K|V is one GEMM over the concatenated weights, and one row scatter
+    lays it out as [B, L] by position. The scores are held keys-first, so
+    the softmax runs over whole contiguous slices. The residual and the norm
+    run in place. The backward returns ``None`` for every input that needs
+    no gradient and skips that work.
     """
-    mask, rows = np.asarray(mask), np.asarray(rows)
-    if (mask.ndim != 2 or h.data.ndim != 2 or h.shape[:1] != rows.shape
-            or h.shape[1] % heads != 0):
-        raise ShapeMismatchError(
-            f"self_attention: h {h.shape} at {rows.shape} positions, mask "
-            f"{mask.shape}, {heads} heads")
-    n, hidden = h.shape
-    sq, vec = (hidden, hidden), (hidden,)
-    _check_weights("self_attention", weights, [sq, vec, sq, sq, vec, sq, vec, vec, vec])
+    mask, rows = _attention_rows("self_attention", h, weights, mask, rows, heads)
+    hidden = h.shape[1]
     b, length = mask.shape
-    _check_rows("self_attention", rows, b * length)
     w_q, b_q, w_k, w_v, b_v, w_o, b_o, gamma, beta = weights
     inputs = (h, *weights)
     keep = _recording(inputs)
     dh = hidden // heads
     scale = 1.0 / math.sqrt(dh)
-    if q_rows is None:
-        q_rows = slice(None)  # a view, and an in-place add in the backward
-    else:
-        q_rows = np.asarray(q_rows)
-        _check_rows("self_attention", q_rows, n)
     x = h.data
-    xq = x[q_rows]
-    q_batch, q_pos = np.divmod(rows[q_rows], length)
-    q_len = int(q_pos.max(initial=-1)) + 1
-    q_flat = q_batch * q_len + q_pos
-    w_kv = np.concatenate([w_k.data, w_v.data], axis=1)
+    w_in = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)
 
-    def by_head(buf: Array, width: int, part: int = 0) -> Array:
-        """The [B, h, width, dh] view of the ``part``-th H columns of the
-        [B * width, parts * H] rows ``buf``."""
-        return buf.reshape(b, width, -1, heads, dh)[:, :, part].transpose(0, 2, 1, 3)
+    def by_head(buf: Array, part: int = 0) -> Array:
+        """The [B, h, L, dh] view of the ``part``-th H columns of the
+        [B * L, parts * H] rows ``buf``."""
+        return buf.reshape(b, length, -1, heads, dh)[:, :, part].transpose(0, 2, 1, 3)
 
-    proj = x @ w_kv
-    proj[:, hidden:] += b_v.data
-    # k|v at every position of the batch, zeros where no row is
-    padded = np.zeros((b * length, 2 * hidden), x.dtype)
+    proj = x @ w_in
+    proj[:, :hidden] += b_q.data
+    proj[:, 2 * hidden:] += b_v.data
+    # q|k|v at every position of the batch, zeros where no row is
+    padded = np.zeros((b * length, 3 * hidden), x.dtype)
     padded[rows] = proj
+    qh, vh = by_head(padded), by_head(padded, 2)
     # a contiguous K^T makes the score GEMMs several times faster
-    kt = np.ascontiguousarray(by_head(padded, length).swapaxes(-1, -2))
-    vh = by_head(padded, length, 1)
-    q = xq @ w_q.data
-    q += b_q.data
-    qh = np.zeros((b * q_len, hidden), x.dtype)
-    qh[q_flat] = q
-    qh = by_head(qh, q_len)
-    # scores held keys-first, [L, B, h, Lq]: the softmax then runs over
+    kt = np.ascontiguousarray(by_head(padded, 1).swapaxes(-1, -2))
+    # scores held keys-first, [L, B, h, L]: the softmax then runs over
     # whole contiguous slices rather than along a short inner axis
-    p = np.empty((length, b, heads, q_len), x.dtype)
+    p = np.empty((length, b, heads, length), x.dtype)
     np.matmul(qh, kt, out=_by_query(p))
     p *= scale
-    p += ((1.0 - mask.T.astype(x.dtype)) * _MASKED_SCORE)[:, :, None, None]
+    p += _key_fill(mask, x.dtype)[:, :, None, None]
     _softmax_over_keys(p)
-    ctx = np.empty((b * q_len, hidden), x.dtype)
-    np.matmul(_by_query(p), vh, out=by_head(ctx, q_len))
-    ctx = ctx.take(q_flat, axis=0)                                     # [m, H]
+    ctx = np.empty((b * length, hidden), x.dtype)
+    np.matmul(_by_query(p), vh, out=by_head(ctx))
+    ctx = ctx.take(rows, axis=0)                                       # [n, H]
+    z = ctx @ w_o.data
+    z += b_o.data
+    z += x
+    out, xhat, inv = _post_norm(z, gamma.data, beta.data, eps, keep)
+
+    def backward(g: Array):
+        need = [_needs_grad(t) for t in inputs]
+        need_h, need_in = need[0], any(need[1:6])
+        grads: list[Array | None] = [None] * len(inputs)
+        dz, grads[8], grads[9] = _post_norm_backward(g, xhat, inv, gamma.data,
+                                                     need[8] or need[9])
+        if need[6] or need[7]:
+            grads[6], grads[7] = _affine_grads(ctx, dz)
+        if not (need_h or need_in):
+            return _only_needed(grads, need)
+        # d(q|k|v) laid out as padded is; dctx sits in its dq columns until
+        # dq overwrites it, once dv has read it
+        dpad = np.zeros_like(padded)
+        dpad[rows, :hidden] = dz @ w_o.data.T
+        gh = by_head(dpad)
+        ds = np.empty_like(p)
+        np.matmul(gh, vh.swapaxes(-1, -2), out=_by_query(ds))
+        _softmax_over_keys_backward(p, ds)
+        ds *= scale
+        ds = _by_query(ds)
+        np.matmul(_by_query(p).swapaxes(-1, -2), gh, out=by_head(dpad, 2))
+        np.matmul(ds.swapaxes(-1, -2), qh, out=by_head(dpad, 1))
+        np.matmul(ds, kt.swapaxes(-1, -2), out=gh)
+        dproj = dpad.take(rows, axis=0)
+        if need_in:
+            dw, db = _affine_grads(x, dproj)
+            grads[1:6] = (dw[:, :hidden], db[:hidden], dw[:, hidden:2 * hidden],
+                          dw[:, 2 * hidden:], db[2 * hidden:])
+        if need_h:
+            grads[0] = dproj @ w_in.T
+            grads[0] += dz
+        return _only_needed(grads, need)
+
+    return _track("self_attention", inputs, out, backward)
+
+
+def cls_attention(h: Tensor, weights: Sequence[Tensor], mask: Array, rows: Array,
+                  heads: int, eps: float) -> Tensor:
+    """The post-norm attention sublayer of the last encoder layer as one
+    node: ``self_attention`` with each batch row's [CLS] row, its row at
+    position 0, as its only query. The arguments are ``self_attention``'s,
+    and position 0 of every batch row must be one of ``rows``. Returns
+    [B, H], one row per batch row.
+
+    K and V are never projected. With x_bj the rows of batch row b and q_bk
+    head k's part of its [CLS] query, the scores are ``x_bj . r_bk`` with
+    ``r_bk = scale W_K,k q_bk``, and, since the weights p_bkj sum to 1, the
+    context is ``(sum_j p_bkj x_bj) W_V,k + b_V,k``. So every projection
+    runs on B rows, and the keys meet only two batched products with the
+    rows laid out as [B, L, H]. The backward builds no dK or dV either: dh
+    is ``ds r + p dc`` on that layout (dc the context gradient carried back
+    through W_V), and dW_K and dW_V are per-head products over the B rows.
+    The scores are held keys-first, as in ``self_attention``. The backward
+    returns ``None`` for every input that needs no gradient and skips that
+    work.
+    """
+    mask, rows = _attention_rows("cls_attention", h, weights, mask, rows, heads)
+    n, hidden = h.shape
+    b, length = mask.shape
+    starts = np.arange(b) * length
+    cls = np.searchsorted(rows, starts)                       # the query rows of h
+    if b and (cls[-1] >= n or np.any(rows[cls] != starts)):
+        raise ContractError("cls_attention: rows must hold position 0 of every batch row")
+    w_q, b_q, w_k, w_v, b_v, w_o, b_o, gamma, beta = weights
+    inputs = (h, *weights)
+    keep = _recording(inputs)
+    dh = hidden // heads
+    scale = 1.0 / math.sqrt(dh)
+    x = h.data
+    xq = x[cls]
+
+    def by_head(a: Array) -> Array:
+        """The [h, m, dh] view of the [m, H] rows ``a``, or of the columns
+        of the [H, H] weight ``a``."""
+        return a.reshape(a.shape[0], heads, dh).transpose(1, 0, 2)
+
+    # the rows at their positions, [B, L, H], zeros where no row is
+    xpad = np.zeros((b * length, hidden), x.dtype)
+    xpad[rows] = x
+    xpad = xpad.reshape(b, length, hidden)
+    wk, wv = by_head(w_k.data), by_head(w_v.data)
+    q = xq @ w_q.data
+    q += b_q.data
+    r = by_head(q) @ wk.swapaxes(-1, -2)                                 # [h, B, H]
+    r *= scale
+    r = r.transpose(1, 0, 2)                                             # [B, h, H]
+    # scores held keys-first, [L, B, h]
+    p = np.empty((length, b, heads), x.dtype)
+    np.matmul(xpad, r.swapaxes(-1, -2), out=p.transpose(1, 0, 2))
+    p += _key_fill(mask, x.dtype)[:, :, None]
+    _softmax_over_keys(p)
+    c = p.transpose(1, 2, 0) @ xpad                                      # [B, h, H]
+    ctx = np.empty((b, hidden), x.dtype)
+    np.matmul(c.transpose(1, 0, 2), wv, out=by_head(ctx))
+    ctx += b_v.data
     z = ctx @ w_o.data
     z += b_o.data
     z += xq
@@ -375,35 +472,31 @@ def self_attention(h: Tensor, weights: Sequence[Tensor], mask: Array, rows: Arra
             grads[6], grads[7] = _affine_grads(ctx, dz)
         if not (need_h or need_in):
             return _only_needed(grads, need)
-        dctx = np.zeros((b * q_len, hidden), x.dtype)
-        dctx[q_flat] = dz @ w_o.data.T
-        gh = by_head(dctx, q_len)
+        dctx = dz @ w_o.data.T
+        dc = (by_head(dctx) @ wv.swapaxes(-1, -2)).transpose(1, 0, 2)    # [B, h, H]
         ds = np.empty_like(p)
-        np.matmul(gh, vh.swapaxes(-1, -2), out=_by_query(ds))
+        np.matmul(xpad, dc.swapaxes(-1, -2), out=ds.transpose(1, 0, 2))
         _softmax_over_keys_backward(p, ds)
-        ds *= scale
-        ds = _by_query(ds)
-        # d(k|v) laid out as padded is, then taken at the rows of proj
-        dpad = np.empty_like(padded)
-        np.matmul(ds.swapaxes(-1, -2), qh, out=by_head(dpad, length))
-        np.matmul(_by_query(p).swapaxes(-1, -2), gh, out=by_head(dpad, length, 1))
-        # dq overwrites dctx, which nothing reads any more
-        np.matmul(ds, kt.swapaxes(-1, -2), out=gh)
-        dq = dctx.take(q_flat, axis=0)
-        dproj = dpad.take(rows, axis=0)
+        dr = ds.transpose(1, 2, 0) @ xpad                                # [B, h, H]
+        dr *= scale
+        dr = dr.transpose(1, 0, 2)                                       # [h, B, H]
+        dq = np.empty((b, hidden), x.dtype)
+        np.matmul(dr, wk, out=by_head(dq))
         if need_in:
             grads[1], grads[2] = _affine_grads(xq, dq)
-            dw, db = _affine_grads(x, dproj)
-            grads[3:6] = dw[:, :hidden], dw[:, hidden:], db[hidden:]
+            grads[3], grads[4] = np.empty_like(w_k.data), np.empty_like(w_v.data)
+            np.matmul(dr.swapaxes(-1, -2), by_head(q), out=by_head(grads[3]))
+            np.matmul(c.transpose(1, 2, 0), by_head(dctx), out=by_head(grads[4]))
+            grads[5] = _column_sum(dctx)
         if need_h:
-            dxq = dq @ w_q.data.T
-            dxq += dz
-            dx = dproj @ w_kv.T
-            dx[q_rows] += dxq
+            dx = ds.transpose(1, 0, 2) @ r
+            dx += p.transpose(1, 0, 2) @ dc
+            dx = dx.reshape(b * length, hidden).take(rows, axis=0)
+            dx[cls] += dq @ w_q.data.T + dz
             grads[0] = dx
         return _only_needed(grads, need)
 
-    return _track("self_attention", inputs, out, backward)
+    return _track("cls_attention", inputs, out, backward)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

@@ -32,7 +32,8 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .data import (EXCLUSIVE, TASK_CLASSES, Batch, Splits, Vocabulary,
-                   build_vocab, class_statistics, make_batches)
+                   build_vocab, class_statistics, gather_batches, make_batches,
+                   tokenize_split)
 from .encoder import ModelConfig, config_kwargs, has_type
 from .errors import (CheckpointError, ConfigError, ContractError,
                      NumericalDivergenceError)
@@ -463,6 +464,7 @@ def fit(bank: AdapterBank, task: TaskSpec, splits: Splits, vocab: Vocabulary,
         weights = pos_weights(class_statistics(splits.train, task.kind))
     val_batches = make_batches(splits.val, vocab, cfg.max_len, task.kind,
                                cfg.batch_size)
+    train_split = tokenize_split(splits.train, vocab, cfg.max_len, task.kind)
     rng = np.random.default_rng(cfg.seed)
     state = AdamState()
     steps_per_epoch = math.ceil(len(splits.train) / cfg.batch_size)
@@ -477,11 +479,9 @@ def fit(bank: AdapterBank, task: TaskSpec, splits: Splits, vocab: Vocabulary,
     best_report: MetricsReport | None = None
     history: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
-        perm = rng.permutation(len(splits.train))
-        epoch_examples = [splits.train[i] for i in perm]
         epoch_loss = 0.0
-        for batch in make_batches(epoch_examples, vocab, cfg.max_len,
-                                  task.kind, cfg.batch_size):
+        for batch in gather_batches(train_split, rng.permutation(len(splits.train)),
+                                    cfg.batch_size):
             t += 1
             lr_t = lr_schedule(t - 1, total_steps, cfg.lr, cfg.warmup_steps)
             bank.params.zero_grad()

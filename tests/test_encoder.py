@@ -254,12 +254,13 @@ def test_attention_sublayer_is_four_linears_around_one_attention_node(cls_only):
     batch = make_batch(config, np.random.default_rng(14), mask_out=[(0, 4)])
     rows = np.flatnonzero(batch.attention_mask)
     x = embed(config, bank.params, batch, rows)
-    q_rows = np.array([0, 4]) if cls_only else None  # the two [CLS] rows
     out = multi_head_attention(config, bank.params, 0, x, batch.attention_mask,
-                               rows, q_rows)
+                               rows, cls_only)
+    # one row per batch row's [CLS] row, or per row
     assert out.shape == (2 if cls_only else len(rows), config.hidden_size)
     # the four linears, the attention, the residual and the norm: one node
-    assert out.node.op == "self_attention" and out.node.inputs[0] is x
+    op = "cls_attention" if cls_only else "self_attention"
+    assert out.node.op == op and out.node.inputs[0] is x
     assert [t.name for t in out.node.inputs[1:]] == [
         f"layers.0.attention.{name}" for name in (
             "query.weight", "query.bias", "key.weight", "value.weight",
@@ -371,7 +372,7 @@ def test_encode_single_layer_is_one_layer_forward():
                                rtol=0, atol=1e-12)
     cls_only = encoder_layer_forward(config, bank.params, 0, x,
                                      batch.attention_mask, all_rows(batch), None,
-                                     np.arange(2) * 5)
+                                     cls_only=True)
     np.testing.assert_array_equal(cls_state.data, cls_only.data)
 
 

@@ -154,7 +154,9 @@ def test_fusion_bank_records_one_fusion_mix_node_per_layer(num_tasks):
     # the adapters run inside the fusion node, so no adapter op is recorded
     assert ops.count("adapter_fusion") == config.num_layers
     assert "relu" not in ops
-    assert "self_attention" in ops  # the encoder's attention sublayer
+    # the encoder's attention sublayer: the last layer's, over the [CLS] rows
+    # (the frozen layer 0 records no node)
+    assert "cls_attention" in ops and "self_attention" not in ops
     # every real token below the last layer, the [CLS] rows in it
     assert {i: w.shape for i, w in bank.fusion_weights().items()} \
         == {0: (2 * 4, num_tasks), 1: (2, num_tasks)}
@@ -615,8 +617,9 @@ def test_float32_fusion_bank_matches_float64_on_the_same_weights():
 HEAD = ["heads.t.dense", "heads.t.out"]
 # stage: (tape nodes reachable from the loss, the linear layers that are
 # matmul nodes on it, the encoder layers on it). The embeddings are one
-# embeddings node, and each encoder layer is one self_attention and one
-# feed_forward node, which hold its six linears. The frozen embeddings and
+# embeddings node, and each encoder layer is one attention node and one
+# feed_forward node, which hold its six linears: self_attention below the
+# last layer and cls_attention in it. The frozen embeddings and
 # layer 0 record no node in the adapter and fusion stages, so only the
 # trained adapters, fusion and layer 1 reach the tape. In both stages each
 # layer's adapters run inside its adapter_fusion node, so no adapter linear
@@ -652,8 +655,10 @@ def test_training_step_tape_has_one_matmul_node_per_linear_layer(stage):
                for n in matmuls)
     # the encoder's linears sit inside its sublayer nodes
     sublayers = sorted((n.op, n.inputs[1].name) for n in nodes.values()
-                       if n.op in ("self_attention", "feed_forward"))
+                       if n.op in ("self_attention", "cls_attention", "feed_forward"))
+    last = bank.config.num_layers - 1
     assert sublayers == sorted(
         pair for i in layers for pair in (
-            ("self_attention", f"layers.{i}.attention.query.weight"),
+            ("cls_attention" if i == last else "self_attention",
+             f"layers.{i}.attention.query.weight"),
             ("feed_forward", f"layers.{i}.ff.in.weight")))

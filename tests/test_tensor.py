@@ -109,7 +109,7 @@ def test_equal_shape_broadcast_only():
 
 
 def attention_weights(hidden):
-    """Shapes of ``self_attention``'s weights: the query projection, the key
+    """Shapes of the attention ops' weights: the query projection, the key
     weight, the value and output projections, then the norm's gamma and
     beta."""
     return ([(hidden, hidden), (hidden,), (hidden, hidden)]
@@ -156,8 +156,8 @@ def leaves_of(r, shapes, scale=1.0):
 # B=2 rows of L=3: every position has a row of h, and position 2 is a padded key
 SUBLAYER_MASK = np.array([[1, 1, 0], [1, 1, 1]])
 
-# one case per op (two for matmul, self_attention and adapter_fusion); every
-# op runs both parametrizations
+# one case per op (two for matmul and adapter_fusion); every op runs both
+# parametrizations
 OP_CASES = [
     ("tanh", lambda r: (Tensor(r.uniform(-2, 2, (3, 4)), requires_grad=True),),
      lambda a: T.tanh(a)),
@@ -180,10 +180,9 @@ OP_CASES = [
      lambda *t: T.embeddings(t[:3], EMBEDDING_IDS, *t[3:], 1e-12)),
     # H=4 over 2 heads: every row queries, or rows 0 and 3 (the [CLS] rows)
     ("attention", lambda r: leaves_of(r, [(6, 4)] + attention_weights(4), 2.0),
-     lambda h, *w: T.self_attention(h, w, SUBLAYER_MASK, np.arange(6), None, 2, 1e-12)),
+     lambda h, *w: T.self_attention(h, w, SUBLAYER_MASK, np.arange(6), 2, 1e-12)),
     ("attention_cls", lambda r: leaves_of(r, [(6, 4)] + attention_weights(4), 2.0),
-     lambda h, *w: T.self_attention(h, w, SUBLAYER_MASK, np.arange(6), np.array([0, 3]),
-                                    2, 1e-12)),
+     lambda h, *w: T.cls_attention(h, w, SUBLAYER_MASK, np.arange(6), 2, 1e-12)),
     ("feed_forward", lambda r: leaves_of(r, [(3, 4)] + ff_weights(4, 5), 2.0),
      lambda h, *w: T.feed_forward(h, w, 1e-12)),
 ]
@@ -314,8 +313,8 @@ def test_row_ops_pass_finite_difference_check():
     mix = rng.uniform(-1, 1, (3, 4))
 
     def loss_fn():  # the packed real rows of [B, L, H]; the [CLS] rows query
-        return probe(mix, T.self_attention(T.tanh(h), weights, PACKED_MASK, PACKED,
-                                           [0, 3, 5], 2, 1e-12))
+        return probe(mix, T.cls_attention(T.tanh(h), weights, PACKED_MASK, PACKED, 2,
+                                          1e-12))
 
     report = finite_difference_check(
         loss_fn, [("h", h)] + [(f"w{i}", w) for i, w in enumerate(weights)],
@@ -328,20 +327,30 @@ def test_row_ops_pass_finite_difference_check():
                          ids=["repeated", "unsorted", "negative", "past_end",
                               "float", "2d"])
 def test_row_ops_reject_rows_that_are_not_strictly_increasing_positions(rows):
-    bad, good, mask = np.array(rows), np.arange(3), np.ones((3, 4))
+    bad, mask = np.array(rows), np.ones((3, 4))
     weights = [Tensor(np.zeros(s)) for s in attention_weights(2)]
-    at = lambda r: Tensor(np.zeros((len(r), 2)))  # noqa: E731
-    with pytest.raises((ContractError, ShapeMismatchError)):  # key rows
-        T.self_attention(at(bad), weights, mask, bad, None, 1, 1e-12)
-    with pytest.raises((ContractError, ShapeMismatchError)):  # query rows
-        T.self_attention(at(good), weights, mask, good, bad, 1, 1e-12)
+    for op in (T.self_attention, T.cls_attention):
+        with pytest.raises((ContractError, ShapeMismatchError)):
+            op(Tensor(np.zeros((len(bad), 2))), weights, mask, bad, 1, 1e-12)
 
 
 def test_attention_needs_one_key_and_value_row_per_position():
     weights = [Tensor(np.zeros(s)) for s in attention_weights(2)]
-    with pytest.raises(ShapeMismatchError, match=r"\(3, 2\).*\(2,\)"):
-        T.self_attention(Tensor(np.zeros((3, 2))), weights, np.ones((2, 2)),
-                         np.array([0, 1]), None, 1, 1e-12)
+    for op in (T.self_attention, T.cls_attention):
+        with pytest.raises(ShapeMismatchError, match=r"\(3, 2\).*\(2,\)"):
+            op(Tensor(np.zeros((3, 2))), weights, np.ones((2, 2)), np.array([0, 1]), 1,
+               1e-12)
+
+
+@pytest.mark.parametrize("rows", [[1, 4, 5], [0, 1, 5], [0, 1, 4]],
+                         ids=["first", "middle", "last"])
+def test_cls_attention_needs_every_cls_row(rows):
+    # B=3 rows of L=2; one batch row's position 0 has no row of h
+    rows = np.array(rows)
+    mask = np.isin(np.arange(6), rows).astype(np.int64).reshape(3, 2)
+    weights = [Tensor(np.zeros(s)) for s in attention_weights(2)]
+    with pytest.raises(ContractError, match="position 0 of every batch row"):
+        T.cls_attention(Tensor(np.zeros((3, 2))), weights, mask, rows, 1, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -383,25 +392,29 @@ def naive_attention_sublayer(h, weights, mask, rows, q_idx, heads, eps):
 # that still has a row of h (row 2).
 ROW_MASK = np.array([[1, 1, 0, 1], [1, 0, 1, 1]])
 ROWS = np.array([0, 1, 2, 3, 4, 6, 7])
+# B=3 rows of L=4. Batch row 1's only real key is its [CLS]; its position 1
+# is a padded key that has a row of h (row 5), as is row 0's position 3 (row 3).
+ALONE_MASK = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 0, 1]])
+ALONE_ROWS = np.array([0, 1, 2, 3, 4, 5, 8, 9, 11])
+# each shape's queries: every row (``q_idx`` None, ``self_attention``) or the
+# [CLS] rows at the indices ``q_idx`` (``cls_attention``)
 ATTENTION_SHAPES = {
     # encoder: H=8 over 2 heads, every row queries
     "encoder": dict(q_idx=None, rows=ROWS, mask=ROW_MASK, hidden=8, heads=2),
     # the last encoder layer: only each batch row's [CLS] row queries
     "cls": dict(q_idx=np.array([0, 4]), rows=ROWS, mask=ROW_MASK, hidden=8, heads=2),
-    # one query per batch row past position 0 (positions 1 and 3), so the
-    # [B, Lq] query layout has slots no query fills
-    "late": dict(q_idx=np.array([1, 6]), rows=ROWS, mask=ROW_MASK, hidden=8, heads=2),
-    # every row queries, named by its index rather than by None
-    "every_index": dict(q_idx=np.arange(len(ROWS)), rows=ROWS, mask=ROW_MASK,
-                        hidden=8, heads=2),
+    # a [CLS] row that attends to itself alone
+    "cls_alone": dict(q_idx=np.array([0, 4, 6]), rows=ALONE_ROWS, mask=ALONE_MASK,
+                      hidden=8, heads=2),
     # B=6 batch rows of L=5, one query per batch row, single head, no padding
     "fusion": dict(q_idx=np.arange(6) * 5, rows=np.arange(30), mask=np.ones((6, 5)),
                    hidden=4, heads=1),
 }
+CLS_SHAPES = sorted(k for k, cfg in ATTENTION_SHAPES.items() if cfg["q_idx"] is not None)
 
 
 def attention_leaves(cfg, seed):
-    """h, then the nine weights of ``self_attention``."""
+    """h, then the nine weights of the attention ops."""
     rng = np.random.default_rng(seed)
     h, *weights = leaves_of(rng, [(len(cfg["rows"]), cfg["hidden"])]
                             + attention_weights(cfg["hidden"]), 2.0)
@@ -410,7 +423,14 @@ def attention_leaves(cfg, seed):
     return h, weights
 
 
-def attention_args(cfg):
+def attend(cfg, h, weights):
+    """The shape's op: ``self_attention`` when every row queries,
+    ``cls_attention`` when the [CLS] rows do."""
+    op = T.self_attention if cfg["q_idx"] is None else T.cls_attention
+    return op(h, weights, cfg["mask"], cfg["rows"], cfg["heads"], 1e-12)
+
+
+def oracle_args(cfg):
     return cfg["mask"], cfg["rows"], cfg["q_idx"], cfg["heads"], 1e-12
 
 
@@ -418,11 +438,11 @@ def attention_args(cfg):
 def test_attention_matches_naive_per_head_oracle(shape):
     cfg = ATTENTION_SHAPES[shape]
     h, weights = attention_leaves(cfg, seed=5)
-    out = T.self_attention(h, weights, *attention_args(cfg))
+    out = attend(cfg, h, weights)
     queries = len(cfg["rows"]) if cfg["q_idx"] is None else len(cfg["q_idx"])
     assert out.shape == (queries, cfg["hidden"])
     np.testing.assert_allclose(
-        out.data, naive_attention_sublayer(h.data, weights, *attention_args(cfg)),
+        out.data, naive_attention_sublayer(h.data, weights, *oracle_args(cfg)),
         rtol=0, atol=1e-12)
 
 
@@ -430,73 +450,69 @@ def test_attention_matches_naive_per_head_oracle(shape):
 def test_attention_ops_pass_finite_difference_check(shape):
     cfg = ATTENTION_SHAPES[shape]
     h, weights = attention_leaves(cfg, seed=6)
-    out = T.self_attention(h, weights, *attention_args(cfg))
-    mix = np.random.default_rng(7).uniform(-1, 1, out.shape)
+    mix = np.random.default_rng(7).uniform(-1, 1, attend(cfg, h, weights).shape)
     report = finite_difference_check(
-        lambda: probe(mix, T.self_attention(h, weights, *attention_args(cfg))),
+        lambda: probe(mix, attend(cfg, h, weights)),
         [(t.name, t) for t in (h, *weights)], tol=1e-4)
     assert report.passed, report.worst()
-    if shape == "cls":
-        # a padded key gets no weight, and this one is no query, so its row
-        # of h has no gradient
-        assert np.all(h.grad[2] == 0.0) and np.all(h.grad[3] != 0.0)
+    if cfg["q_idx"] is not None:
+        # a padded key gets no weight, and it is no query, so its row of h
+        # gets an exact zero gradient; every real key's row gets one
+        padded = cfg["mask"].reshape(-1)[cfg["rows"]] == 0
+        assert np.all(h.grad[padded] == 0.0) and np.all(h.grad[~padded] != 0.0)
+
+
+@pytest.mark.parametrize("shape", CLS_SHAPES)
+def test_cls_attention_matches_the_chain_with_cls_queries(shape):
+    """``cls_attention`` against ``chain.attention_sublayer`` with the [CLS]
+    rows as queries, which projects K and V: the output and the gradients
+    of h and all nine weights, in float64, within 1e-12."""
+    cfg = ATTENTION_SHAPES[shape]
+    h, weights = attention_leaves(cfg, seed=11)
+    ref_h, *ref_weights = chain.copies([h, *weights])
+    out = attend(cfg, h, weights)
+    ref = chain.attention_sublayer(ref_h, ref_weights, *oracle_args(cfg))
+    mix = np.random.default_rng(12).uniform(-1, 1, out.shape)
+    backward(probe(mix, out))
+    backward(probe(mix, ref))
+    np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+    for leaf, ref_leaf in zip([h, *weights], [ref_h, *ref_weights]):
+        np.testing.assert_allclose(leaf.grad, ref_leaf.grad, rtol=0, atol=1e-12,
+                                   err_msg=leaf.name)
 
 
 def test_attention_under_no_grad_records_no_node():
-    cfg = ATTENTION_SHAPES["encoder"]
-    h, weights = attention_leaves(cfg, seed=8)
-    taped = T.self_attention(h, weights, *attention_args(cfg))
-    assert taped.node.op == "self_attention" and taped.node.inputs == (h, *weights)
-    with T.no_grad():
-        out = T.self_attention(h, weights, *attention_args(cfg))
-    assert out.node is None
-    np.testing.assert_array_equal(out.data, taped.data)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_attention_queries_by_none_and_by_every_index_are_byte_identical(dtype):
-    """``q_rows=None`` is the index of every row: the output and the
-    gradients of h and all nine weights match bit for bit, with a recorded
-    node and under ``no_grad``."""
-    cfg = ATTENTION_SHAPES["encoder"]
-    mix = np.random.default_rng(10).uniform(-1, 1, (len(ROWS), cfg["hidden"]))
-    runs = []
-    for q_idx in (None, np.arange(len(ROWS))):
-        h, weights = attention_leaves(cfg, seed=9)
-        h, *weights = [Tensor(t.data.astype(dtype), requires_grad=True)
-                       for t in (h, *weights)]
-        args = (cfg["mask"], cfg["rows"], q_idx, cfg["heads"], 1e-12)
-        out = T.self_attention(h, weights, *args)
-        backward(probe(mix, out))
+    # the untaped output is byte-identical to the taped one, for both ops
+    for shape, op in (("encoder", "self_attention"), ("cls", "cls_attention")):
+        cfg = ATTENTION_SHAPES[shape]
+        h, weights = attention_leaves(cfg, seed=8)
+        taped = attend(cfg, h, weights)
+        assert taped.node.op == op and taped.node.inputs == (h, *weights)
         with T.no_grad():
-            untaped = T.self_attention(h, weights, *args)
-        assert untaped.node is None
-        runs.append([out.data, untaped.data] + [t.grad for t in (h, *weights)])
-    for by_none, by_index in zip(*runs):
-        assert by_none.dtype == by_index.dtype == dtype
-        assert by_none.tobytes() == by_index.tobytes()
+            out = attend(cfg, h, weights)
+        assert out.node is None
+        assert out.data.tobytes() == taped.data.tobytes()
 
 
 def test_attention_shape_errors():
     x, mask, rows = Tensor(np.ones((4, 8))), np.ones((2, 2)), np.arange(4)
     weights = [Tensor(np.ones(s)) for s in attention_weights(8)]
-    with pytest.raises(ShapeMismatchError):  # 3 heads do not divide H = 8
-        T.self_attention(x, weights, mask, rows, None, 3, 1e-12)
-    with pytest.raises(ShapeMismatchError):  # a value projection of another width
-        T.self_attention(x, weights[:3] + [Tensor(np.ones((8, 4)))] + weights[4:],
-                         mask, rows, None, 2, 1e-12)
-    with pytest.raises(ShapeMismatchError):  # no norm beta
-        T.self_attention(x, weights[:8], mask, rows, None, 2, 1e-12)
-    with pytest.raises(ShapeMismatchError):  # a key bias
-        T.self_attention(x, weights[:3] + [Tensor(np.ones(8))] + weights[3:], mask,
-                         rows, None, 2, 1e-12)
-    with pytest.raises(ShapeMismatchError):  # a mask that is not [B, L]
-        T.self_attention(x, weights, np.ones(4), rows, None, 2, 1e-12)
-    with pytest.raises(ShapeMismatchError):  # h with leading dims
-        T.self_attention(Tensor(np.ones((2, 2, 8))), weights, mask, rows[:2], None,
-                         2, 1e-12)
-    with pytest.raises(ContractError):
-        T.self_attention(x, weights, mask, rows, None, 2, 0.0)
+    for op in (T.self_attention, T.cls_attention):
+        with pytest.raises(ShapeMismatchError):  # 3 heads do not divide H = 8
+            op(x, weights, mask, rows, 3, 1e-12)
+        with pytest.raises(ShapeMismatchError):  # a value projection of another width
+            op(x, weights[:3] + [Tensor(np.ones((8, 4)))] + weights[4:], mask, rows, 2,
+               1e-12)
+        with pytest.raises(ShapeMismatchError):  # no norm beta
+            op(x, weights[:8], mask, rows, 2, 1e-12)
+        with pytest.raises(ShapeMismatchError):  # a key bias
+            op(x, weights[:3] + [Tensor(np.ones(8))] + weights[3:], mask, rows, 2, 1e-12)
+        with pytest.raises(ShapeMismatchError):  # a mask that is not [B, L]
+            op(x, weights, np.ones(4), rows, 2, 1e-12)
+        with pytest.raises(ShapeMismatchError):  # h with leading dims
+            op(Tensor(np.ones((2, 2, 8))), weights, mask, rows[:2], 2, 1e-12)
+        with pytest.raises(ContractError):
+            op(x, weights, mask, rows, 2, 0.0)
 
 
 def test_feed_forward_shape_errors():
@@ -516,12 +532,11 @@ def test_feed_forward_shape_errors():
 # (op, make the leaves h and weights, the fused op, the composed chain)
 SUBLAYERS = {
     "attention": (lambda r: leaves_of(r, [(len(ROWS), 8)] + attention_weights(8)),
-                  lambda h, w: T.self_attention(h, w, ROW_MASK, ROWS, None, 2, 1e-12),
+                  lambda h, w: T.self_attention(h, w, ROW_MASK, ROWS, 2, 1e-12),
                   lambda h, w: chain.attention_sublayer(h, w, ROW_MASK, ROWS, None,
                                                         2, 1e-12)),
     "attention_cls": (lambda r: leaves_of(r, [(len(ROWS), 8)] + attention_weights(8)),
-                      lambda h, w: T.self_attention(h, w, ROW_MASK, ROWS, [0, 4], 2,
-                                                    1e-12),
+                      lambda h, w: T.cls_attention(h, w, ROW_MASK, ROWS, 2, 1e-12),
                       lambda h, w: chain.attention_sublayer(h, w, ROW_MASK, ROWS,
                                                             np.array([0, 4]), 2, 1e-12)),
     "feed_forward": (lambda r: leaves_of(r, [(7, 8)] + ff_weights(8, 16)),
@@ -773,7 +788,7 @@ def test_fusion_mix_shape_errors_name_both_shapes():
 # ---------------------------------------------------------------------------
 # softmax properties, of both kernels: ``_softmax`` over the last axis, which
 # adapter_fusion runs over the adapters, and ``_softmax_over_keys`` over the
-# first, which self_attention runs over the keys
+# first, which the attention ops run over the keys
 # ---------------------------------------------------------------------------
 
 def test_softmax_symmetry():

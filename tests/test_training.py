@@ -578,6 +578,38 @@ def test_fit_rejects_a_config_loss_that_is_not_the_tasks(loss, monkeypatch):
     assert steps
 
 
+@pytest.mark.parametrize("task", [EMOTION, TaskSpec(name="sent7", kind="multiclass-7",
+                                                    loss="bce")],
+                         ids=["multilabel", "exclusive"])
+def test_fit_tokenizes_the_training_split_once(task, monkeypatch):
+    """Every batch of a 3-epoch fit is byte-identical to ``make_batches`` of
+    that epoch's permutation of the training examples, and the training
+    split is tokenized once."""
+    splits = tiny_splits(n=90, seed=4)
+    cfg = fast_cfg(epochs=3, patience=3, batch_size=7)
+    seen, tokenized = [], []
+    real_loss, real_tokenize = training._batch_loss, training.tokenize_split
+    monkeypatch.setattr(training, "_batch_loss",
+                        lambda bank, t, batch, *a: seen.append(batch)
+                        or real_loss(bank, t, batch, *a))
+    monkeypatch.setattr(training, "tokenize_split",
+                        lambda examples, *a: tokenized.append(examples)
+                        or real_tokenize(examples, *a))
+    result = train_full(task, splits, desk_config(), cfg)
+    assert len(result.history) == 3 and tokenized == [splits.train]
+    rng, expected = np.random.default_rng(cfg.seed), []
+    for _ in range(3):
+        perm = rng.permutation(len(splits.train))
+        expected += make_batches([splits.train[i] for i in perm], result.vocab,
+                                 cfg.max_len, task.kind, cfg.batch_size)
+    assert len(seen) == len(expected) == 3 * math.ceil(len(splits.train) / 7)
+    for got, want in zip(seen, expected):
+        for field in ("token_ids", "attention_mask", "segment_ids", "labels"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.flags.c_contiguous and g.tobytes() == w.tobytes()
+
+
 def test_training_divergence_raises_with_diagnostics():
     splits = tiny_splits()
     cfg = fast_cfg(lr=1e30, epochs=2)
